@@ -33,7 +33,6 @@ from .radar_dsp import (
     range_fft,
     select_target_bin,
     static_profile,
-    variant_b_series,
 )
 from .simulate import (
     BreathAudioSpec,
@@ -100,6 +99,5 @@ __all__ = [
     "stft",
     "synth_audio",
     "synth_cube",
-    "variant_b_series",
     "write_capture",
 ]

@@ -3,11 +3,11 @@ extraction of a breathing envelope from the decimated amplitude."""
 
 from __future__ import annotations
 
+import math
+import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import firwin, kaiser_beta, kaiserord, resample_poly
 
 from .errors import AudioTooShortError, UnsupportedWavError
 
@@ -55,16 +55,28 @@ class EnvelopeTrace:
             raise ValueError("envelope samples must be nonnegative")
 
 
+def _kaiser_beta(atten_db: float) -> float:
+    """Kaiser's window parameter for a stopband attenuation in dB."""
+    if atten_db > 50:
+        return 0.1102 * (atten_db - 8.7)
+    if atten_db > 21:
+        return 0.5842 * (atten_db - 21) ** 0.4 + 0.07886 * (atten_db - 21)
+    return 0.0
+
+
+def _kaiser_lowpass(numtaps: int, cutoff_hz: float, beta: float, fs: float) -> np.ndarray:
+    """Windowed-sinc low-pass, Kaiser window, scaled to unity DC gain."""
+    cutoff = cutoff_hz / (fs / 2.0)
+    m = np.arange(numtaps) - (numtaps - 1) / 2.0
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
+    return taps / taps.sum()
+
+
 def design_antialias_taps() -> np.ndarray:
     """Order-20 Kaiser low-pass (10 Hz cutoff, unity DC gain) used before
     the single-stage 2205x decimation."""
-    beta = kaiser_beta(ENVELOPE_ATTENUATION_DB)
-    return firwin(
-        ANTIALIAS_ORDER + 1,
-        ANTIALIAS_CUTOFF_HZ,
-        window=("kaiser", beta),
-        fs=AUDIO_RATE_HZ,
-    )
+    beta = _kaiser_beta(ENVELOPE_ATTENUATION_DB)
+    return _kaiser_lowpass(ANTIALIAS_ORDER + 1, ANTIALIAS_CUTOFF_HZ, beta, AUDIO_RATE_HZ)
 
 
 def design_envelope_taps() -> np.ndarray:
@@ -74,10 +86,11 @@ def design_envelope_taps() -> np.ndarray:
     width = (ENVELOPE_STOPBAND_HZ - ENVELOPE_PASSBAND_HZ) / nyq
     # design 5 dB past the requirement: the Kaiser ripple estimate is exact,
     # leaving no margin at precisely the stopband edge
-    numtaps, beta = kaiserord(ENVELOPE_ATTENUATION_DB + 5.0, width)
+    atten_db = ENVELOPE_ATTENUATION_DB + 5.0
+    numtaps = math.ceil((atten_db - 7.95) / 2.285 / (np.pi * width) + 1)  # Kaiser's order
     numtaps += 1 - numtaps % 2  # symmetric type-I for integer group delay
     cutoff = (ENVELOPE_PASSBAND_HZ + ENVELOPE_STOPBAND_HZ) / 2.0
-    return firwin(numtaps, cutoff, window=("kaiser", beta), fs=FRAME_RATE_HZ)
+    return _kaiser_lowpass(numtaps, cutoff, _kaiser_beta(atten_db), FRAME_RATE_HZ)
 
 
 def _fir_centered(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -94,7 +107,10 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
     keeping every 2205th sample; its alias rejection is weak, which lets
     wideband breath sounds fold into the 20 Hz band as an amplitude trace.
     ``multistage=True`` switches to a clean polyphase chain (21 * 21 * 5)
-    for alias-free references.
+    for alias-free references; it is the one path that needs scipy.
+
+    Only the kept outputs of the FIR are computed, each from the input
+    samples around it.
     """
     if audio.rate_hz != AUDIO_RATE_HZ:
         raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.rate_hz}")
@@ -105,12 +121,17 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
         )
     out_len = x.size // DECIMATION_FACTOR
     if multistage:
+        from scipy.signal import resample_poly
+
         y = x
         for factor in (21, 21, 5):
             y = resample_poly(y, 1, factor)
         return y[:out_len]
-    y = _fir_centered(x, design_antialias_taps())
-    return y[::DECIMATION_FACTOR][:out_len]
+    taps = design_antialias_taps()
+    delay = (len(taps) - 1) // 2
+    # y[n] = sum_j taps[j] * x[n + delay - j] at the kept n; x reads 0 before its start
+    idx = DECIMATION_FACTOR * np.arange(out_len)[:, None] + np.arange(delay, -delay - 1, -1)
+    return np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0) @ taps
 
 
 def envelope(series: np.ndarray, *, square: bool = False) -> EnvelopeTrace:
@@ -130,22 +151,32 @@ def envelope(series: np.ndarray, *, square: bool = False) -> EnvelopeTrace:
 
 def load_wav(path) -> AudioTrace:
     """Read a WAV file, accepting only PCM 16-bit mono at 44.1 kHz."""
-    try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise UnsupportedWavError(f"unreadable WAV file: {exc}") from exc
-    if data.dtype != np.int16:
-        raise UnsupportedWavError(f"expected 16-bit PCM samples, got {data.dtype}")
-    if data.ndim != 1:
-        raise UnsupportedWavError(f"expected mono audio, got {data.shape[1]} channels")
+    with open(path, "rb") as fh:
+        try:
+            with wave.open(fh, "rb") as wav:
+                width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
+                n_frames = wav.getnframes()
+                raw = wav.readframes(n_frames)
+        except (wave.Error, EOFError) as exc:
+            raise UnsupportedWavError(f"unreadable WAV file (need 16-bit PCM): {exc}") from exc
+    if width != 2:
+        raise UnsupportedWavError(f"expected 16-bit PCM samples, got {8 * width}-bit")
+    if channels != 1:
+        raise UnsupportedWavError(f"expected mono audio, got {channels} channels")
     if rate != AUDIO_RATE_HZ:
         raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz, got {rate} Hz")
-    return AudioTrace(samples=data.astype(np.float64) / 32768.0)
+    if len(raw) != 2 * n_frames:
+        raise UnsupportedWavError(f"truncated WAV file: {len(raw) // 2} of {n_frames} samples")
+    return AudioTrace(samples=np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
 
 
 def save_wav(path, trace: AudioTrace) -> None:
-    quantized = np.clip(np.rint(trace.samples * 32767.0), -32768, 32767).astype(np.int16)
-    wavfile.write(path, int(trace.rate_hz), quantized)
+    quantized = np.clip(np.rint(trace.samples * 32767.0), -32768, 32767).astype("<i2")
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(int(trace.rate_hz))
+        wav.writeframes(quantized.tobytes())
 
 
 def envelope_to_csv(env: EnvelopeTrace, path) -> None:

@@ -1,14 +1,22 @@
 """Command-line front end tying simulation, both pipelines, rate extraction
 and comparison into reproducible runs that emit CSV/JSON.
 
-Exit codes: 0 success, 2 input error, 3 processing error.  Every run writes
-a ``manifest.json`` beside its outputs; ``rerun`` replays a manifest and
-reproduces the outputs bit-identically.
+Each command only turns its flags into a ``RunManifest``.  ``_execute``
+hands the manifest to the command's entry in the ``RUNNERS`` table, one
+runner per command, which reads every parameter and input from the
+manifest alone; it then maps errors to exit codes and saves the manifest
+beside the outputs as ``manifest.json``.  ``rerun`` loads a saved manifest
+and goes through the same ``_execute``, so a replay runs the code path of
+the original run and reproduces its outputs bit-identically.
+
+Exit codes: 0 success, 2 input error (bad flags, configs or manifests, or
+an unreadable capture, WAV or rates file), 3 processing error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +27,7 @@ import numpy as np
 
 from .audio_dsp import envelope_to_csv, load_wav, save_wav
 from .config import RadarConfig
-from .errors import RespiradarError, UnsupportedWavError
+from .errors import RespiradarError
 from .ingest import load_capture, write_capture
 from .pipeline import process_audio, process_radar_cube
 from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
@@ -38,7 +46,7 @@ EXIT_PROCESSING_ERROR = 3
 
 MANIFEST_NAME = "manifest.json"
 
-_INPUT_EXCEPTIONS = (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError)
+_INPUT_EXCEPTIONS = (OSError, ValueError, KeyError, TypeError)
 
 
 @dataclass
@@ -47,7 +55,7 @@ class RunManifest:
 
     command: str
     inputs: dict[str, str]
-    output_dir: str
+    output_dir: str | None  # None: `compare` without --out writes nothing
     radar_config: dict | None = None
     stft: dict | None = None
     band_bpm: list | None = None
@@ -56,6 +64,8 @@ class RunManifest:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.command not in RUNNERS:
+            raise ValueError(f"manifest for unknown command {self.command!r}")
         if self.variant is not None and self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
@@ -85,22 +95,157 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _prepare_out_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
+def _resolved(path) -> str:
+    return str(Path(path).resolve())
+
+
+def _out_dir(manifest: RunManifest) -> Path:
+    path = Path(manifest.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _stft_params(window_s: float, overlap_s: float, window_shape: str) -> StftParams:
-    return StftParams(window_s=window_s, overlap_s=overlap_s, window_shape=window_shape)
+def _read_input(load, path: str, what: str):
+    """Read a recorded input file; a missing or malformed file is an input
+    error, whichever exception its reader raises."""
+    if not Path(path).is_file():
+        raise ValueError(f"{what} file not found: {path}")
+    try:
+        return load(path)
+    except RespiradarError as exc:
+        raise ValueError(str(exc)) from exc
 
 
-def _stft_dict(params: StftParams) -> dict:
-    return {
-        "window_s": params.window_s,
-        "overlap_s": params.overlap_s,
-        "window_shape": params.window_shape,
-    }
+def _write_truth(path: Path, columns, header: str) -> None:
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.10g")
+
+
+# --------------------------------------------------------------------------
+# runners: manifest -> outputs in manifest.output_dir and a one-line report
+
+
+def _run_simulate(m: RunManifest) -> str:
+    scene = SceneSpec.from_dict(m.options["scene"])
+    config = RadarConfig.from_dict(m.radar_config)
+    duration_s = m.options["duration_s"]
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
+    cube = synth_cube(scene, config, duration_s)
+    out = _out_dir(m)
+    write_capture(cube, out / "capture.rvsc")
+    _write_truth(out / "truth.csv", scene_truth(scene, config, duration_s),
+                 "time_s,displacement_m,rate_bpm")
+    return f"wrote {out / 'capture.rvsc'} ({cube.n_frames} frames)"
+
+
+def _run_simulate_audio(m: RunManifest) -> str:
+    spec = BreathAudioSpec(**m.options["spec"])
+    duration_s = m.options["duration_s"]
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
+    trace = synth_audio(spec, duration_s)
+    out = _out_dir(m)
+    save_wav(out / "breath.wav", trace)
+    times = np.arange(int(round(duration_s * 20.0))) / 20.0
+    _write_truth(out / "truth.csv", [times, np.full(times.size, spec.resp_rate_bpm)],
+                 "time_s,rate_bpm")
+    return f"wrote {out / 'breath.wav'}"
+
+
+def _run_process_radar(m: RunManifest) -> str:
+    params = StftParams(**m.stft)
+    cube = _read_input(load_capture, m.inputs["capture"], "capture")
+    result = process_radar_cube(
+        cube,
+        variant=m.variant,
+        stft_params=params,
+        band_bpm=tuple(m.band_bpm),
+        min_range_m=m.options["min_range_m"],
+        max_range_m=m.options["max_range_m"],
+        detrend=m.options["detrend"],
+    )
+    out = _out_dir(m)
+    rate_series_to_csv(result.rates, out / "rates.csv")
+    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
+    if m.options["export_range_map"]:
+        range_time_map_to_csv(result.range_map, out / "range_map.csv")
+    if m.options["export_phase"] and result.phase is not None:
+        phase_trace_to_csv(result.phase, out / "phase.csv")
+    return f"target bin at {result.target_range_m:.3f} m; wrote {out / 'rates.csv'}"
+
+
+def _run_process_audio(m: RunManifest) -> str:
+    params = StftParams(**m.stft)
+    audio = _read_input(load_wav, m.inputs["wav"], "WAV")
+    result = process_audio(
+        audio,
+        stft_params=params,
+        band_bpm=tuple(m.band_bpm),
+        multistage=m.options["multistage"],
+        square=m.options["square"],
+    )
+    out = _out_dir(m)
+    rate_series_to_csv(result.rates, out / "rates.csv")
+    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
+    envelope_to_csv(result.envelope, out / "envelope.csv")
+    return f"wrote {out / 'rates.csv'}"
+
+
+def _run_compare(m: RunManifest) -> str:
+    series_a = _read_input(rate_series_from_csv, m.inputs["rates_a"], "rates")
+    series_b = _read_input(rate_series_from_csv, m.inputs["rates_b"], "rates")
+    summary = comparison_to_json(compare_rates(series_a, series_b))
+    if m.output_dir is not None:
+        (_out_dir(m) / "comparison.json").write_text(summary + "\n", encoding="utf-8")
+    return summary
+
+
+RUNNERS = {
+    "simulate": _run_simulate,
+    "simulate-audio": _run_simulate_audio,
+    "process-radar": _run_process_radar,
+    "process-audio": _run_process_audio,
+    "compare": _run_compare,
+}
+
+
+def _execute(build) -> None:
+    """Build a run's manifest, run it, save the manifest and print the
+    runner's report; every command and `rerun` ends here."""
+    try:
+        manifest = build()
+        report = RUNNERS[manifest.command](manifest)
+    except _INPUT_EXCEPTIONS as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
+    except RespiradarError as exc:
+        _fail(EXIT_PROCESSING_ERROR, str(exc))
+    if manifest.output_dir is not None:
+        manifest.save(Path(manifest.output_dir))
+    click.echo(report)
+
+
+# --------------------------------------------------------------------------
+# commands: flags -> RunManifest
+
+
+@click.group()
+def main() -> None:
+    """Respiration-rate estimation from radar captures and reference audio."""
+
+
+def _command(name: str):
+    """Register a function from flags to a RunManifest as command `name`,
+    run through `_execute`."""
+
+    def register(build):
+        @functools.wraps(build)
+        def command(**flags) -> None:
+            _execute(lambda: build(**flags))
+
+        return main.command(name)(command)
+
+    return register
 
 
 def _stft_flags(fn):
@@ -121,31 +266,7 @@ def _band_flags(fn):
     return fn
 
 
-@click.group()
-def main() -> None:
-    """Respiration-rate estimation from radar captures and reference audio."""
-
-
-# --------------------------------------------------------------------------
-# simulate
-
-
-def _run_simulate(scene: SceneSpec, config: RadarConfig, duration_s: float, out: Path) -> int:
-    cube = synth_cube(scene, config, duration_s)
-    write_capture(cube, out / "capture.rvsc")
-    times, displacement, rates = scene_truth(scene, config, duration_s)
-    np.savetxt(
-        out / "truth.csv",
-        np.column_stack([times, displacement, rates]),
-        delimiter=",",
-        header="time_s,displacement_m,rate_bpm",
-        comments="",
-        fmt="%.10g",
-    )
-    return cube.n_frames
-
-
-@main.command("simulate")
+@_command("simulate")
 @click.argument("scene_json", type=click.Path())
 @click.option("--config", "config_json", type=click.Path(), default=None,
               help="Radar config JSON; defaults to the built-in 77 GHz profile.")
@@ -153,108 +274,42 @@ def _run_simulate(scene: SceneSpec, config: RadarConfig, duration_s: float, out:
               help="Capture duration in seconds.")
 @click.option("--seed", type=int, default=None, help="Override the scene seed.")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def cmd_simulate(scene_json, config_json, duration_s, seed, out_dir) -> None:
+def cmd_simulate(scene_json, config_json, duration_s, seed, out_dir) -> RunManifest:
     """Generate a synthetic capture plus its ground-truth CSV."""
-    try:
-        scene = SceneSpec.from_json_file(scene_json)
-        if seed is not None:
-            scene = dataclasses.replace(scene, seed=seed)
-        config = RadarConfig.from_json_file(config_json) if config_json else RadarConfig()
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    out = _prepare_out_dir(out_dir)
-    try:
-        n_frames = _run_simulate(scene, config, duration_s, out)
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    RunManifest(
+    scene = SceneSpec.from_json_file(scene_json)
+    if seed is not None:
+        scene = dataclasses.replace(scene, seed=seed)
+    config = RadarConfig.from_json_file(config_json) if config_json else RadarConfig()
+    return RunManifest(
         command="simulate",
-        inputs={"scene": str(Path(scene_json).resolve())},
-        output_dir=str(out.resolve()),
+        inputs={"scene": _resolved(scene_json)},
+        output_dir=_resolved(out_dir),
         radar_config=config.to_dict(),
         seed=scene.seed,
         options={"duration_s": duration_s, "scene": scene.to_dict()},
-    ).save(out)
-    click.echo(f"wrote {out / 'capture.rvsc'} ({n_frames} frames)")
-
-
-# --------------------------------------------------------------------------
-# simulate-audio
-
-
-def _run_simulate_audio(spec: BreathAudioSpec, duration_s: float, out: Path) -> None:
-    trace = synth_audio(spec, duration_s)
-    save_wav(out / "breath.wav", trace)
-    times = np.arange(int(round(duration_s * 20.0))) / 20.0
-    rates = np.full(times.size, spec.resp_rate_bpm)
-    np.savetxt(
-        out / "truth.csv",
-        np.column_stack([times, rates]),
-        delimiter=",",
-        header="time_s,rate_bpm",
-        comments="",
-        fmt="%.10g",
     )
 
 
-@main.command("simulate-audio")
+@_command("simulate-audio")
 @click.argument("audio_json", type=click.Path())
 @click.option("--duration", "duration_s", type=float, required=True)
 @click.option("--seed", type=int, default=None, help="Override the spec seed.")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> None:
+def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
     """Generate a synthetic breath-sound WAV plus its ground-truth CSV."""
-    try:
-        spec = BreathAudioSpec.from_json_file(audio_json)
-        if seed is not None:
-            spec = dataclasses.replace(spec, seed=seed)
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    out = _prepare_out_dir(out_dir)
-    try:
-        _run_simulate_audio(spec, duration_s, out)
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    RunManifest(
+    spec = BreathAudioSpec.from_json_file(audio_json)
+    if seed is not None:
+        spec = dataclasses.replace(spec, seed=seed)
+    return RunManifest(
         command="simulate-audio",
-        inputs={"audio_spec": str(Path(audio_json).resolve())},
-        output_dir=str(out.resolve()),
+        inputs={"audio_spec": _resolved(audio_json)},
+        output_dir=_resolved(out_dir),
         seed=spec.seed,
         options={"duration_s": duration_s, "spec": dataclasses.asdict(spec)},
-    ).save(out)
-    click.echo(f"wrote {out / 'breath.wav'}")
-
-
-# --------------------------------------------------------------------------
-# process-radar
-
-
-def _run_process_radar(cube, out: Path, *, variant, params, band,
-                       min_range_m, max_range_m, detrend, export_range_map,
-                       export_phase) -> float:
-    result = process_radar_cube(
-        cube,
-        variant=variant,
-        stft_params=params,
-        band_bpm=band,
-        min_range_m=min_range_m,
-        max_range_m=max_range_m,
-        detrend=detrend,
     )
-    rate_series_to_csv(result.rates, out / "rates.csv")
-    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
-    if export_range_map:
-        range_time_map_to_csv(result.range_map, out / "range_map.csv")
-    if export_phase and result.phase is not None:
-        phase_trace_to_csv(result.phase, out / "phase.csv")
-    return result.target_range_m
 
 
-@main.command("process-radar")
+@_command("process-radar")
 @click.argument("capture", type=click.Path())
 @_stft_flags
 @_band_flags
@@ -270,33 +325,15 @@ def _run_process_radar(cube, out: Path, *, variant, params, band,
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_process_radar(capture, window_s, overlap_s, window_shape, band_low, band_high,
                       variant, min_range_m, max_range_m, detrend,
-                      export_range_map, export_phase, out_dir) -> None:
+                      export_range_map, export_phase, out_dir) -> RunManifest:
     """Run the radar chain on a capture and write rate/spectrogram CSVs."""
-    variant = variant.upper()
-    try:
-        params = _stft_params(window_s, overlap_s, window_shape)
-        if not Path(capture).is_file():
-            raise ValueError(f"capture file not found: {capture}")
-        cube = load_capture(capture)  # container errors are input errors
-    except (*_INPUT_EXCEPTIONS, RespiradarError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    out = _prepare_out_dir(out_dir)
-    try:
-        target_range = _run_process_radar(
-            cube, out,
-            variant=variant, params=params, band=(band_low, band_high),
-            min_range_m=min_range_m, max_range_m=max_range_m, detrend=detrend,
-            export_range_map=export_range_map, export_phase=export_phase,
-        )
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    RunManifest(
+    return RunManifest(
         command="process-radar",
-        inputs={"capture": str(Path(capture).resolve())},
-        output_dir=str(out.resolve()),
-        stft=_stft_dict(params),
+        inputs={"capture": _resolved(capture)},
+        output_dir=_resolved(out_dir),
+        stft={"window_s": window_s, "overlap_s": overlap_s, "window_shape": window_shape},
         band_bpm=[band_low, band_high],
-        variant=variant,
+        variant=variant.upper(),
         options={
             "min_range_m": min_range_m,
             "max_range_m": max_range_m,
@@ -304,24 +341,10 @@ def cmd_process_radar(capture, window_s, overlap_s, window_shape, band_low, band
             "export_range_map": export_range_map,
             "export_phase": export_phase,
         },
-    ).save(out)
-    click.echo(f"target bin at {target_range:.3f} m; wrote {out / 'rates.csv'}")
-
-
-# --------------------------------------------------------------------------
-# process-audio
-
-
-def _run_process_audio(audio, out: Path, *, params, band, multistage, square) -> None:
-    result = process_audio(
-        audio, stft_params=params, band_bpm=band, multistage=multistage, square=square
     )
-    rate_series_to_csv(result.rates, out / "rates.csv")
-    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
-    envelope_to_csv(result.envelope, out / "envelope.csv")
 
 
-@main.command("process-audio")
+@_command("process-audio")
 @click.argument("wav", type=click.Path())
 @_stft_flags
 @_band_flags
@@ -331,132 +354,39 @@ def _run_process_audio(audio, out: Path, *, params, band, multistage, square) ->
               help="Square instead of rectify before the envelope filter.")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_process_audio(wav, window_s, overlap_s, window_shape, band_low, band_high,
-                      multistage, square, out_dir) -> None:
+                      multistage, square, out_dir) -> RunManifest:
     """Run the audio chain on a WAV file and write rate/envelope CSVs."""
-    try:
-        params = _stft_params(window_s, overlap_s, window_shape)
-        if not Path(wav).is_file():
-            raise ValueError(f"WAV file not found: {wav}")
-        audio = load_wav(wav)  # format rejection is an input error
-    except (*_INPUT_EXCEPTIONS, UnsupportedWavError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    out = _prepare_out_dir(out_dir)
-    try:
-        _run_process_audio(
-            audio, out, params=params, band=(band_low, band_high),
-            multistage=multistage, square=square,
-        )
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    RunManifest(
+    return RunManifest(
         command="process-audio",
-        inputs={"wav": str(Path(wav).resolve())},
-        output_dir=str(out.resolve()),
-        stft=_stft_dict(params),
+        inputs={"wav": _resolved(wav)},
+        output_dir=_resolved(out_dir),
+        stft={"window_s": window_s, "overlap_s": overlap_s, "window_shape": window_shape},
         band_bpm=[band_low, band_high],
         options={"multistage": multistage, "square": square},
-    ).save(out)
-    click.echo(f"wrote {out / 'rates.csv'}")
+    )
 
 
-# --------------------------------------------------------------------------
-# compare
-
-
-def _run_compare(rates_a: str, rates_b: str) -> str:
-    series_a = rate_series_from_csv(rates_a)
-    series_b = rate_series_from_csv(rates_b)
-    return comparison_to_json(compare_rates(series_a, series_b))
-
-
-@main.command("compare")
+@_command("compare")
 @click.argument("rates_a", type=click.Path())
 @click.argument("rates_b", type=click.Path())
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Also write comparison.json (and a manifest) here.")
-def cmd_compare(rates_a, rates_b, out_dir) -> None:
+def cmd_compare(rates_a, rates_b, out_dir) -> RunManifest:
     """Compare two rate CSVs and print a single-line JSON summary."""
-    try:
-        for path in (rates_a, rates_b):
-            if not Path(path).is_file():
-                raise ValueError(f"rates file not found: {path}")
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    try:
-        summary = _run_compare(rates_a, rates_b)
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    click.echo(summary)
-    if out_dir is not None:
-        out = _prepare_out_dir(out_dir)
-        (out / "comparison.json").write_text(summary + "\n", encoding="utf-8")
-        RunManifest(
-            command="compare",
-            inputs={
-                "rates_a": str(Path(rates_a).resolve()),
-                "rates_b": str(Path(rates_b).resolve()),
-            },
-            output_dir=str(out.resolve()),
-        ).save(out)
+    return RunManifest(
+        command="compare",
+        inputs={"rates_a": _resolved(rates_a), "rates_b": _resolved(rates_b)},
+        output_dir=None if out_dir is None else _resolved(out_dir),
+    )
 
 
-# --------------------------------------------------------------------------
-# rerun
-
-
-@main.command("rerun")
+@_command("rerun")
 @click.argument("manifest_path", type=click.Path())
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Directory for the reproduced outputs.")
-def cmd_rerun(manifest_path, out_dir) -> None:
+def cmd_rerun(manifest_path, out_dir) -> RunManifest:
     """Replay a recorded run; outputs are bit-identical to the original."""
-    try:
-        manifest = RunManifest.load(manifest_path)
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    out = _prepare_out_dir(out_dir)
-    try:
-        if manifest.command == "simulate":
-            scene = SceneSpec.from_dict(manifest.options["scene"])
-            config = RadarConfig.from_dict(manifest.radar_config)
-            _run_simulate(scene, config, manifest.options["duration_s"], out)
-        elif manifest.command == "simulate-audio":
-            spec = BreathAudioSpec(**manifest.options["spec"])
-            _run_simulate_audio(spec, manifest.options["duration_s"], out)
-        elif manifest.command == "process-radar":
-            params = StftParams(**manifest.stft)
-            _run_process_radar(
-                load_capture(manifest.inputs["capture"]), out,
-                variant=manifest.variant, params=params,
-                band=tuple(manifest.band_bpm),
-                min_range_m=manifest.options["min_range_m"],
-                max_range_m=manifest.options["max_range_m"],
-                detrend=manifest.options["detrend"],
-                export_range_map=manifest.options["export_range_map"],
-                export_phase=manifest.options["export_phase"],
-            )
-        elif manifest.command == "process-audio":
-            params = StftParams(**manifest.stft)
-            _run_process_audio(
-                load_wav(manifest.inputs["wav"]), out,
-                params=params, band=tuple(manifest.band_bpm),
-                multistage=manifest.options["multistage"],
-                square=manifest.options["square"],
-            )
-        elif manifest.command == "compare":
-            summary = _run_compare(manifest.inputs["rates_a"], manifest.inputs["rates_b"])
-            (out / "comparison.json").write_text(summary + "\n", encoding="utf-8")
-        else:
-            _fail(EXIT_INPUT_ERROR, f"manifest for unknown command {manifest.command!r}")
-    except (*_INPUT_EXCEPTIONS, UnsupportedWavError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    replayed = dataclasses.replace(manifest, output_dir=str(out.resolve()))
-    replayed.save(out)
-    click.echo(f"reproduced {manifest.command} into {out}")
+    return dataclasses.replace(RunManifest.load(manifest_path), output_dir=_resolved(out_dir))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .radar_dsp import (
     extract_unwrapped_phase,
     range_fft,
     select_target_bin,
-    variant_b_series,
 )
 from .spectral import (
     DEFAULT_BAND_BPM,
@@ -73,7 +72,7 @@ def process_radar_cube(
         )
         trace = detrend_linear(phase.samples) if detrend else phase.samples
     else:
-        trace = variant_b_series(series)
+        trace = series
 
     spectrogram = stft(trace, stft_params)
     rates = extract_rate(spectrogram, band_bpm)

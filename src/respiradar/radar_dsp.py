@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import detrend as _scipy_detrend
-from scipy.signal import get_window
 
 from .errors import (
     EmptyCubeError,
@@ -15,6 +13,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
+from .spectral import cosine_window
 
 
 @dataclass
@@ -82,7 +81,7 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
         raise EmptyCubeError("cube holds no frames")
     fast = cube.data.mean(axis=1)  # coherent average over chirps
     n = cube.config.samples_per_chirp
-    window = get_window("hann", n, fftbins=False)
+    window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
     values = np.fft.fft(fast * window, axis=1) * centre_ref
     return RangeTimeMap(
@@ -165,17 +164,11 @@ def extract_unwrapped_phase(
 
 def detrend_linear(samples: np.ndarray) -> np.ndarray:
     """Remove the least-squares line; suppresses slow phase drift before STFT."""
-    return _scipy_detrend(np.asarray(samples, dtype=np.float64), type="linear")
-
-
-def variant_b_series(series: np.ndarray) -> np.ndarray:
-    """Complex slow-time series for direct time-frequency processing.
-
-    No phase is extracted; the series is de-trended by mean removal and
-    handed to the STFT as complex input (signed frequency axis).  Idempotent
-    on an already clutter-removed series.
-    """
-    return clutter_remove(series)
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.size
+    design = np.column_stack([np.arange(1, n + 1) / n, np.ones(n)])
+    coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
+    return samples - design @ coef
 
 
 def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:

@@ -11,12 +11,12 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import butter, get_window, sosfilt
 
 from .audio_dsp import AUDIO_RATE_HZ, AudioTrace
 from .config import SPEED_OF_LIGHT_M_S, RadarConfig
 from .errors import DurationTooShortError
 from .ingest import Datagram, RadarCube, encode_cube, stream_to_datagrams
+from .spectral import cosine_window
 
 DEFAULT_CHAMBER_EXTENT_M = 6.0
 
@@ -218,7 +218,8 @@ def synth_audio(
     breath period apart; in both-sounds mode inhalation bursts of equal
     amplitude sit midway between them, which doubles the dominant acoustic
     rate.  White background noise is added at noise_db relative to the
-    burst amplitude.  Deterministic under the spec seed.
+    burst amplitude.  Deterministic under the spec seed.  The burst filter
+    is the one use of scipy in the simulator.
     """
     period_s = 60.0 / spec.resp_rate_bpm
     if duration_s < period_s:
@@ -230,8 +231,10 @@ def synth_audio(
 
     burst_len = int(round(spec.burst_duration_s * rate_hz))
     if burst_len >= 1 and spec.burst_amplitude > 0:
+        from scipy.signal import butter, sosfilt
+
         sos = butter(4, _BURST_BAND_HZ, btype="bandpass", fs=rate_hz, output="sos")
-        burst_window = get_window("hann", burst_len, fftbins=False)
+        burst_window = cosine_window("hann", burst_len, periodic=False)
 
         centres = []
         k = 0

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 from .errors import EmptyBandError, NoOverlapError, TraceTooShortError
 
-_WINDOW_NAMES = {"blackman": "blackman", "hann": "hann", "rectangular": "boxcar"}
+# cosine-sum coefficients of each window shape
+_WINDOW_COEFFS = {"blackman": (0.42, 0.50, 0.08), "hann": (0.5, 0.5), "rectangular": (1.0,)}
 
 DEFAULT_BAND_BPM = (6.0, 60.0)
 
@@ -33,9 +33,9 @@ class StftParams:
     sample_rate_hz: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.window_shape not in _WINDOW_NAMES:
+        if self.window_shape not in _WINDOW_COEFFS:
             raise ValueError(
-                f"window_shape must be one of {sorted(_WINDOW_NAMES)}, got {self.window_shape!r}"
+                f"window_shape must be one of {sorted(_WINDOW_COEFFS)}, got {self.window_shape!r}"
             )
         if self.sample_rate_hz <= 0 or self.window_s <= 0:
             raise ValueError("window and sample rate must be positive")
@@ -60,7 +60,20 @@ class StftParams:
         return 60.0 * self.sample_rate_hz / self.window_len
 
     def window_array(self) -> np.ndarray:
-        return get_window(_WINDOW_NAMES[self.window_shape], self.window_len, fftbins=True)
+        return cosine_window(self.window_shape, self.window_len, periodic=True)
+
+
+def cosine_window(shape: str, n: int, *, periodic: bool) -> np.ndarray:
+    """Blackman, Hann or rectangular window of n samples, symmetric or
+    periodic (the first n samples of the n + 1 symmetric window).
+
+    The cosines are summed over an n-point (n + 1 when periodic) grid from
+    -pi to pi, the same sums as scipy.signal.get_window forms.
+    """
+    if n == 1:
+        return np.ones(1)
+    grid = np.linspace(-np.pi, np.pi, n + periodic)
+    return sum(a * np.cos(k * grid) for k, a in enumerate(_WINDOW_COEFFS[shape]))[:n]
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.io import wavfile
-from scipy.signal import freqz, get_window
+from scipy.signal import firwin, freqz, get_window, kaiser_beta, kaiserord
 
 from respiradar import (
     AudioTrace,
@@ -88,11 +88,18 @@ def test_antialias_filter_shape():
     assert taps.size == 21  # order 20
     assert np.allclose(taps, taps[::-1])  # linear phase
     assert taps.sum() == pytest.approx(1.0, abs=1e-9)  # unity DC gain
+    expected = firwin(21, 10.0, window=("kaiser", kaiser_beta(60.0)), fs=AUDIO_RATE_HZ)
+    np.testing.assert_allclose(taps, expected, rtol=0, atol=1e-15)
 
 
 def test_envelope_filter_meets_design_targets():
     taps = design_envelope_taps()
     assert np.allclose(taps, taps[::-1])
+    numtaps, beta = kaiserord(65.0, 1.5 / 10.0)
+    numtaps += 1 - numtaps % 2
+    expected = firwin(numtaps, 2.25, window=("kaiser", beta), fs=20.0)
+    assert taps.size == expected.size
+    np.testing.assert_allclose(taps, expected, rtol=0, atol=1e-15)
     w, h = freqz(taps, worN=8192, fs=20.0)
     mag_db = 20 * np.log10(np.maximum(np.abs(h), 1e-12))
     assert mag_db[w >= 3.0].max() <= -60.0
@@ -166,6 +173,13 @@ def test_wav_round_trip(tmp_path):
     assert loaded.rate_hz == 44100
     assert np.max(np.abs(loaded.samples - trace.samples)) < 1e-4
 
+    # byte-identical to scipy's writer, and reads back what scipy reads
+    reference = tmp_path / "ref.wav"
+    quantized = np.clip(np.rint(trace.samples * 32767.0), -32768, 32767).astype(np.int16)
+    wavfile.write(reference, 44100, quantized)
+    assert path.read_bytes() == reference.read_bytes()
+    np.testing.assert_array_equal(load_wav(reference).samples, wavfile.read(reference)[1] / 32768.0)
+
 
 def test_wav_rejects_wrong_rate(tmp_path):
     path = tmp_path / "slow.wav"
@@ -182,7 +196,17 @@ def test_wav_rejects_stereo(tmp_path):
 
 
 def test_wav_rejects_non_pcm16(tmp_path):
-    path = tmp_path / "float.wav"
-    wavfile.write(path, 44100, np.zeros(100, dtype=np.float32))
-    with pytest.raises(UnsupportedWavError, match="16-bit"):
+    for dtype in (np.float32, np.uint8):
+        path = tmp_path / f"{np.dtype(dtype).name}.wav"
+        wavfile.write(path, 44100, np.zeros(100, dtype=dtype))
+        with pytest.raises(UnsupportedWavError, match="16-bit"):
+            load_wav(path)
+
+
+@pytest.mark.parametrize("cut", [0, 20, 44 + 100])  # not RIFF; inside the header; inside the data
+def test_wav_rejects_unreadable(tmp_path, cut):
+    path = tmp_path / "cut.wav"
+    save_wav(path, AudioTrace(np.zeros(1000)))
+    path.write_bytes(path.read_bytes()[:cut] if cut else b"not a wav at all, just some bytes")
+    with pytest.raises(UnsupportedWavError):
         load_wav(path)

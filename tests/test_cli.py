@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +265,54 @@ def test_rerun_simulate_bit_identical(runner, scene_json, tmp_path):
     assert result.exit_code == 0, result.output
     assert (replay / "capture.rvsc").read_bytes() == capture.read_bytes()
     assert (replay / "truth.csv").read_bytes() == (out / "truth.csv").read_bytes()
+
+
+def test_rerun_unreadable_capture_is_input_error(runner, scene_json, tmp_path):
+    capture = simulate(runner, scene_json, tmp_path / "sim")
+    out = tmp_path / "first"
+    assert runner.invoke(main, ["process-radar", str(capture), "--out", str(out)]).exit_code == 0
+    capture.write_bytes(b"JUNKJUNKJUNK")
+    direct = runner.invoke(main, ["process-radar", str(capture), "--out", str(tmp_path / "d")])
+    replay = runner.invoke(main, ["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "r")])
+    assert direct.exit_code == replay.exit_code == 2
+
+
+def test_rerun_audio_and_compare_bit_identical(runner, audio_json, tmp_path):
+    wav_out = tmp_path / "wav"
+    args = ["simulate-audio", str(audio_json), "--duration", "70", "--out", str(wav_out)]
+    assert runner.invoke(main, args).exit_code == 0
+    audio = tmp_path / "audio"
+    args = ["process-audio", str(wav_out / "breath.wav"), "--square", "--out", str(audio)]
+    assert runner.invoke(main, args).exit_code == 0
+    cmp_out = tmp_path / "cmp"
+    rates = str(audio / "rates.csv")
+    assert runner.invoke(main, ["compare", rates, rates, "--out", str(cmp_out)]).exit_code == 0
+    for out, names in ((wav_out, ("breath.wav", "truth.csv")),
+                       (audio, ("rates.csv", "envelope.csv", "spectrogram.csv")),
+                       (cmp_out, ("comparison.json",))):
+        replay = tmp_path / f"re-{out.name}"
+        result = runner.invoke(main, ["rerun", str(out / "manifest.json"), "--out", str(replay)])
+        assert result.exit_code == 0, result.output
+        for name in names:
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+        recorded = json.loads((out / "manifest.json").read_text())
+        replayed = json.loads((replay / "manifest.json").read_text())
+        assert replayed == dict(recorded, output_dir=str(replay.resolve()))
+
+
+def test_rerun_unknown_command_is_input_error(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "launch", "inputs": {}, "output_dir": "x"}))
+    result = runner.invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, respiradar, respiradar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import detrend
 
 from conftest import breathing_scene, sine_amplitude, static_scene
 from respiradar import (
@@ -12,7 +13,6 @@ from respiradar import (
     select_target_bin,
     static_profile,
     synth_cube,
-    variant_b_series,
 )
 from respiradar.errors import (
     EmptyCubeError,
@@ -217,6 +217,14 @@ def test_wrap_then_unwrap_recovers_any_subpi_sequence():
         assert np.allclose(unwrapped - offset, theta, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1200, 7200])
+def test_detrend_linear_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    x = 3.0 + 0.01 * np.arange(n) + rng.standard_normal(n).cumsum()
+    expected = detrend(x, type="linear")
+    np.testing.assert_allclose(detrend_linear(x), expected, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
 def test_phase_recovery_matches_displacement_oracle(config):
     cube = synth_cube(breathing_scene(seed=1), config, 120.0)
     rmap = range_fft(cube)
@@ -247,14 +255,10 @@ def test_phase_amplitude_scales_linearly(config):
 # --- variant B -----------------------------------------------------------------
 
 
-def test_variant_b_constant_series_is_zero():
-    assert np.allclose(variant_b_series(np.full(32, 2.0 + 1.0j)), 0.0)
-
-
 def test_variant_b_dominant_pair_and_rate(config):
     cube = synth_cube(breathing_scene(amplitude_m=0.0005, seed=3), config, 180.0)
     rmap = range_fft(cube)
-    series = variant_b_series(rmap.bin_series(select_target_bin(rmap)))
+    series = clutter_remove(rmap.bin_series(select_target_bin(rmap)))
     spec = stft(series, StftParams())
     assert spec.is_signed
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from respiradar import RateSeries, StftParams, compare_rates, extract_rate, stft
 from respiradar.errors import EmptyBandError, NoOverlapError, TraceTooShortError
 from respiradar.spectral import (
     Spectrogram,
     comparison_to_json,
+    cosine_window,
     rate_series_from_csv,
     rate_series_to_csv,
 )
@@ -97,6 +99,22 @@ def test_blackman_widens_lobe_but_keeps_argmax():
     assert np.argmax(blackman.magnitudes[0]) == np.argmax(rect.magnitudes[0]) == 15
     width = lambda row: np.sum(row > row.max() * 0.01)
     assert width(blackman.magnitudes[0]) > width(rect.magnitudes[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 21, 256, 1200])
+@pytest.mark.parametrize("shape,scipy_name", [
+    ("blackman", "blackman"), ("hann", "hann"), ("rectangular", "boxcar"),
+])
+def test_windows_match_scipy(shape, scipy_name, n):
+    for periodic in (True, False):
+        np.testing.assert_array_equal(
+            cosine_window(shape, n, periodic=periodic),
+            get_window(scipy_name, n, fftbins=periodic),
+        )
+    np.testing.assert_array_equal(
+        StftParams(window_s=n / 20.0, overlap_s=0.0, window_shape=shape).window_array(),
+        get_window(scipy_name, n, fftbins=True),
+    )
 
 
 def test_segment_mean_removal_suppresses_dc():
