@@ -4,6 +4,7 @@ extraction of a breathing envelope from the decimated amplitude."""
 from __future__ import annotations
 
 import math
+import struct
 import wave
 from dataclasses import dataclass
 
@@ -21,6 +22,11 @@ ANTIALIAS_CUTOFF_HZ = 10.0
 ENVELOPE_PASSBAND_HZ = 1.5
 ENVELOPE_STOPBAND_HZ = 3.0
 ENVELOPE_ATTENUATION_DB = 60.0
+
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 2..15 of every WAVE_FORMAT_EXTENSIBLE subformat GUID; bytes 0..1 hold the format tag
+_WAVE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 @dataclass
@@ -150,23 +156,42 @@ def envelope(series: np.ndarray, *, square: bool = False) -> EnvelopeTrace:
 
 
 def load_wav(path) -> AudioTrace:
-    """Read a WAV file, accepting only PCM 16-bit mono at 44.1 kHz."""
+    """Read a WAV file, accepting only PCM 16-bit mono at 44.1 kHz.
+
+    The header may be plain PCM or WAVE_FORMAT_EXTENSIBLE with the PCM
+    subformat; chunks other than ``fmt `` and ``data`` are skipped.
+    """
     with open(path, "rb") as fh:
-        try:
-            with wave.open(fh, "rb") as wav:
-                width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
-                n_frames = wav.getnframes()
-                raw = wav.readframes(n_frames)
-        except (wave.Error, EOFError) as exc:
-            raise UnsupportedWavError(f"unreadable WAV file (need 16-bit PCM): {exc}") from exc
-    if width != 2:
-        raise UnsupportedWavError(f"expected 16-bit PCM samples, got {8 * width}-bit")
-    if channels != 1:
-        raise UnsupportedWavError(f"expected mono audio, got {channels} channels")
-    if rate != AUDIO_RATE_HZ:
-        raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz, got {rate} Hz")
-    if len(raw) != 2 * n_frames:
-        raise UnsupportedWavError(f"truncated WAV file: {len(raw) // 2} of {n_frames} samples")
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+            raise UnsupportedWavError("unreadable WAV file (need 16-bit PCM): not a RIFF WAVE file")
+        fmt = b""
+        while True:
+            head = fh.read(8)
+            if len(head) < 8:
+                raise UnsupportedWavError("truncated WAV file: no data chunk")
+            chunk_id, size = struct.unpack("<4sI", head)
+            if chunk_id == b"data":
+                break
+            body = fh.read(size + (size & 1))  # chunks are word-aligned
+            if chunk_id == b"fmt ":
+                fmt = body[:size]
+        if len(fmt) < 16:
+            raise UnsupportedWavError("unreadable WAV file (need 16-bit PCM): no complete fmt chunk")
+        tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+        if tag == _WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 40 and fmt[26:40] == _WAVE_GUID_TAIL:
+            tag = struct.unpack_from("<H", fmt, 24)[0]  # the subformat GUID starts with its tag
+        if tag != _WAVE_FORMAT_PCM:
+            raise UnsupportedWavError(f"expected 16-bit PCM samples, got format tag {tag:#x}")
+        if (bits + 7) // 8 != 2:
+            raise UnsupportedWavError(f"expected 16-bit PCM samples, got {bits}-bit")
+        if channels != 1:
+            raise UnsupportedWavError(f"expected mono audio, got {channels} channels")
+        if rate != AUDIO_RATE_HZ:
+            raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz, got {rate} Hz")
+        raw = fh.read(size)
+    if len(raw) != size or size % 2:
+        raise UnsupportedWavError(f"truncated WAV file: {len(raw)} bytes of samples, {size} declared")
     return AudioTrace(samples=np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
 
 

@@ -366,7 +366,9 @@ def receive_datagrams(
 
     Pass an already-bound socket to control the address, otherwise one is
     bound to (host, port).  No real-time guarantees: packets are parsed as
-    they arrive and returned in arrival order for reassemble().
+    they arrive and returned in arrival order for reassemble().  A packet
+    that parse_datagram() rejects is skipped, so it shows up as a gap in
+    reassemble()'s LossReport like a lost one.
     """
     owned = sock is None
     if owned:
@@ -380,7 +382,10 @@ def receive_datagrams(
                 buf, _ = sock.recvfrom(65536)
             except socket.timeout:
                 break
-            received.append(parse_datagram(buf))
+            try:
+                received.append(parse_datagram(buf))
+            except (DatagramTooShortError, PayloadTooLargeError):
+                continue
         return received
     finally:
         if owned:

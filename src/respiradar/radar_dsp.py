@@ -13,7 +13,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import cosine_window
+from .spectral import _write_csv_8g, cosine_window
 
 
 @dataclass
@@ -179,8 +179,7 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
     header = "frame_time_s," + ",".join(
         f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m()
     )
-    table = np.column_stack([rmap.frame_times_s, power_db])
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.8g")
+    _write_csv_8g(path, header, np.column_stack([rmap.frame_times_s, power_db]))
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

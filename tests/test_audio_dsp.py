@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -201,6 +203,31 @@ def test_wav_rejects_non_pcm16(tmp_path):
         wavfile.write(path, 44100, np.zeros(100, dtype=dtype))
         with pytest.raises(UnsupportedWavError, match="16-bit"):
             load_wav(path)
+
+
+def _extensible_wav(samples, subformat_tag=1):
+    """16-bit mono 44.1 kHz WAV bytes with a WAVE_FORMAT_EXTENSIBLE header."""
+    guid = struct.pack("<H", subformat_tag) + bytes.fromhex("000000001000800000aa00389b71")
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 44100, 88200, 2, 16, 22, 16, 0x4) + guid
+    data = samples.astype("<i2").tobytes()
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_wav_reads_extensible_pcm_like_scipy(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "extensible.wav"
+    path.write_bytes(_extensible_wav(rng.integers(-32768, 32768, 4410)))
+    rate, reference = wavfile.read(path)
+    assert rate == 44100
+    np.testing.assert_array_equal(load_wav(path).samples, reference / 32768.0)
+
+
+def test_wav_rejects_extensible_float(tmp_path):
+    path = tmp_path / "float.wav"
+    path.write_bytes(_extensible_wav(np.zeros(100), subformat_tag=3))
+    with pytest.raises(UnsupportedWavError, match="16-bit"):
+        load_wav(path)
 
 
 @pytest.mark.parametrize("cut", [0, 20, 44 + 100])  # not RIFF; inside the header; inside the data

@@ -292,23 +292,36 @@ def test_capture_zero_frames(tmp_path, config):
 # --- UDP listener -----------------------------------------------------------
 
 
-def test_receive_datagrams_loopback():
-    rng = np.random.default_rng(23)
-    source = rng.bytes(5000)
-    datagrams = stream_to_datagrams(source)
-
+def _send_over_loopback(packets):
     receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     receiver.bind(("127.0.0.1", 0))
     addr = receiver.getsockname()
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        for dgram in datagrams:
-            sender.sendto(serialize_datagram(dgram), addr)
-        received = receive_datagrams(receiver, idle_timeout_s=0.25)
+        for packet in packets:
+            sender.sendto(packet, addr)
+        return receive_datagrams(receiver, idle_timeout_s=0.25)
     finally:
         sender.close()
         receiver.close()
 
+
+def test_receive_datagrams_loopback():
+    rng = np.random.default_rng(23)
+    source = rng.bytes(5000)
+    received = _send_over_loopback(serialize_datagram(d) for d in stream_to_datagrams(source))
+
     stream, report = reassemble(received)
     assert stream == source
     assert report.gaps == ()
+
+
+def test_receive_datagrams_skips_malformed_packet():
+    rng = np.random.default_rng(24)
+    packets = [serialize_datagram(d) for d in stream_to_datagrams(rng.bytes(4 * 1456 + 500))]
+    packets[2] = packets[2][:5]
+    received = _send_over_loopback(packets)
+
+    assert len(received) == 4
+    _, report = reassemble(received)
+    assert report.gaps == ((2, 1),)

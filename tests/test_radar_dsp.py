@@ -20,7 +20,7 @@ from respiradar.errors import (
     WindowEmptyError,
     ZeroMagnitudeError,
 )
-from respiradar.radar_dsp import RangeTimeMap, detrend_linear
+from respiradar.radar_dsp import RangeTimeMap, detrend_linear, range_time_map_to_csv
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -147,6 +147,24 @@ def test_select_scale_invariance(config):
 
 
 # --- clutter_remove -----------------------------------------------------------
+
+
+def test_range_map_csv_matches_savetxt(tmp_path):
+    rng = np.random.default_rng(6)
+    values = (rng.standard_normal((60, 16)) + 1j * rng.standard_normal((60, 16))) * 10.0 ** rng.uniform(-6, 6, (60, 16))
+    values[::7, ::3] = 0.0  # written as -300 dB
+    rmap = RangeTimeMap(values, 0.05, 20.0, np.arange(60) / 20.0)
+    range_time_map_to_csv(rmap, tmp_path / "range_map.csv")
+
+    mags = np.abs(values)
+    with np.errstate(divide="ignore"):
+        power_db = np.where(mags > 0, 20.0 * np.log10(mags), -300.0)
+    header = "frame_time_s," + ",".join(f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m())
+    table = np.column_stack([rmap.frame_times_s, power_db])
+    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header=header, comments="", fmt="%.8g")
+    written = (tmp_path / "range_map.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert b",-300," in written
 
 
 def test_clutter_remove_constant():

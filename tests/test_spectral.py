@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.signal import get_window
 
 from respiradar import RateSeries, StftParams, compare_rates, extract_rate, stft
 from respiradar.errors import EmptyBandError, NoOverlapError, TraceTooShortError
+from respiradar import spectral
 from respiradar.spectral import (
     Spectrogram,
     comparison_to_json,
     cosine_window,
     rate_series_from_csv,
     rate_series_to_csv,
+    spectrogram_to_csv,
 )
 
 
@@ -274,3 +279,70 @@ def test_rate_series_csv_round_trip(tmp_path):
     back = rate_series_from_csv(path)
     assert np.allclose(back.times_s, a.times_s)
     assert np.allclose(back.rates_bpm, a.rates_bpm)
+
+
+# --- %.8g CSV writer -----------------------------------------------------------
+
+
+def savetxt_8g(path, header, table):
+    """The reference: what the spectrogram and range-map CSVs must hold."""
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.8g")
+    return path.read_bytes()
+
+
+def write_8g(path, header, table):
+    spectral._write_csv_8g(path, header, table)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.one_of(st.floats(), st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0])),
+    )
+)
+def test_csv_writer_matches_savetxt_on_any_table(tmp_path_factory, table):
+    base = tmp_path_factory.getbasetemp()
+    assert write_8g(base / "g8.csv", "h", table) == savetxt_8g(base / "ref.csv", "h", table)
+
+
+def adversarial_cells():
+    """Cells next to every decision the writer makes: powers of ten, exact
+    and near ties at the 8th digit, carries into a 9th digit, the edges of
+    the exact-scale range, zeros of both signs, subnormals and non-finite."""
+    rng = np.random.default_rng(5)
+    powers = 10.0 ** np.arange(-30, 31)
+    carries = 9.99999995 * powers
+    ties = (rng.integers(10**7, 10**8, 5000) * 10 + 5).astype(float)  # 9 digits ending in 5
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e22, 1e23, 1e-22, 1e-23, 0.5, 0.0001, 99999999.5]
+    cells = np.concatenate([
+        *(np.nextafter(v, t) for v in (powers, carries) for t in (0.0, np.inf)),
+        powers, carries, *(ties * 2.0**-k for k in range(4)), special,
+        rng.standard_normal(20000) * 10.0 ** rng.uniform(-20, 35, 20000),
+        np.round(rng.random(5000), 4),
+    ])
+    return np.concatenate([cells, -cells])
+
+
+@pytest.mark.parametrize("n_cols", [1, 7, 602, 40000])
+def test_csv_writer_matches_savetxt_on_adversarial_cells(tmp_path, n_cols):
+    cells = adversarial_cells()
+    table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
+    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+
+
+def test_zero_spectrogram_csv_never_formats_per_cell(tmp_path, monkeypatch):
+    spec = stft(np.zeros(2000))
+    header = "time_s," + ",".join(f"bpm_{f:g}" for f in spec.freq_axis_bpm)
+    expected = savetxt_8g(tmp_path / "ref.csv", header, np.column_stack([spec.time_axis_s, spec.magnitudes]))
+
+    def per_cell(values):
+        raise AssertionError(f"{values.size} cells took the per-cell path")
+
+    monkeypatch.setattr(spectral, "_printf_8g", per_cell)
+    spectrogram_to_csv(spec, tmp_path / "spectrogram.csv")
+    assert (tmp_path / "spectrogram.csv").read_bytes() == expected
+    assert write_8g(tmp_path / "signed.csv", "h", np.array([[0.0, -0.0], [-0.0, 0.0]])) == b"h\n0,-0\n-0,0\n"
