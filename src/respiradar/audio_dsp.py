@@ -15,6 +15,8 @@ from .errors import AudioTooShortError, UnsupportedWavError
 AUDIO_RATE_HZ = 44100
 FRAME_RATE_HZ = 20.0
 DECIMATION_FACTOR = 2205  # 44100 / 20
+MULTISTAGE_FACTORS = (21, 21, 5)
+_STAGE_CHUNK = 1 << 14  # outputs per block of polyphase rows, about 3 MB at factor 21
 
 ANTIALIAS_ORDER = 20
 ANTIALIAS_CUTOFF_HZ = 10.0
@@ -85,6 +87,11 @@ def design_antialias_taps() -> np.ndarray:
     return _kaiser_lowpass(ANTIALIAS_ORDER + 1, ANTIALIAS_CUTOFF_HZ, beta, AUDIO_RATE_HZ)
 
 
+def design_stage_taps(factor: int) -> np.ndarray:
+    """resample_poly's low-pass for one 1/factor stage: Kaiser (beta 5), 20 * factor + 1 taps."""
+    return _kaiser_lowpass(20 * factor + 1, 1.0 / factor, 5.0, 2.0)
+
+
 def design_envelope_taps() -> np.ndarray:
     """Kaiser low-pass for the rectified signal: passband to 1.5 Hz,
     at least 60 dB down from 3 Hz at the 20 Hz rate."""
@@ -106,6 +113,21 @@ def _fir_centered(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return y[delay : delay + len(x)]
 
 
+def _decimate_stage(x: np.ndarray, factor: int) -> np.ndarray:
+    # y[n] = sum_j taps[j] * x[factor*n + 10*factor - j] for ceil(len(x)/factor) outputs, x read
+    # as 0 outside: rows of `factor` samples meet the reversed taps' 21 phases, y[n] sums row n + a
+    phases = np.r_[design_stage_taps(factor)[::-1], np.zeros(factor - 1)].reshape(21, factor)
+    y = np.empty(-(-x.size // factor))
+    for k0 in range(0, y.size, _STAGE_CHUNK):
+        k1 = min(k0 + _STAGE_CHUNK, y.size)
+        lo, hi = factor * (k0 - 10), factor * (k1 + 10)
+        rows = np.zeros(hi - lo)
+        rows[max(-lo, 0) : min(x.size, hi) - lo] = x[max(lo, 0) : hi]
+        p = rows.reshape(-1, factor) @ phases.T
+        y[k0:k1] = sum(p[a : a + k1 - k0, a] for a in range(21))
+    return y
+
+
 def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np.ndarray:
     """Reduce 44.1 kHz audio to a 20 Hz series, output length floor(n/2205).
 
@@ -113,10 +135,10 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
     keeping every 2205th sample; its alias rejection is weak, which lets
     wideband breath sounds fold into the 20 Hz band as an amplitude trace.
     ``multistage=True`` switches to a clean polyphase chain (21 * 21 * 5)
-    for alias-free references; it is the one path that needs scipy.
+    for alias-free references, equal to ``resample_poly(x, 1, f)`` per stage.
 
-    Only the kept outputs of the FIR are computed, each from the input
-    samples around it.
+    Only the kept outputs of the default FIR are computed, each from the
+    input samples around it.
     """
     if audio.rate_hz != AUDIO_RATE_HZ:
         raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.rate_hz}")
@@ -127,12 +149,9 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
         )
     out_len = x.size // DECIMATION_FACTOR
     if multistage:
-        from scipy.signal import resample_poly
-
-        y = x
-        for factor in (21, 21, 5):
-            y = resample_poly(y, 1, factor)
-        return y[:out_len]
+        for factor in MULTISTAGE_FACTORS:
+            x = _decimate_stage(x, factor)
+        return x[:out_len]
     taps = design_antialias_taps()
     delay = (len(taps) - 1) // 2
     # y[n] = sum_j taps[j] * x[n + delay - j] at the kept n; x reads 0 before its start

@@ -209,48 +209,56 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     return RadarCube(config=config, data=data, frame_timestamps=frame_times)
 
 
-def synth_audio(
-    spec: BreathAudioSpec, duration_s: float, rate_hz: int = AUDIO_RATE_HZ
-) -> AudioTrace:
+def _burst_filter(burst_len: int):
+    """scipy's order-4 Butterworth ``butter`` + ``sosfilt`` over _BURST_BAND_HZ for bursts
+    of burst_len samples: the analog prototype at the bilinear transform's prewarped
+    frequencies, applied as a zero-padded FFT product."""
+    n = burst_len + int(0.1 * AUDIO_RATE_HZ)  # impulse response < 1e-16 of peak after 3,850 samples
+    s = 2j * AUDIO_RATE_HZ * np.tan(np.pi * np.arange(n // 2 + 1) / n)[:, None]
+    w1, w2 = 2 * AUDIO_RATE_HZ * np.tan(np.pi * np.array(_BURST_BAND_HZ) / AUDIO_RATE_HZ)
+    poles = -np.exp(1j * np.pi * np.arange(-3, 4, 2) / 8)  # analog Butterworth, order 4
+    # 1 / prod(lp - p) with lp = (s^2 + w1*w2) / (s*(w2 - w1)), cleared of the pole at s = 0
+    sb = s * (w2 - w1)
+    response = np.prod(sb / (s * s + w1 * w2 - poles * sb), axis=1)
+    return lambda x: np.fft.irfft(np.fft.rfft(x, n) * response, n)[:burst_len]
+
+
+def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     """Simulate a headset recording of breath sounds.
 
     Exhalations are band-limited (200-2000 Hz) noise bursts spaced one
     breath period apart; in both-sounds mode inhalation bursts of equal
     amplitude sit midway between them, which doubles the dominant acoustic
     rate.  White background noise is added at noise_db relative to the
-    burst amplitude.  Deterministic under the spec seed.  The burst filter
-    is the one use of scipy in the simulator.
+    burst amplitude.  Deterministic under the spec seed.
     """
     period_s = 60.0 / spec.resp_rate_bpm
     if duration_s < period_s:
         raise DurationTooShortError("duration covers less than one breath period")
 
-    n = int(round(duration_s * rate_hz))
+    n = int(round(duration_s * AUDIO_RATE_HZ))
     x = np.zeros(n)
     rng = np.random.default_rng(spec.seed)
 
-    burst_len = int(round(spec.burst_duration_s * rate_hz))
+    burst_len = int(round(spec.burst_duration_s * AUDIO_RATE_HZ))
     if burst_len >= 1 and spec.burst_amplitude > 0:
-        from scipy.signal import butter, sosfilt
-
-        sos = butter(4, _BURST_BAND_HZ, btype="bandpass", fs=rate_hz, output="sos")
+        band_pass = _burst_filter(burst_len)
         burst_window = cosine_window("hann", burst_len, periodic=False)
 
         centres = []
         k = 0
         while True:
             exhale = (k + 0.75) * period_s
-            if exhale * rate_hz + burst_len / 2 >= n:
+            if exhale * AUDIO_RATE_HZ + burst_len / 2 >= n:
                 break
             centres.append(exhale)
             if not spec.exhale_only:
                 centres.append((k + 0.25) * period_s)
             k += 1
         for centre_s in sorted(centres):
-            noise = rng.standard_normal(burst_len)
-            shaped = sosfilt(sos, noise)
+            shaped = band_pass(rng.standard_normal(burst_len))
             shaped /= max(shaped.std(), 1e-300)
-            start = int(round(centre_s * rate_hz - burst_len / 2))
+            start = int(round(centre_s * AUDIO_RATE_HZ - burst_len / 2))
             stop = min(start + burst_len, n)
             if start < 0 or stop <= start:
                 continue

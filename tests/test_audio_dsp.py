@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 from scipy.io import wavfile
-from scipy.signal import firwin, freqz, get_window, kaiser_beta, kaiserord
+from scipy.signal import firwin, freqz, get_window, kaiser_beta, kaiserord, resample_poly
 
 from respiradar import (
     AudioTrace,
@@ -17,8 +17,10 @@ from respiradar import (
 from respiradar.audio_dsp import (
     AUDIO_RATE_HZ,
     DECIMATION_FACTOR,
+    MULTISTAGE_FACTORS,
     design_antialias_taps,
     design_envelope_taps,
+    design_stage_taps,
 )
 from respiradar.errors import AudioTooShortError, UnsupportedWavError
 from respiradar.spectral import StftParams, extract_rate, stft
@@ -41,11 +43,22 @@ def test_decimate_zero_audio_length():
     assert np.all(out == 0)
 
 
-@pytest.mark.parametrize("n", [DECIMATION_FACTOR, 44100, 100_000, 7 * DECIMATION_FACTOR - 1])
+# 400_000 samples span two blocks of polyphase rows in the first multistage stage
+@pytest.mark.parametrize(
+    "n", [21, DECIMATION_FACTOR, 44100, 100_000, 7 * DECIMATION_FACTOR - 1, 400_000]
+)
 def test_decimate_output_length_is_floor(n):
-    for multistage in (False, True):
-        out = decimate_to_frame_rate(AudioTrace(np.zeros(n)), multistage=multistage)
-        assert out.size == n // DECIMATION_FACTOR
+    audio = AudioTrace(np.clip(0.3 * np.random.default_rng(n).standard_normal(n), -1, 1))
+    assert decimate_to_frame_rate(audio).size == n // DECIMATION_FACTOR
+    # the multistage chain is resample_poly(., 1, f) at each stage, to rounding
+    reference = audio.samples
+    for factor in MULTISTAGE_FACTORS:
+        reference = resample_poly(reference, 1, factor)
+    reference = reference[: n // DECIMATION_FACTOR]
+    out = decimate_to_frame_rate(audio, multistage=True)
+    assert out.size == reference.size == n // DECIMATION_FACTOR
+    atol = 1e-13 * np.abs(reference).max(initial=0)
+    np.testing.assert_allclose(out, reference, rtol=0, atol=atol)
 
 
 def test_decimate_too_short():
@@ -92,6 +105,12 @@ def test_antialias_filter_shape():
     assert taps.sum() == pytest.approx(1.0, abs=1e-9)  # unity DC gain
     expected = firwin(21, 10.0, window=("kaiser", kaiser_beta(60.0)), fs=AUDIO_RATE_HZ)
     np.testing.assert_allclose(taps, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("factor", sorted(set(MULTISTAGE_FACTORS)))
+def test_stage_taps_match_firwin(factor):
+    expected = firwin(20 * factor + 1, 1.0 / factor, window=("kaiser", 5.0))
+    np.testing.assert_allclose(design_stage_taps(factor), expected, rtol=0, atol=1e-15)
 
 
 def test_envelope_filter_meets_design_targets():

@@ -307,12 +307,31 @@ def test_rerun_unknown_command_is_input_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, respiradar, respiradar.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_scipy(audio_json, tmp_path):
+    # the import loads no scipy, and the audio commands run with scipy blocked
+    wav = tmp_path / "wav" / "breath.wav"
+    runs = [
+        ["simulate-audio", str(audio_json), "--duration", "65", "--out", str(wav.parent)],
+        ["process-audio", str(wav), "--out", str(tmp_path / "audio")],
+        ["process-audio", str(wav), "--multistage", "--out", str(tmp_path / "multistage")],
+    ]
+    code = (
+        "import sys, respiradar, respiradar.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
+        "codes = []\n"
+        f"for args in {runs!r}:\n"
+        "    try:\n"
+        "        respiradar.cli.main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes)\n"
+    )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+                         text=True, check=True, timeout=300)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[0, 0, 0]"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.signal import get_window
+from scipy.signal import butter, get_window, sosfilt
 
 from conftest import breathing_scene, sine_amplitude, static_scene
 from respiradar import (
@@ -25,6 +25,7 @@ from respiradar.errors import DurationTooShortError
 from respiradar.ingest import quantize_cube
 from respiradar.pipeline import process_audio
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
+from respiradar.simulate import _burst_filter
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -166,6 +167,15 @@ def test_audio_determinism():
     a = synth_audio(spec, 20.0)
     b = synth_audio(spec, 20.0)
     assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("burst_len", [1, 5, 441, 22050])
+def test_burst_filter_matches_scipy_butterworth(burst_len):
+    noise = np.random.default_rng(burst_len).standard_normal(burst_len)
+    sos = butter(4, (200.0, 2000.0), btype="bandpass", fs=44100, output="sos")
+    expected = sosfilt(sos, noise)
+    np.testing.assert_allclose(_burst_filter(burst_len)(noise), expected,
+                               rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_audio_burst_spec_validation():
