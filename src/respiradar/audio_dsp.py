@@ -42,7 +42,7 @@ class AudioTrace:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("audio must be a mono 1-D array")
-        if self.samples.size and np.max(np.abs(self.samples)) > 1.0 + 1e-9:
+        if self.samples.size and np.maximum(self.samples.max(), -self.samples.min()) > 1.0 + 1e-9:
             raise ValueError("audio samples exceed full scale")
 
     @property
@@ -211,7 +211,9 @@ def load_wav(path) -> AudioTrace:
         raw = fh.read(size)
     if len(raw) != size or size % 2:
         raise UnsupportedWavError(f"truncated WAV file: {len(raw)} bytes of samples, {size} declared")
-    return AudioTrace(samples=np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return AudioTrace(samples=samples)
 
 
 def save_wav(path, trace: AudioTrace) -> None:

@@ -87,14 +87,9 @@ def parse_datagram(buf: bytes) -> Datagram:
         raise DatagramTooShortError(
             f"datagram of {len(buf)} bytes is shorter than header + 1 payload byte"
         )
+    seq, offset_lo, offset_hi = struct.unpack_from("<IIH", buf)  # u48 offset as lo32, hi16
     payload = bytes(buf[DATAGRAM_HEADER_BYTES:])
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise PayloadTooLargeError(
-            f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_BYTES}"
-        )
-    seq = struct.unpack_from("<I", buf, 0)[0]
-    byte_count = int.from_bytes(buf[4:10], "little")
-    return Datagram(seq=seq, byte_count=byte_count, payload=payload)
+    return Datagram(seq=seq, byte_count=offset_lo | offset_hi << 32, payload=payload)
 
 
 def serialize_datagram(dgram: Datagram) -> bytes:
@@ -137,7 +132,7 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
             raise DuplicateSeqError(f"seq {dgram.seq} received twice with differing payloads")
         by_seq[dgram.seq] = dgram
 
-    out = bytearray()
+    parts: list[bytes] = []
     gaps: list[tuple[int, int]] = []
     zero_filled = 0
     next_seq = 0
@@ -162,8 +157,8 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
                 )
             gaps.append((next_seq, missing))
             zero_filled += fill
-            out += bytes(fill)
-        out += dgram.payload
+            parts.append(bytes(fill))
+        parts.append(dgram.payload)
         expected_offset = dgram.byte_count + len(dgram.payload)
         next_seq = seq + 1
 
@@ -173,7 +168,7 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
         gaps=tuple(gaps),
         zero_filled_bytes=zero_filled,
     )
-    return bytes(out), report
+    return b"".join(parts), report
 
 
 @dataclass
@@ -223,8 +218,11 @@ def frame_stream_bytes(config: RadarConfig) -> int:
     )
 
 
-def decode_cube(stream: bytes, config: RadarConfig, frame_timestamps=None) -> RadarCube:
-    """Decode a raw sample stream into a cube, selecting rx channel 0.
+def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube:
+    """Decode a raw sample stream (any bytes-like object) into a cube of rx channel 0.
+
+    Only rx 0 is converted: its int16 I/Q pairs are written straight into the
+    complex128 output, and the other rx blocks are never copied.
 
     Raises LengthMismatchError when the stream is not aligned to whole
     I/Q pairs, TruncatedFrameError when it ends inside a frame.
@@ -240,14 +238,12 @@ def decode_cube(stream: bytes, config: RadarConfig, frame_timestamps=None) -> Ra
         )
     n_frames = len(stream) // frame_bytes
 
-    raw = np.frombuffer(stream, dtype="<i2").astype(np.float64)
-    samples = raw[0::2] + 1j * raw[1::2]
-    samples = samples.reshape(
-        n_frames,
-        config.chirps_per_frame,
-        config.rx_channels,
-        config.samples_per_chirp,
-    )[:, :, 0, :].copy()
+    iq = np.frombuffer(stream, dtype="<i2").reshape(
+        n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp, 2
+    )[:, :, 0]
+    samples = np.empty(iq.shape[:-1], dtype=np.complex128)
+    samples.real = iq[..., 0]
+    samples.imag = iq[..., 1]
 
     if frame_timestamps is None:
         frame_timestamps = np.arange(n_frames) / config.frame_rate_hz
@@ -349,8 +345,9 @@ def load_capture(path) -> RadarCube:
         raise HeaderCubeMismatchError(
             f"container holds {len(blob)} bytes, header implies {expected_size}"
         )
-    stream = blob[_HEADER_BYTES : _HEADER_BYTES + sample_bytes]
-    stamps = np.frombuffer(blob[_HEADER_BYTES + sample_bytes :], dtype="<f8").copy()
+    view = memoryview(blob)
+    stream = view[_HEADER_BYTES : _HEADER_BYTES + sample_bytes]
+    stamps = np.frombuffer(view[_HEADER_BYTES + sample_bytes :], dtype="<f8").copy()
     return decode_cube(stream, config, frame_timestamps=stamps)
 
 

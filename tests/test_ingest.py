@@ -1,8 +1,12 @@
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from respiradar import (
     Datagram,
@@ -28,7 +32,12 @@ from respiradar.errors import (
     TruncatedFrameError,
     UnsupportedVersionError,
 )
-from respiradar.ingest import quantize_cube, stream_to_datagrams
+from respiradar.ingest import (
+    MAX_PAYLOAD_BYTES,
+    frame_stream_bytes,
+    quantize_cube,
+    stream_to_datagrams,
+)
 
 
 def make_raw(seq, byte_count, payload):
@@ -40,6 +49,27 @@ def random_cube(config, n_frames, seed=0, scale=1000.0):
     shape = (n_frames, config.chirps_per_frame, config.samples_per_chirp)
     data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return RadarCube(config=config, data=data, frame_timestamps=np.arange(n_frames) / config.frame_rate_hz)
+
+
+def reassemble_reference(datagrams) -> bytes:
+    """Reference reassembly into a growing bytearray: distinct datagrams in seq
+    order, each preceded by zeros up to its byte offset."""
+    out = bytearray()
+    for dgram in sorted({d.seq: d for d in datagrams}.values(), key=lambda d: d.seq):
+        out += bytes(dgram.byte_count - len(out))
+        out += dgram.payload
+    return bytes(out)
+
+
+def decode_reference(stream, config):
+    """Reference decode in float64: every rx block converted to float and to
+    complex, then rx 0 kept."""
+    n_frames = len(stream) // frame_stream_bytes(config)
+    raw = np.frombuffer(stream, dtype="<i2").astype(np.float64)
+    samples = raw[0::2] + 1j * raw[1::2]
+    return samples.reshape(
+        n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp
+    )[:, :, 0, :].copy()
 
 
 # --- datagram parsing -------------------------------------------------------
@@ -184,7 +214,70 @@ def test_reassembly_conservation_under_random_loss():
         assert stream == bytes(expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 12 * MAX_PAYLOAD_BYTES),
+    data=st.data(),
+)
+def test_reassemble_matches_bytearray_build(seed, length, data):
+    datagrams = stream_to_datagrams(np.random.default_rng(seed).bytes(length))
+    kept = [d for d in datagrams if data.draw(st.integers(0, 3), label="loss") != 0]
+    assume(kept)
+    duplicates = [d for d in kept if data.draw(st.booleans(), label="duplicate")]
+    arrivals = data.draw(st.permutations(kept + duplicates), label="arrival order")
+
+    stream, report = reassemble(arrivals)
+    assert type(stream) is bytes
+    assert stream == reassemble_reference(arrivals)
+    assert report.received == len(kept)
+    assert report.zero_filled_bytes == len(stream) - sum(len(d.payload) for d in kept)
+
+
 # --- cube decode/encode -----------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rx=st.integers(1, 4),
+    chirps=st.integers(1, 4),
+    samples=st.integers(1, 8),
+    n_frames=st.integers(0, 4),
+    data=st.data(),
+)
+def test_decode_matches_float64_reference(rx, chirps, samples, n_frames, data):
+    config = RadarConfig(samples_per_chirp=samples, chirps_per_frame=chirps, rx_channels=rx)
+    extremes = st.sampled_from([-32768, -1, 0, 32767])
+    values = data.draw(
+        arrays(
+            np.int16,
+            n_frames * frame_stream_bytes(config) // 2,
+            elements=st.one_of(extremes, st.integers(-32768, 32767)),
+        )
+    )
+    if values.size:
+        values[0], values[-1] = -32768, 32767
+    stream = values.astype("<i2").tobytes()
+
+    decoded = decode_cube(stream, config).data
+    reference = decode_reference(stream, config)
+    assert decoded.shape == reference.shape
+    assert np.array_equal(decoded, reference)
+    assert decoded.tobytes() == reference.tobytes()
+
+
+def test_decode_peak_memory_is_the_output():
+    config = RadarConfig(samples_per_chirp=64, chirps_per_frame=4, rx_channels=4)
+    n_values = 50 * frame_stream_bytes(config) // 2
+    values = np.random.default_rng(31).integers(-32768, 32768, size=n_values)
+    stream = values.astype("<i2").tobytes()
+    tracemalloc.start()
+    try:
+        output_bytes = decode_cube(stream, config).data.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * output_bytes
 
 
 def test_decode_zero_frame_bytes(config):
