@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioTooShortError, UnsupportedWavError
+from .spectral import _write_csv_10g
 
 AUDIO_RATE_HZ = 44100
 FRAME_RATE_HZ = 20.0
@@ -217,7 +218,9 @@ def load_wav(path) -> AudioTrace:
 
 
 def save_wav(path, trace: AudioTrace) -> None:
-    quantized = np.clip(np.rint(trace.samples * 32767.0), -32768, 32767).astype("<i2")
+    scaled = trace.samples * 32767.0
+    np.rint(scaled, out=scaled)
+    quantized = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
     with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
@@ -227,7 +230,4 @@ def save_wav(path, trace: AudioTrace) -> None:
 
 def envelope_to_csv(env: EnvelopeTrace, path) -> None:
     times = np.arange(env.samples.size) / env.rate_hz
-    table = np.column_stack([times, env.samples])
-    np.savetxt(
-        path, table, delimiter=",", header="time_s,envelope", comments="", fmt="%.10g"
-    )
+    _write_csv_10g(path, "time_s,envelope", np.column_stack([times, env.samples]))

@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .audio_dsp import envelope_to_csv, load_wav, save_wav
+from .audio_dsp import FRAME_RATE_HZ, envelope_to_csv, load_wav, save_wav
 from .config import RadarConfig
 from .errors import RespiradarError
 from .ingest import load_capture, write_capture
@@ -34,6 +34,7 @@ from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
 from .simulate import BreathAudioSpec, SceneSpec, scene_truth, synth_audio, synth_cube
 from .spectral import (
     StftParams,
+    _write_csv_10g,
     compare_rates,
     comparison_to_json,
     rate_series_from_csv,
@@ -116,11 +117,6 @@ def _read_input(load, path: str, what: str):
         raise ValueError(str(exc)) from exc
 
 
-def _write_truth(path: Path, columns, header: str) -> None:
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
-               comments="", fmt="%.10g")
-
-
 # --------------------------------------------------------------------------
 # runners: manifest -> outputs in manifest.output_dir and a one-line report
 
@@ -134,8 +130,8 @@ def _run_simulate(m: RunManifest) -> str:
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
     write_capture(cube, out / "capture.rvsc")
-    _write_truth(out / "truth.csv", scene_truth(scene, config, duration_s),
-                 "time_s,displacement_m,rate_bpm")
+    _write_csv_10g(out / "truth.csv", "time_s,displacement_m,rate_bpm",
+                   np.column_stack(scene_truth(scene, config, duration_s)))
     return f"wrote {out / 'capture.rvsc'} ({cube.n_frames} frames)"
 
 
@@ -147,15 +143,16 @@ def _run_simulate_audio(m: RunManifest) -> str:
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
     save_wav(out / "breath.wav", trace)
-    times = np.arange(int(round(duration_s * 20.0))) / 20.0
-    _write_truth(out / "truth.csv", [times, np.full(times.size, spec.resp_rate_bpm)],
-                 "time_s,rate_bpm")
+    times = np.arange(int(round(duration_s * FRAME_RATE_HZ))) / FRAME_RATE_HZ
+    _write_csv_10g(out / "truth.csv", "time_s,rate_bpm",
+                   np.column_stack([times, np.full(times.size, spec.resp_rate_bpm)]))
     return f"wrote {out / 'breath.wav'}"
 
 
 def _run_process_radar(m: RunManifest) -> str:
-    params = StftParams(**m.stft)
     cube = _read_input(load_capture, m.inputs["capture"], "capture")
+    # window and hop are checked in frames of this capture, not of 20 Hz
+    params = StftParams(**m.stft, sample_rate_hz=cube.config.frame_rate_hz)
     result = process_radar_cube(
         cube,
         variant=m.variant,

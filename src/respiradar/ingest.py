@@ -16,6 +16,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .errors import (
     UnsupportedVersionError,
 )
 
-DATAGRAM_HEADER_BYTES = 10
+_DATAGRAM_HEADER = struct.Struct("<IIH")  # seq, then the u48 byte offset as lo32, hi16
+DATAGRAM_HEADER_BYTES = _DATAGRAM_HEADER.size
 MAX_PAYLOAD_BYTES = 1456
 BYTES_PER_SAMPLE = 4  # int16 I + int16 Q
 
@@ -46,25 +48,12 @@ _FRAME_COUNT_STRUCT = struct.Struct("<Q")
 _HEADER_BYTES = 4 + 2 + _CONFIG_STRUCT.size + _FRAME_COUNT_STRUCT.size
 
 
-@dataclass(frozen=True)
-class Datagram:
+class Datagram(NamedTuple):
     """One wire packet: sequence number, cumulative byte offset, payload."""
 
     seq: int
     byte_count: int
     payload: bytes
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seq < 2**32:
-            raise ValueError("seq must fit an unsigned 32-bit integer")
-        if not 0 <= self.byte_count < 2**48:
-            raise ValueError("byte_count must fit an unsigned 48-bit integer")
-        if len(self.payload) == 0:
-            raise ValueError("payload must not be empty")
-        if len(self.payload) > MAX_PAYLOAD_BYTES:
-            raise PayloadTooLargeError(
-                f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD_BYTES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,7 @@ class LossReport:
 
 
 def parse_datagram(buf: bytes) -> Datagram:
-    """Parse one raw wire packet.
+    """Parse one raw wire packet; the only place a packet is validated.
 
     Raises DatagramTooShortError below 11 bytes and PayloadTooLargeError
     above header + 1456 bytes; any other byte content is accepted.
@@ -87,31 +76,25 @@ def parse_datagram(buf: bytes) -> Datagram:
         raise DatagramTooShortError(
             f"datagram of {len(buf)} bytes is shorter than header + 1 payload byte"
         )
-    seq, offset_lo, offset_hi = struct.unpack_from("<IIH", buf)  # u48 offset as lo32, hi16
-    payload = bytes(buf[DATAGRAM_HEADER_BYTES:])
-    return Datagram(seq=seq, byte_count=offset_lo | offset_hi << 32, payload=payload)
+    if len(buf) > DATAGRAM_HEADER_BYTES + MAX_PAYLOAD_BYTES:
+        raise PayloadTooLargeError(
+            f"payload of {len(buf) - DATAGRAM_HEADER_BYTES} bytes exceeds {MAX_PAYLOAD_BYTES}"
+        )
+    seq, offset_lo, offset_hi = _DATAGRAM_HEADER.unpack_from(buf)
+    return Datagram(seq, offset_lo | offset_hi << 32, bytes(buf[DATAGRAM_HEADER_BYTES:]))
 
 
 def serialize_datagram(dgram: Datagram) -> bytes:
-    return (
-        struct.pack("<I", dgram.seq)
-        + dgram.byte_count.to_bytes(6, "little")
-        + dgram.payload
-    )
+    offset = dgram.byte_count
+    return _DATAGRAM_HEADER.pack(dgram.seq, offset & 0xFFFFFFFF, offset >> 32) + dgram.payload
 
 
 def stream_to_datagrams(stream: bytes) -> list[Datagram]:
     """Chunk a byte stream into maximal datagrams with consistent seq/offsets."""
-    out = []
-    for seq, offset in enumerate(range(0, len(stream), MAX_PAYLOAD_BYTES)):
-        out.append(
-            Datagram(
-                seq=seq,
-                byte_count=offset,
-                payload=bytes(stream[offset : offset + MAX_PAYLOAD_BYTES]),
-            )
-        )
-    return out
+    return [
+        Datagram(seq, offset, bytes(stream[offset : offset + MAX_PAYLOAD_BYTES]))
+        for seq, offset in enumerate(range(0, len(stream), MAX_PAYLOAD_BYTES))
+    ]
 
 
 def reassemble(datagrams) -> tuple[bytes, LossReport]:
@@ -121,16 +104,14 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     offsets, so downstream frame indexing stays aligned.  Duplicate
     packets are tolerated when their payloads agree.
     """
-    datagrams = list(datagrams)
-    if not datagrams:
-        raise ValueError("no datagrams to reassemble")
-
     by_seq: dict[int, Datagram] = {}
     for dgram in datagrams:
         prev = by_seq.get(dgram.seq)
         if prev is not None and prev.payload != dgram.payload:
             raise DuplicateSeqError(f"seq {dgram.seq} received twice with differing payloads")
         by_seq[dgram.seq] = dgram
+    if not by_seq:
+        raise ValueError("no datagrams to reassemble")
 
     parts: list[bytes] = []
     gaps: list[tuple[int, int]] = []
@@ -138,19 +119,18 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     next_seq = 0
     expected_offset = 0
     for seq in sorted(by_seq):
-        dgram = by_seq[seq]
-        if dgram.byte_count < expected_offset:
+        _, byte_count, payload = by_seq[seq]
+        if byte_count < expected_offset:
             raise NonMonotonicByteCountError(
-                f"seq {seq} carries byte offset {dgram.byte_count} below {expected_offset}"
+                f"seq {seq} carries byte offset {byte_count} below {expected_offset}"
             )
         missing = seq - next_seq
-        fill = dgram.byte_count - expected_offset
-        if missing == 0:
-            if fill != 0:
-                raise NonMonotonicByteCountError(
-                    f"seq {seq} offset skips {fill} bytes with no missing datagrams"
-                )
-        else:
+        fill = byte_count - expected_offset
+        if missing == 0 and fill != 0:
+            raise NonMonotonicByteCountError(
+                f"seq {seq} offset skips {fill} bytes with no missing datagrams"
+            )
+        if missing:
             if fill < missing:
                 raise NonMonotonicByteCountError(
                     f"{missing} datagrams missing before seq {seq} but only {fill} bytes unaccounted"
@@ -158,8 +138,8 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
             gaps.append((next_seq, missing))
             zero_filled += fill
             parts.append(bytes(fill))
-        parts.append(dgram.payload)
-        expected_offset = dgram.byte_count + len(dgram.payload)
+        parts.append(payload)
+        expected_offset = byte_count + len(payload)
         next_seq = seq + 1
 
     report = LossReport(

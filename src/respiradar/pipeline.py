@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,8 @@ def process_radar_cube(
 
     Variant A unwraps the bin phase (optionally removing a linear drift)
     before the STFT; variant B hands the complex slow-time series to the
-    STFT directly.
+    STFT directly.  The STFT runs at the cube's frame rate, whatever
+    sample_rate_hz stft_params carries.
     """
     variant = variant.upper()
     if variant not in VARIANTS:
@@ -64,17 +65,13 @@ def process_radar_cube(
 
     phase: PhaseTrace | None = None
     if variant == "A":
-        phase = extract_unwrapped_phase(
-            series,
-            rmap.frame_rate_hz,
-            source_bin=target_bin,
-            source_range_m=target_bin * rmap.bin_spacing_m,
-        )
+        phase = extract_unwrapped_phase(series, rmap.frame_rate_hz)
         trace = detrend_linear(phase.samples) if detrend else phase.samples
     else:
         trace = series
 
-    spectrogram = stft(trace, stft_params)
+    params = replace(stft_params or StftParams(), sample_rate_hz=rmap.frame_rate_hz)
+    spectrogram = stft(trace, params)
     rates = extract_rate(spectrogram, band_bpm)
     return RadarRunResult(
         rates=rates,

@@ -13,7 +13,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import _write_csv_8g, cosine_window
+from .spectral import _write_csv_8g, _write_csv_10g, cosine_window
 
 
 @dataclass
@@ -55,8 +55,6 @@ class PhaseTrace:
 
     samples: np.ndarray
     frame_rate_hz: float
-    source_bin: int | None = None
-    source_range_m: float | None = None
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -133,13 +131,7 @@ def clutter_remove(series: np.ndarray) -> np.ndarray:
     return series - series.mean()
 
 
-def extract_unwrapped_phase(
-    series: np.ndarray,
-    frame_rate_hz: float = 20.0,
-    *,
-    source_bin: int | None = None,
-    source_range_m: float | None = None,
-) -> PhaseTrace:
+def extract_unwrapped_phase(series: np.ndarray, frame_rate_hz: float = 20.0) -> PhaseTrace:
     """Per-sample argument, unwrapped across 2*pi discontinuities.
 
     Assumes the true phase moves less than pi per frame, which holds for
@@ -154,12 +146,7 @@ def extract_unwrapped_phase(
             raise ZeroMagnitudeError("series is all zero; no reflection to track")
         raise ZeroMagnitudeError("zero-magnitude sample: phase undefined")
     unwrapped = np.unwrap(np.angle(series))
-    return PhaseTrace(
-        samples=unwrapped,
-        frame_rate_hz=frame_rate_hz,
-        source_bin=source_bin,
-        source_range_m=source_range_m,
-    )
+    return PhaseTrace(samples=unwrapped, frame_rate_hz=frame_rate_hz)
 
 
 def detrend_linear(samples: np.ndarray) -> np.ndarray:
@@ -184,12 +171,4 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:
     times = np.arange(trace.samples.size) / trace.frame_rate_hz
-    table = np.column_stack([times, trace.samples])
-    np.savetxt(
-        path,
-        table,
-        delimiter=",",
-        header="frame_time_s,phase_rad",
-        comments="",
-        fmt="%.10g",
-    )
+    _write_csv_10g(path, "frame_time_s,phase_rad", np.column_stack([times, trace.samples]))

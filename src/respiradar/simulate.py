@@ -269,7 +269,7 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
         if background_std > 0:
             x += rng.normal(scale=background_std, size=n)
 
-    return AudioTrace(samples=np.clip(x, -1.0, 1.0))
+    return AudioTrace(samples=np.clip(x, -1.0, 1.0, out=x))
 
 
 def datagram_stream(cube: RadarCube, full_scale: float | None = None) -> list[Datagram]:

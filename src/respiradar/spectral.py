@@ -249,14 +249,7 @@ def compare_rates(
 
 def rate_series_to_csv(series: RateSeries, path) -> None:
     table = np.column_stack([series.times_s, series.rates_bpm, series.magnitudes])
-    np.savetxt(
-        path,
-        table,
-        delimiter=",",
-        header="time_s,rate_bpm,magnitude",
-        comments="",
-        fmt="%.10g",
-    )
+    _write_csv_10g(path, "time_s,rate_bpm,magnitude", table)
 
 
 def rate_series_from_csv(path) -> RateSeries:
@@ -433,6 +426,12 @@ def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
         cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, 24)
     flat = cells.reshape(-1)
     return np.compress(flat != 0, flat)
+
+
+def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
+    """Write a one-line header and a 2-D table as comma-separated '%.10g'
+    cells (the rate, phase, envelope and truth CSVs)."""
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.10g")
 
 
 def _write_csv_8g(path, header: str, table: np.ndarray) -> None:

@@ -335,3 +335,41 @@ def test_import_loads_no_scipy(audio_json, tmp_path):
     lines = out.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "[0, 0, 0]"
+
+
+def simulate_at_frame_rate(runner, tmp_path, frame_rate_hz):
+    """The README scene, 360 s at the given frame rate."""
+    readme_scene = breathing_scene(seed=7, static_reflectors=((3.0, 2.0),))
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(readme_scene.to_dict()), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"frame_rate_hz": frame_rate_hz}), encoding="utf-8")
+    return simulate(runner, scene, tmp_path / "sim", duration="360",
+                    extra=("--config", str(config)))
+
+
+@pytest.mark.parametrize("frame_rate_hz, flags, window_s", [
+    (25.0, (), 60.0),
+    (40.0, (), 60.0),
+    # 2401 frames at 40 Hz, but no whole number of samples at 20 Hz
+    (40.0, ("--window-s", "60.025", "--overlap-s", "59.975"), 60.025),
+])
+def test_process_radar_stft_runs_at_capture_frame_rate(runner, tmp_path, frame_rate_hz,
+                                                       flags, window_s):
+    capture = simulate_at_frame_rate(runner, tmp_path, frame_rate_hz)
+    out = tmp_path / "proc"
+    result = runner.invoke(main, ["process-radar", str(capture), *flags, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rates = rate_series_from_csv(out / "rates.csv")
+    assert np.mean(np.abs(rates.rates_bpm - 15.0) <= 1.0) >= 0.99
+    assert rates.times_s[0] == pytest.approx(window_s / 2 - 0.5 / frame_rate_hz)
+
+
+def test_process_radar_hop_under_one_frame_is_input_error(runner, tmp_path):
+    # at 10 Hz the default 0.05 s hop rounds to zero frames
+    capture = simulate_at_frame_rate(runner, tmp_path, 10.0)
+    out = tmp_path / "proc"
+    result = runner.invoke(main, ["process-radar", str(capture), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "hop must be at least one sample" in result.output + (result.stderr or "")
+    assert not (out / "rates.csv").exists()

@@ -83,13 +83,15 @@ def test_parse_first_packet():
 
 
 def test_parse_header_only_too_short():
-    with pytest.raises(DatagramTooShortError):
+    with pytest.raises(DatagramTooShortError) as err:
         parse_datagram(b"\x00" * 10)
+    assert str(err.value) == "datagram of 10 bytes is shorter than header + 1 payload byte"
 
 
 def test_parse_oversized_payload():
-    with pytest.raises(PayloadTooLargeError):
+    with pytest.raises(PayloadTooLargeError) as err:
         parse_datagram(make_raw(1, 0, b"x" * 1457))
+    assert str(err.value) == "payload of 1457 bytes exceeds 1456"
 
 
 def test_serialize_parse_round_trip():
@@ -103,6 +105,14 @@ def test_serialize_parse_round_trip():
         assert parse_datagram(serialize_datagram(dgram)) == dgram
     full = Datagram(seq=7, byte_count=1456 * 7, payload=b"q" * 1456)
     assert parse_datagram(serialize_datagram(full)) == full
+    # the u48 offset travels as lo32 + hi16: cover both halves and their seam
+    for seq in (0, 2**32 - 1):
+        for byte_count in (0, 2**32 - 1, 2**32, 2**48 - 1):
+            for payload in (b"\x00", b"\xff" * MAX_PAYLOAD_BYTES):
+                dgram = Datagram(seq=seq, byte_count=byte_count, payload=payload)
+                raw = serialize_datagram(dgram)
+                assert raw == make_raw(seq, byte_count, payload)
+                assert parse_datagram(raw) == dgram
 
 
 def test_parse_fuzz_is_total():
