@@ -225,7 +225,7 @@ def save_wav(path, trace: AudioTrace) -> None:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(int(trace.rate_hz))
-        wav.writeframes(quantized.tobytes())
+        wav.writeframes(quantized)
 
 
 def envelope_to_csv(env: EnvelopeTrace, path) -> None:

@@ -7,8 +7,10 @@ trace rate.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +24,7 @@ _WINDOW_COEFFS = {"blackman": (0.42, 0.50, 0.08), "hann": (0.5, 0.5), "rectangul
 
 DEFAULT_BAND_BPM = (6.0, 60.0)
 
-_FFT_CHUNK = 2048  # windows per FFT batch, caps peak memory
+_FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays in cache
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,38 @@ class RateComparison:
             raise ValueError("fraction must lie in [0, 1]")
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_batches(fn, batches, workers: int, sink=lambda result: None) -> None:
+    """Apply fn to each batch on a pool of `workers` threads, and pass the
+    results to sink in batch order, in the calling thread.
+
+    numpy's FFTs, ufuncs, gathers and compress release the GIL, so batches
+    of array work overlap.  At most two batches per worker are in flight,
+    so the results waiting for sink stay bounded whatever the batch count.
+    An exception in fn is raised here, after the pool's threads have ended.
+    """
+    # imported here: at module top it would add to every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for batch in batches:
+            pending.append(pool.submit(fn, batch))
+            if len(pending) >= 2 * workers:
+                sink(pending.popleft().result())
+        while pending:
+            sink(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def stft(trace: np.ndarray, params: StftParams | None = None) -> Spectrogram:
     """Sliding-window DFT magnitudes of a real or complex 20 Hz trace.
 
@@ -164,16 +198,23 @@ def stft(trace: np.ndarray, params: StftParams | None = None) -> Spectrogram:
     magnitudes = np.empty((starts.size, freq_bpm.size))
 
     segments = sliding_window_view(x, length)[::hop]
-    for lo in range(0, starts.size, _FFT_CHUNK):
-        hi = min(lo + _FFT_CHUNK, starts.size)
-        block = segments[lo:hi].astype(np.complex128 if complex_input else np.float64)
+    shift = length // 2  # fftshift moves bin k to column (k + shift) % length
+    workers = _worker_count()
+    batch = max(1, _FFT_CHUNK // workers)
+
+    def transform(lo: int) -> None:
+        block = segments[lo : lo + batch].astype(np.complex128 if complex_input else np.float64)
         block -= block.mean(axis=1, keepdims=True)
         block *= window
+        rows = magnitudes[lo : lo + batch]
         if complex_input:
-            spectrum = np.fft.fftshift(np.fft.fft(block, axis=1), axes=1)
+            spectrum = np.fft.fft(block, axis=1)
+            np.abs(spectrum[:, : length - shift], out=rows[:, shift:])
+            np.abs(spectrum[:, length - shift :], out=rows[:, :shift])
         else:
-            spectrum = np.fft.rfft(block, axis=1)
-        magnitudes[lo:hi] = np.abs(spectrum)
+            np.abs(np.fft.rfft(block, axis=1), out=rows)
+
+    _map_batches(transform, range(0, starts.size, batch), workers)
 
     times = (starts + (length - 1) / 2.0) / fs
     return Spectrogram(magnitudes=magnitudes, freq_axis_bpm=freq_bpm, time_axis_s=times)
@@ -442,11 +483,15 @@ def _write_csv_8g(path, header: str, table: np.ndarray) -> None:
     n_rows, n_cols = table.shape
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
+    _g8_tables()  # built once here, not raced for by the workers
+
+    def format_rows(lo: int) -> bytes:
+        block = table[lo : lo + rows].reshape(-1)
+        return _format_8g(block, last[: block.size])
+
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, n_rows, rows):
-            block = table[lo : lo + rows].reshape(-1)
-            fh.write(_format_8g(block, last[: block.size]))
+        _map_batches(format_rows, range(0, n_rows, rows), _worker_count(), fh.write)
 
 
 def comparison_to_json(comparison: RateComparison) -> str:

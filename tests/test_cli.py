@@ -307,6 +307,15 @@ def test_rerun_unknown_command_is_input_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def run_python(code, *, timeout):
+    """Standard output of `code` run by a fresh interpreter on this checkout's sources."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=timeout)
+    return out.stdout
+
+
 def test_import_loads_no_scipy(audio_json, tmp_path):
     # the import loads no scipy, and the audio commands run with scipy blocked
     wav = tmp_path / "wav" / "breath.wav"
@@ -327,14 +336,16 @@ def test_import_loads_no_scipy(audio_json, tmp_path):
         "        codes.append(exc.code)\n"
         "print(codes)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=300)
-    lines = out.stdout.splitlines()
+    lines = run_python(code, timeout=300).splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "[0, 0, 0]"
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures costs every CLI start, --help included; spectral
+    # imports it when it first maps batches
+    code = "import sys, respiradar.cli\nprint(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    assert run_python(code, timeout=60).strip() == "[]"
 
 
 def simulate_at_frame_rate(runner, tmp_path, frame_rate_hz):

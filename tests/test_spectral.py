@@ -1,8 +1,13 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from respiradar import RateSeries, StftParams, compare_rates, extract_rate, stft
@@ -86,6 +91,60 @@ def test_stft_complex_signed_axis():
     assert spec.freq_axis_bpm[-1] == 599.0
     peak_bpm = spec.freq_axis_bpm[np.argmax(spec.magnitudes, axis=1)]
     assert np.all(peak_bpm == 15.0)
+
+
+def stft_reference(trace, params):
+    """The serial loop stft ran before its batches went to a thread pool:
+    2048 windows a batch, and an fftshift copy of the complex spectrum."""
+    x = np.asarray(trace)
+    complex_input = np.iscomplexobj(x)
+    segments = sliding_window_view(x, params.window_len)[:: params.hop_samples]
+    out = []
+    for lo in range(0, segments.shape[0], 2048):
+        block = segments[lo : lo + 2048].astype(np.complex128 if complex_input else np.float64)
+        block -= block.mean(axis=1, keepdims=True)
+        block *= params.window_array()
+        if complex_input:
+            spectrum = np.fft.fftshift(np.fft.fft(block, axis=1), axes=1)
+        else:
+            spectrum = np.fft.rfft(block, axis=1)
+        out.append(np.abs(spectrum))
+    return np.concatenate(out)
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond, so pool workers interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "params, n_samples, fft_chunk",
+    [
+        (StftParams(), 7200, spectral._FFT_CHUNK),  # 1200-sample window, 6001 windows
+        (StftParams(window_s=30.05, overlap_s=30.0), 3000, spectral._FFT_CHUNK),  # 601, 2400
+        (StftParams(window_s=3.05, overlap_s=2.0, window_shape="hann"), 542, 7),  # 61, hop 21, 23
+    ],
+    ids=["even", "odd", "hop21"],
+)
+def test_stft_does_not_depend_on_worker_count(monkeypatch, fast_thread_switching, workers,
+                                              complex_input, params, n_samples, fft_chunk):
+    rng = np.random.default_rng(11)
+    trace = rng.standard_normal(n_samples)
+    if complex_input:
+        trace = trace + 1j * rng.standard_normal(n_samples)
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_FFT_CHUNK", fft_chunk)
+    n_windows = (n_samples - params.window_len) // params.hop_samples + 1
+    assert n_windows % max(1, fft_chunk // workers) != 0  # a short last batch
+    assert np.array_equal(stft(trace, params).magnitudes, stft_reference(trace, params))
 
 
 def test_rectangular_window_bin_centred_single_bin():
@@ -346,3 +405,35 @@ def test_zero_spectrogram_csv_never_formats_per_cell(tmp_path, monkeypatch):
     spectrogram_to_csv(spec, tmp_path / "spectrogram.csv")
     assert (tmp_path / "spectrogram.csv").read_bytes() == expected
     assert write_8g(tmp_path / "signed.csv", "h", np.array([[0.0, -0.0], [-0.0, 0.0]])) == b"h\n0,-0\n-0,0\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_cols, chunk_cells", [(7, 70), (30, 70), (602, spectral._CSV_CHUNK_CELLS)])
+def test_csv_writer_does_not_depend_on_worker_count(tmp_path, monkeypatch, fast_thread_switching,
+                                                    workers, n_cols, chunk_cells):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", chunk_cells)
+    cells = adversarial_cells()
+    table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
+    assert table.shape[0] % max(1, chunk_cells // n_cols) != 0  # a short last batch
+    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+
+
+@pytest.mark.parametrize("failing_batch", [0, 5, 12])
+def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monkeypatch,
+                                                                  failing_batch):
+    calls = itertools.count()
+    format_8g = spectral._format_8g
+
+    def format_or_fail(x, last):
+        if next(calls) == failing_batch:
+            raise RuntimeError("batch failed")
+        return format_8g(x, last)
+
+    monkeypatch.setattr(spectral, "_format_8g", format_or_fail)
+    monkeypatch.setattr(spectral, "_worker_count", lambda: 3)
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 64)  # 13 batches of 8 rows
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch failed"):
+        spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 8)))
+    assert threading.active_count() == threads
