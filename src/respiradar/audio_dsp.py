@@ -46,10 +46,6 @@ class AudioTrace:
         if self.samples.size and np.maximum(self.samples.max(), -self.samples.min()) > 1.0 + 1e-9:
             raise ValueError("audio samples exceed full scale")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.rate_hz
-
 
 @dataclass
 class EnvelopeTrace:

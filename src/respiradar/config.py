@@ -16,6 +16,10 @@ class RadarConfig:
     frame at 20 frames/s: bandwidth 3.072 GHz, range bins of roughly 4.9 cm.
     Only the carrier and frame rate are tied to the target hardware; the
     chirp parameters are configurable.
+
+    The field order is on-disk: the capture container header stores these
+    fields in declaration order, so reordering, adding or removing a field
+    changes the file format.
     """
 
     carrier_hz: float = 77.0e9

@@ -6,16 +6,17 @@ sequence number, u48 LE cumulative payload byte offset) followed by up to
 interleaved signed 16-bit little-endian I/Q pairs, sample-major within a
 chirp, rx-channel blocks within a chirp, chirp-major within a frame.
 
-Captures are stored in a small binary container: magic ``RVSC``, u16 LE
-version, the radar configuration as eight little-endian u64/f64 fields,
-a u64 frame count, the raw sample stream, then one f64 timestamp per frame.
+Captures are stored in a small binary container: one ``_CAPTURE_HEADER``
+(magic ``RVSC``, u16 LE version, the ``RadarConfig`` fields in declaration
+order, the f64 bandwidth, a u64 frame count), the raw sample stream, then
+one f64 timestamp per frame.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,10 +43,8 @@ CAPTURE_MAGIC = b"RVSC"
 CAPTURE_VERSION = 1
 DEFAULT_UDP_PORT = 4098
 
-# carrier, slope, adc rate, samples/chirp, chirps/frame, frame rate, rx, bandwidth
-_CONFIG_STRUCT = struct.Struct("<dddQQdQd")
-_FRAME_COUNT_STRUCT = struct.Struct("<Q")
-_HEADER_BYTES = 4 + 2 + _CONFIG_STRUCT.size + _FRAME_COUNT_STRUCT.size
+# magic, version, the RadarConfig fields in declaration order, bandwidth, frame count
+_CAPTURE_HEADER = struct.Struct("<4sHdddQQdQdQ")
 
 
 class Datagram(NamedTuple):
@@ -183,10 +182,6 @@ class RadarCube:
     def n_frames(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames * self.config.frame_period_s
-
 
 def frame_stream_bytes(config: RadarConfig) -> int:
     """Byte size of one frame on the wire (all rx channels)."""
@@ -243,48 +238,32 @@ def _quantize(values: np.ndarray, full_scale: float) -> np.ndarray:
     return np.clip(scaled, -32768, 32767)
 
 
-def quantize_cube(cube: RadarCube, full_scale: float | None = None) -> RadarCube:
+def quantize_cube(cube: RadarCube) -> RadarCube:
     """The cube as it survives int16 encoding (values in ADC counts)."""
-    if full_scale is None:
-        full_scale = default_full_scale(cube)
+    full_scale = default_full_scale(cube)
     data = _quantize(cube.data.real, full_scale) + 1j * _quantize(cube.data.imag, full_scale)
     return RadarCube(
         config=cube.config, data=data, frame_timestamps=cube.frame_timestamps.copy()
     )
 
 
-def encode_cube(cube: RadarCube, full_scale: float | None = None) -> bytes:
+def encode_cube(cube: RadarCube) -> bytes:
     """Serialise a single-channel cube to the raw int16 I/Q stream."""
     if cube.config.rx_channels != 1:
         raise ValueError("only single-channel cubes can be encoded")
-    if full_scale is None:
-        full_scale = default_full_scale(cube)
-    n_frames = cube.n_frames
-    shape = (n_frames, cube.config.chirps_per_frame, cube.config.samples_per_chirp)
-    interleaved = np.empty(shape + (2,), dtype="<i2")
-    interleaved[..., 0] = _quantize(cube.data.real, full_scale).astype("<i2")
-    interleaved[..., 1] = _quantize(cube.data.imag, full_scale).astype("<i2")
+    full_scale = default_full_scale(cube)
+    interleaved = np.empty(cube.data.shape + (2,), dtype="<i2")
+    interleaved[..., 0] = _quantize(cube.data.real, full_scale)
+    interleaved[..., 1] = _quantize(cube.data.imag, full_scale)
     return interleaved.tobytes()
 
 
-def write_capture(cube: RadarCube, path, full_scale: float | None = None) -> None:
+def write_capture(cube: RadarCube, path) -> None:
     """Write the capture container for a cube (quantising to int16)."""
-    payload = encode_cube(cube, full_scale=full_scale)
+    payload = encode_cube(cube)
     cfg = cube.config
-    header = (
-        CAPTURE_MAGIC
-        + struct.pack("<H", CAPTURE_VERSION)
-        + _CONFIG_STRUCT.pack(
-            cfg.carrier_hz,
-            cfg.chirp_slope_hz_per_s,
-            cfg.adc_rate_hz,
-            cfg.samples_per_chirp,
-            cfg.chirps_per_frame,
-            cfg.frame_rate_hz,
-            cfg.rx_channels,
-            cfg.bandwidth_hz,
-        )
-        + _FRAME_COUNT_STRUCT.pack(cube.n_frames)
+    header = _CAPTURE_HEADER.pack(
+        CAPTURE_MAGIC, CAPTURE_VERSION, *astuple(cfg), cfg.bandwidth_hz, cube.n_frames
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -293,42 +272,38 @@ def write_capture(cube: RadarCube, path, full_scale: float | None = None) -> Non
 
 
 def load_capture(path) -> RadarCube:
-    """Read a capture container back into a cube with its embedded timestamps."""
+    """Read a capture container back into a cube with its embedded timestamps.
+
+    Raises BadMagicError, UnsupportedVersionError or HeaderCubeMismatchError
+    for a file that is not a whole container, however short.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 or blob[:4] != CAPTURE_MAGIC:
+    if blob[:4] != CAPTURE_MAGIC:
         raise BadMagicError("not a capture container (bad magic)")
-    version = struct.unpack_from("<H", blob, 4)[0]
-    if version != CAPTURE_VERSION:
+    version = int.from_bytes(blob[4:6], "little")
+    if len(blob) >= 6 and version != CAPTURE_VERSION:
         raise UnsupportedVersionError(f"container version {version} not supported")
-    if len(blob) < _HEADER_BYTES:
-        raise HeaderCubeMismatchError("container truncated inside the header")
+    if len(blob) < _CAPTURE_HEADER.size:
+        raise HeaderCubeMismatchError(
+            f"container of {len(blob)} bytes ends inside its {_CAPTURE_HEADER.size}-byte header"
+        )
 
-    fields = _CONFIG_STRUCT.unpack_from(blob, 6)
-    config = RadarConfig(
-        carrier_hz=fields[0],
-        chirp_slope_hz_per_s=fields[1],
-        adc_rate_hz=fields[2],
-        samples_per_chirp=int(fields[3]),
-        chirps_per_frame=int(fields[4]),
-        frame_rate_hz=fields[5],
-        rx_channels=int(fields[6]),
-    )
-    declared_bw = fields[7]
+    fields = _CAPTURE_HEADER.unpack_from(blob)
+    config = RadarConfig(*fields[2:9])
+    declared_bw, n_frames = fields[9:]
     if abs(declared_bw - config.bandwidth_hz) > 1e-6 * config.bandwidth_hz:
         raise HeaderCubeMismatchError("declared bandwidth disagrees with chirp parameters")
 
-    n_frames = _FRAME_COUNT_STRUCT.unpack_from(blob, 6 + _CONFIG_STRUCT.size)[0]
     sample_bytes = n_frames * frame_stream_bytes(config)
-    expected_size = _HEADER_BYTES + sample_bytes + 8 * n_frames
+    expected_size = _CAPTURE_HEADER.size + sample_bytes + 8 * n_frames
     if len(blob) != expected_size:
         raise HeaderCubeMismatchError(
             f"container holds {len(blob)} bytes, header implies {expected_size}"
         )
-    view = memoryview(blob)
-    stream = view[_HEADER_BYTES : _HEADER_BYTES + sample_bytes]
-    stamps = np.frombuffer(view[_HEADER_BYTES + sample_bytes :], dtype="<f8").copy()
-    return decode_cube(stream, config, frame_timestamps=stamps)
+    body = memoryview(blob)[_CAPTURE_HEADER.size :]
+    stamps = np.frombuffer(body[sample_bytes:], dtype="<f8").copy()
+    return decode_cube(body[:sample_bytes], config, frame_timestamps=stamps)
 
 
 def receive_datagrams(

@@ -99,10 +99,15 @@ def process_audio(
     multistage: bool = False,
     square: bool = False,
 ) -> AudioRunResult:
-    """Audio -> 20 Hz decimation -> breathing envelope -> rate series."""
+    """Audio -> 20 Hz decimation -> breathing envelope -> rate series.
+
+    The STFT runs at the envelope's rate, whatever sample_rate_hz
+    stft_params carries.
+    """
     decimated = decimate_to_frame_rate(audio, multistage=multistage)
     env = envelope(decimated, square=square)
-    spectrogram = stft(env.samples, stft_params)
+    params = replace(stft_params or StftParams(), sample_rate_hz=env.rate_hz)
+    spectrogram = stft(env.samples, params)
     rates = extract_rate(spectrogram, band_bpm)
     return AudioRunResult(
         rates=rates, spectrogram=spectrogram, envelope=env, decimated=decimated

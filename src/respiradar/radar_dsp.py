@@ -131,11 +131,11 @@ def clutter_remove(series: np.ndarray) -> np.ndarray:
     return series - series.mean()
 
 
-def extract_unwrapped_phase(series: np.ndarray, frame_rate_hz: float = 20.0) -> PhaseTrace:
+def extract_unwrapped_phase(series: np.ndarray, frame_rate_hz: float) -> PhaseTrace:
     """Per-sample argument, unwrapped across 2*pi discontinuities.
 
     Assumes the true phase moves less than pi per frame, which holds for
-    chest motion at the 20 Hz frame rate.  Zero-magnitude samples have no
+    chest motion at a 20 Hz frame rate.  Zero-magnitude samples have no
     phase and raise ZeroMagnitudeError.
     """
     series = np.asarray(series, dtype=np.complex128)
@@ -159,14 +159,22 @@ def detrend_linear(samples: np.ndarray) -> np.ndarray:
 
 
 def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
-    """Export per-frame bin powers in dB (columns: frame_time_s, then bins)."""
-    mags = np.abs(rmap.values)
-    with np.errstate(divide="ignore"):
-        power_db = np.where(mags > 0, 20.0 * np.log10(np.where(mags > 0, mags, 1.0)), -300.0)
+    """Export per-frame bin powers in dB (columns: frame_time_s, then bins).
+
+    A zero-magnitude cell reads -300 dB.  The dB values are computed in
+    place in the one table that is written.
+    """
+    table = np.empty((rmap.n_frames, 1 + rmap.n_bins))
+    table[:, 0] = rmap.frame_times_s
+    power_db = np.abs(rmap.values, out=table[:, 1:])
+    nonzero = power_db > 0
+    np.log10(power_db, out=power_db, where=nonzero)
+    power_db *= 20.0
+    power_db[~nonzero] = -300.0
     header = "frame_time_s," + ",".join(
         f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m()
     )
-    _write_csv_8g(path, header, np.column_stack([rmap.frame_times_s, power_db]))
+    _write_csv_8g(path, header, table)
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

@@ -272,9 +272,9 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     return AudioTrace(samples=np.clip(x, -1.0, 1.0, out=x))
 
 
-def datagram_stream(cube: RadarCube, full_scale: float | None = None) -> list[Datagram]:
+def datagram_stream(cube: RadarCube) -> list[Datagram]:
     """The cube's raw sample stream chunked into wire datagrams."""
-    return stream_to_datagrams(encode_cube(cube, full_scale=full_scale))
+    return stream_to_datagrams(encode_cube(cube))
 
 
 def scene_truth(scene: SceneSpec, config: RadarConfig, duration_s: float):

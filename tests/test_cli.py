@@ -12,6 +12,11 @@ from respiradar.cli import main
 from respiradar.ingest import load_capture
 from respiradar.spectral import rate_series_from_csv
 
+# PYTHONPATH for a fresh interpreter that runs this checkout's sources
+SRC_PATH = os.pathsep.join(
+    filter(None, [os.path.join(os.path.dirname(__file__), os.pardir, "src"), os.environ.get("PYTHONPATH")])
+)
+
 
 @pytest.fixture()
 def runner():
@@ -135,6 +140,19 @@ def test_process_radar_corrupt_capture_is_input_error(runner, tmp_path):
         main, ["process-radar", str(bad), "--out", str(tmp_path / "o")]
     )
     assert result.exit_code == 2
+
+
+def test_process_radar_header_cut_short_is_input_error(tmp_path):
+    short = tmp_path / "short.rvsc"
+    short.write_bytes(b"RVSC\x01")
+    out = subprocess.run(
+        [sys.executable, "-m", "respiradar.cli", "process-radar", str(short),
+         "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 def test_process_radar_short_capture_is_processing_error(runner, scene_json, tmp_path):
@@ -309,9 +327,7 @@ def test_rerun_unknown_command_is_input_error(runner, tmp_path):
 
 def run_python(code, *, timeout):
     """Standard output of `code` run by a fresh interpreter on this checkout's sources."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_PATH),
                          capture_output=True, text=True, check=True, timeout=timeout)
     return out.stdout
 

@@ -379,6 +379,35 @@ def test_capture_truncated_body(tmp_path, config):
         load_capture(path)
 
 
+# the container header as the README documents it: magic, version, the seven
+# RadarConfig fields, bandwidth, frame count
+README_CAPTURE_HEADER = struct.Struct("<4sHdddQQdQdQ")
+
+
+def test_capture_header_is_readme_layout(tmp_path):
+    # distinct values in every field, so a field written out of order shows
+    config = RadarConfig(
+        carrier_hz=60.0e9, chirp_slope_hz_per_s=30.0e12, adc_rate_hz=4.0e6,
+        samples_per_chirp=64, chirps_per_frame=2, frame_rate_hz=25.0,
+    )
+    path = tmp_path / "capture.rvsc"
+    write_capture(random_cube(config, 3), path)
+    expected = README_CAPTURE_HEADER.pack(
+        b"RVSC", 1, 60.0e9, 30.0e12, 4.0e6, 64, 2, 25.0, 1, 30.0e12 * 64 / 4.0e6, 3
+    )
+    assert path.read_bytes()[: README_CAPTURE_HEADER.size] == expected
+
+
+def test_capture_every_header_prefix_is_a_container_error(tmp_path, config):
+    path = tmp_path / "capture.rvsc"
+    write_capture(random_cube(config, 2), path)
+    blob = path.read_bytes()
+    for n in range(README_CAPTURE_HEADER.size + 9):
+        path.write_bytes(blob[:n])
+        with pytest.raises((BadMagicError, UnsupportedVersionError, HeaderCubeMismatchError)):
+            load_capture(path)
+
+
 def test_capture_zero_frames(tmp_path, config):
     empty = RadarCube(
         config=config,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import detrend
@@ -14,6 +16,7 @@ from respiradar import (
     static_profile,
     synth_cube,
 )
+from respiradar import radar_dsp
 from respiradar.errors import (
     EmptyCubeError,
     TooFewFramesError,
@@ -165,6 +168,28 @@ def test_range_map_csv_matches_savetxt(tmp_path):
     written = (tmp_path / "range_map.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
     assert b",-300," in written
+
+
+def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
+    # the export fills the table it writes in place: up to the moment the
+    # writer gets the table, at most 1.3x that table is allocated
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((7200, 256)) + 1j * rng.standard_normal((7200, 256))
+    rmap = RangeTimeMap(values, 0.05, 20.0, np.arange(7200) / 20.0)
+    seen = {}
+
+    def writer(path, header, table):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["table"] = table
+
+    monkeypatch.setattr(radar_dsp, "_write_csv_8g", writer)
+    tracemalloc.start()
+    try:
+        range_time_map_to_csv(rmap, tmp_path / "range_map.csv")
+    finally:
+        tracemalloc.stop()
+    assert seen["table"].shape == (7200, 257)
+    assert seen["peak"] <= 1.3 * seen["table"].nbytes
 
 
 def test_clutter_remove_constant():

@@ -195,6 +195,16 @@ def test_both_sounds_doubles_dominant_rate(config):
     assert np.mean(np.abs(result.rates.rates_bpm - 30.0) <= 1.0) > 0.95
 
 
+def test_process_audio_stft_runs_at_envelope_rate():
+    # a 40 Hz StftParams on the 20 Hz envelope once read 12 bpm as 24
+    trace = synth_audio(BreathAudioSpec(resp_rate_bpm=12.0, noise_db=-40.0, seed=6), 180.0)
+    default = process_audio(trace).rates
+    at_40 = process_audio(trace, stft_params=StftParams(sample_rate_hz=40.0)).rates
+    np.testing.assert_array_equal(at_40.times_s, default.times_s)
+    np.testing.assert_array_equal(at_40.rates_bpm, default.rates_bpm)
+    assert np.all(np.abs(default.rates_bpm - 12.0) <= 1.0)
+
+
 # --- capture writers ---------------------------------------------------------------
 
 
