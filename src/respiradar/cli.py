@@ -125,8 +125,8 @@ def _run_simulate(m: RunManifest) -> str:
     scene = SceneSpec.from_dict(m.options["scene"])
     config = RadarConfig.from_dict(m.radar_config)
     duration_s = m.options["duration_s"]
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
     write_capture(cube, out / "capture.rvsc")
@@ -138,8 +138,8 @@ def _run_simulate(m: RunManifest) -> str:
 def _run_simulate_audio(m: RunManifest) -> str:
     spec = BreathAudioSpec(**m.options["spec"])
     duration_s = m.options["duration_s"]
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
     save_wav(out / "breath.wav", trace)
@@ -151,12 +151,10 @@ def _run_simulate_audio(m: RunManifest) -> str:
 
 def _run_process_radar(m: RunManifest) -> str:
     cube = _read_input(load_capture, m.inputs["capture"], "capture")
-    # window and hop are checked in frames of this capture, not of 20 Hz
-    params = StftParams(**m.stft, sample_rate_hz=cube.config.frame_rate_hz)
     result = process_radar_cube(
         cube,
         variant=m.variant,
-        stft_params=params,
+        stft_params=StftParams(**m.stft),
         band_bpm=tuple(m.band_bpm),
         min_range_m=m.options["min_range_m"],
         max_range_m=m.options["max_range_m"],
@@ -173,11 +171,10 @@ def _run_process_radar(m: RunManifest) -> str:
 
 
 def _run_process_audio(m: RunManifest) -> str:
-    params = StftParams(**m.stft)
     audio = _read_input(load_wav, m.inputs["wav"], "WAV")
     result = process_audio(
         audio,
-        stft_params=params,
+        stft_params=StftParams(**m.stft),
         band_bpm=tuple(m.band_bpm),
         multistage=m.options["multistage"],
         square=m.options["square"],

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .audio_dsp import AudioTrace, EnvelopeTrace, decimate_to_frame_rate, envelope
 from .ingest import RadarCube
@@ -53,8 +51,7 @@ def process_radar_cube(
 
     Variant A unwraps the bin phase (optionally removing a linear drift)
     before the STFT; variant B hands the complex slow-time series to the
-    STFT directly.  The STFT runs at the cube's frame rate, whatever
-    sample_rate_hz stft_params carries.
+    STFT directly.  The STFT runs at the cube's frame rate.
     """
     variant = variant.upper()
     if variant not in VARIANTS:
@@ -70,8 +67,7 @@ def process_radar_cube(
     else:
         trace = series
 
-    params = replace(stft_params or StftParams(), sample_rate_hz=rmap.frame_rate_hz)
-    spectrogram = stft(trace, params)
+    spectrogram = stft(trace, rmap.frame_rate_hz, stft_params)
     rates = extract_rate(spectrogram, band_bpm)
     return RadarRunResult(
         rates=rates,
@@ -88,7 +84,6 @@ class AudioRunResult:
     rates: RateSeries
     spectrogram: Spectrogram
     envelope: EnvelopeTrace
-    decimated: np.ndarray
 
 
 def process_audio(
@@ -101,14 +96,9 @@ def process_audio(
 ) -> AudioRunResult:
     """Audio -> 20 Hz decimation -> breathing envelope -> rate series.
 
-    The STFT runs at the envelope's rate, whatever sample_rate_hz
-    stft_params carries.
+    The STFT runs at the envelope's rate.
     """
-    decimated = decimate_to_frame_rate(audio, multistage=multistage)
-    env = envelope(decimated, square=square)
-    params = replace(stft_params or StftParams(), sample_rate_hz=env.rate_hz)
-    spectrogram = stft(env.samples, params)
+    env = envelope(decimate_to_frame_rate(audio, multistage=multistage), square=square)
+    spectrogram = stft(env.samples, env.rate_hz, stft_params)
     rates = extract_rate(spectrogram, band_bpm)
-    return AudioRunResult(
-        rates=rates, spectrogram=spectrogram, envelope=env, decimated=decimated
-    )
+    return AudioRunResult(rates=rates, spectrogram=spectrogram, envelope=env)

@@ -114,6 +114,8 @@ def select_target_bin(rmap: RangeTimeMap, min_m: float = 0.10, max_m: float = 0.
     The window keeps distant multipath out of the selection.  Ties break
     toward the smaller bin index (the nearer, direct-path reflection).
     """
+    if not min_m <= max_m:
+        raise ValueError(f"target window [{min_m}, {max_m}] m needs min <= max")
     centres = rmap.bin_ranges_m()
     in_window = (centres >= min_m) & (centres <= max_m)
     if not in_window.any():

@@ -75,9 +75,6 @@ class SceneSpec:
             if not 0 < range_m <= self.chamber_extent_m:
                 raise ValueError("reflector range outside the chamber extent")
 
-    def reflectivities(self) -> list[float]:
-        return [a for _, a in self.targets] + [a for _, a in self.static_reflectors]
-
     def to_dict(self) -> dict:
         return {
             "targets": [[asdict(m), a] for m, a in self.targets],

@@ -1,8 +1,9 @@
-"""Sliding-window spectra of 20 Hz traces and per-instant rate readout.
+"""Sliding-window spectra of sampled traces and per-instant rate readout.
 
-The default analysis window is 60 s with a 59.95 s overlap, giving a
-one-sample hop and exactly 1 bpm of frequency resolution at the 20 Hz
-trace rate.
+The trace brings its own sample rate; the window and overlap are given in
+seconds.  The default analysis window is 60 s with a 59.95 s overlap,
+which on a 20 Hz trace gives a one-sample hop and exactly 1 bpm of
+frequency resolution.
 """
 
 from __future__ import annotations
@@ -29,42 +30,33 @@ _FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays i
 
 @dataclass(frozen=True)
 class StftParams:
-    """Sliding-window DFT parameters for 20 Hz traces."""
+    """Sliding-window DFT parameters in seconds, for a trace of any rate."""
 
     window_s: float = 60.0
     overlap_s: float = 59.95
     window_shape: str = "blackman"
-    sample_rate_hz: float = 20.0
 
     def __post_init__(self) -> None:
         if self.window_shape not in _WINDOW_COEFFS:
             raise ValueError(
                 f"window_shape must be one of {sorted(_WINDOW_COEFFS)}, got {self.window_shape!r}"
             )
-        if self.sample_rate_hz <= 0 or self.window_s <= 0:
-            raise ValueError("window and sample rate must be positive")
+        if not 0 < self.window_s < np.inf:
+            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
         if not 0 <= self.overlap_s < self.window_s:
             raise ValueError("overlap must be nonnegative and below the window length")
-        exact = self.window_s * self.sample_rate_hz
+
+    def samples(self, rate_hz: float) -> tuple[int, int]:
+        """(window length, hop) in samples of a trace sampled at rate_hz."""
+        if not 0 < rate_hz < np.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {rate_hz}")
+        exact = self.window_s * rate_hz
         if abs(exact - round(exact)) > 1e-6:
             raise ValueError("window_s must span a whole number of samples")
-        if self.hop_samples < 1:
+        hop = int(round((self.window_s - self.overlap_s) * rate_hz))
+        if hop < 1:
             raise ValueError("hop must be at least one sample")
-
-    @property
-    def window_len(self) -> int:
-        return int(round(self.window_s * self.sample_rate_hz))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round((self.window_s - self.overlap_s) * self.sample_rate_hz))
-
-    @property
-    def bin_spacing_bpm(self) -> float:
-        return 60.0 * self.sample_rate_hz / self.window_len
-
-    def window_array(self) -> np.ndarray:
-        return cosine_window(self.window_shape, self.window_len, periodic=True)
+        return int(round(exact)), hop
 
 
 def cosine_window(shape: str, n: int, *, periodic: bool) -> np.ndarray:
@@ -165,8 +157,8 @@ def _map_batches(fn, batches, workers: int, sink=lambda result: None) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def stft(trace: np.ndarray, params: StftParams | None = None) -> Spectrogram:
-    """Sliding-window DFT magnitudes of a real or complex 20 Hz trace.
+def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) -> Spectrogram:
+    """Sliding-window DFT magnitudes of a real or complex trace sampled at rate_hz.
 
     Each segment has its mean removed before windowing so that DC never
     competes with the breathing line.  Real traces produce a 0..Nyquist
@@ -180,21 +172,19 @@ def stft(trace: np.ndarray, params: StftParams | None = None) -> Spectrogram:
     x = np.asarray(trace)
     if x.ndim != 1:
         raise ValueError("trace must be 1-D")
-    length = params.window_len
+    length, hop = params.samples(rate_hz)
     if x.size < length:
         raise TraceTooShortError(
             f"trace of {x.size} samples is shorter than the {length}-sample window"
         )
-    hop = params.hop_samples
-    fs = params.sample_rate_hz
     complex_input = np.iscomplexobj(x)
-    window = params.window_array()
+    window = cosine_window(params.window_shape, length, periodic=True)
 
     starts = np.arange(0, x.size - length + 1, hop)
     if complex_input:
-        freq_bpm = np.fft.fftshift(np.fft.fftfreq(length, d=1.0 / fs)) * 60.0
+        freq_bpm = np.fft.fftshift(np.fft.fftfreq(length, d=1.0 / rate_hz)) * 60.0
     else:
-        freq_bpm = np.fft.rfftfreq(length, d=1.0 / fs) * 60.0
+        freq_bpm = np.fft.rfftfreq(length, d=1.0 / rate_hz) * 60.0
     magnitudes = np.empty((starts.size, freq_bpm.size))
 
     segments = sliding_window_view(x, length)[::hop]
@@ -216,7 +206,7 @@ def stft(trace: np.ndarray, params: StftParams | None = None) -> Spectrogram:
 
     _map_batches(transform, range(0, starts.size, batch), workers)
 
-    times = (starts + (length - 1) / 2.0) / fs
+    times = (starts + (length - 1) / 2.0) / rate_hz
     return Spectrogram(magnitudes=magnitudes, freq_axis_bpm=freq_bpm, time_axis_s=times)
 
 
@@ -230,8 +220,8 @@ def extract_rate(
     toward the lower bpm, which plays conservatively against harmonics.
     """
     low, high = band_bpm
-    if low > high:
-        raise ValueError("band lower edge exceeds upper edge")
+    if not low <= high:
+        raise ValueError(f"band [{low}, {high}] bpm needs low <= high")
     abs_bpm = np.abs(spectrogram.freq_axis_bpm)
     in_band = (abs_bpm >= low) & (abs_bpm <= high)
     if not in_band.any():

@@ -30,7 +30,7 @@ from respiradar import (
 from respiradar.errors import DatagramTooShortError, PayloadTooLargeError
 from respiradar.ingest import quantize_cube, stream_to_datagrams
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
-from respiradar.spectral import StftParams
+from respiradar.spectral import StftParams, stft
 
 
 def report(number: int, text: str) -> None:
@@ -59,12 +59,10 @@ def test_criterion_1_end_to_end_radar_recovery(config):
 
 def test_criterion_2_stft_parameter_fidelity():
     params = StftParams()
-    assert params.window_len == 1200
-    assert params.hop_samples == 1
-    assert params.bin_spacing_bpm == 1.0
+    assert params.samples(20.0) == (1200, 1)
     assert params.window_shape == "blackman"
-    # the axis built from these params is integer bpm with unit spacing
-    freqs = np.fft.rfftfreq(params.window_len, d=1.0 / params.sample_rate_hz) * 60.0
+    # the axis stft builds on a 20 Hz trace is integer bpm with unit spacing
+    freqs = stft(np.zeros(1200), 20.0, params).freq_axis_bpm
     assert freqs[0] == 0.0 and freqs[-1] == 600.0
     assert np.allclose(np.diff(freqs), 1.0)
     report(2, "default window is 1200 samples, hop 1 sample, bins exactly 1 bpm")

@@ -177,7 +177,7 @@ def test_breath_audio_envelope_rate(config):
     spec = BreathAudioSpec(resp_rate_bpm=15.0, exhale_only=True, noise_db=-40.0, seed=5)
     audio = synth_audio(spec, 180.0)
     env = envelope(decimate_to_frame_rate(audio))
-    rates = extract_rate(stft(env.samples, StftParams()))
+    rates = extract_rate(stft(env.samples, 20.0, StftParams()))
     assert np.median(rates.rates_bpm) == pytest.approx(15.0, abs=1.0)
     assert np.mean(np.abs(rates.rates_bpm - 15.0) <= 1.0) > 0.95
 

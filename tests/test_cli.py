@@ -64,13 +64,33 @@ def test_simulate_writes_capture_truth_manifest(runner, scene_json, tmp_path):
     assert manifest["command"] == "simulate"
 
 
-def test_simulate_zero_duration_is_input_error(runner, scene_json, tmp_path):
+def assert_input_error(result):
+    """Exit 2 with an "error:" line, not an uncaught exception's exit 1."""
+    text = result.output + (result.stderr or "")
+    assert result.exit_code == 2, text
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("duration", ["0", "inf", "nan"])
+def test_simulate_zero_duration_is_input_error(runner, scene_json, tmp_path, duration):
     result = runner.invoke(
         main,
-        ["simulate", str(scene_json), "--duration", "0", "--out", str(tmp_path / "x")],
+        ["simulate", str(scene_json), "--duration", duration, "--out", str(tmp_path / "x")],
     )
-    assert result.exit_code == 2
-    assert "error" in result.output or "error" in (result.stderr or "")
+    assert_input_error(result)
+    assert not (tmp_path / "x" / "capture.rvsc").exists()
+
+
+@pytest.mark.parametrize("duration", ["0", "inf", "nan"])
+def test_simulate_audio_bad_duration_is_input_error(runner, audio_json, tmp_path, duration):
+    result = runner.invoke(
+        main,
+        ["simulate-audio", str(audio_json), "--duration", duration, "--out", str(tmp_path / "x")],
+    )
+    assert_input_error(result)
+    assert not (tmp_path / "x" / "breath.wav").exists()
 
 
 def test_simulate_same_seed_byte_identical(runner, scene_json, tmp_path):
@@ -124,6 +144,39 @@ def test_process_radar_empty_scene_clean_error(runner, tmp_path):
     )
     assert result.exit_code == 3
     assert "zero" in (result.output + (result.stderr or "")).lower()
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    """A 61 s capture and a 61 s WAV: one window's worth of each."""
+    runner = CliRunner()
+    tmp = tmp_path_factory.mktemp("recordings")
+    scene = tmp / "scene.json"
+    scene.write_text(json.dumps(breathing_scene(seed=1).to_dict()), encoding="utf-8")
+    capture = simulate(runner, scene, tmp / "sim", duration="61")
+    spec = tmp / "audio.json"
+    spec.write_text(json.dumps({"resp_rate_bpm": 15.0, "seed": 2}), encoding="utf-8")
+    result = runner.invoke(main, ["simulate-audio", str(spec), "--duration", "61",
+                                  "--out", str(tmp / "wav")])
+    assert result.exit_code == 0, result.output
+    return {"process-radar": capture, "process-audio": tmp / "wav" / "breath.wav"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("process-radar", ("--window-s", "inf")),
+    ("process-audio", ("--window-s", "inf")),
+    ("process-radar", ("--band-high", "nan")),
+    ("process-audio", ("--band-high", "nan")),
+    ("process-radar", ("--band-low", "70", "--band-high", "60")),
+    ("process-radar", ("--min-range-m", "0.9", "--max-range-m", "0.1")),
+    ("process-radar", ("--min-range-m", "nan")),
+], ids=["radar-window-inf", "audio-window-inf", "radar-band-nan",
+        "audio-band-nan", "radar-band-reversed", "radar-range-reversed", "radar-range-nan"])
+def test_process_bad_number_flags_are_input_errors(runner, recordings, tmp_path, command, flags):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, str(recordings[command]), *flags, "--out", str(out)])
+    assert_input_error(result)
+    assert not (out / "rates.csv").exists()
 
 
 def test_process_radar_missing_capture(runner, tmp_path):

@@ -220,7 +220,7 @@ def test_clutter_removal_unbiases_small_motion(config):
     with_removal = extract_unwrapped_phase(clutter_remove(series), 20.0)
     without_removal = extract_unwrapped_phase(series, 20.0)
 
-    spec = stft(detrend_linear(with_removal.samples), StftParams())
+    spec = stft(detrend_linear(with_removal.samples), 20.0, StftParams())
     rates = extract_rate(spec)
     assert np.all(np.abs(rates.rates_bpm - 15.0) <= 1.0)
 
@@ -302,7 +302,7 @@ def test_variant_b_dominant_pair_and_rate(config):
     cube = synth_cube(breathing_scene(amplitude_m=0.0005, seed=3), config, 180.0)
     rmap = range_fft(cube)
     series = clutter_remove(rmap.bin_series(select_target_bin(rmap)))
-    spec = stft(series, StftParams())
+    spec = stft(series, 20.0, StftParams())
     assert spec.is_signed
 
     mean_mag = spec.magnitudes.mean(axis=0)

@@ -116,7 +116,7 @@ def test_breathing_cube_full_chain_phase_and_rate(config):
     recovered = detrend_linear(trace.samples)
     beta = 4 * np.pi * 0.001 / config.wavelength_m
     assert sine_amplitude(recovered) == pytest.approx(beta, rel=0.02)
-    rates = extract_rate(stft(recovered, StftParams()))
+    rates = extract_rate(stft(recovered, 20.0, StftParams()))
     assert np.all(np.abs(rates.rates_bpm - 15.0) <= 1.0)
 
 
@@ -196,13 +196,12 @@ def test_both_sounds_doubles_dominant_rate(config):
 
 
 def test_process_audio_stft_runs_at_envelope_rate():
-    # a 40 Hz StftParams on the 20 Hz envelope once read 12 bpm as 24
+    # an STFT at 40 Hz on the 20 Hz envelope once read 12 bpm as 24
     trace = synth_audio(BreathAudioSpec(resp_rate_bpm=12.0, noise_db=-40.0, seed=6), 180.0)
-    default = process_audio(trace).rates
-    at_40 = process_audio(trace, stft_params=StftParams(sample_rate_hz=40.0)).rates
-    np.testing.assert_array_equal(at_40.times_s, default.times_s)
-    np.testing.assert_array_equal(at_40.rates_bpm, default.rates_bpm)
-    assert np.all(np.abs(default.rates_bpm - 12.0) <= 1.0)
+    result = process_audio(trace)
+    assert result.envelope.rate_hz == 20.0
+    np.testing.assert_allclose(result.spectrogram.freq_axis_bpm, np.arange(601.0), rtol=0, atol=1e-9)
+    assert np.all(np.abs(result.rates.rates_bpm - 12.0) <= 1.0)
 
 
 # --- capture writers ---------------------------------------------------------------

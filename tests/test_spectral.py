@@ -32,10 +32,9 @@ def tone(freq_hz, duration_s, rate_hz=20.0, amplitude=1.0):
 
 
 def test_default_params_give_1bpm_bins_and_1_sample_hop():
-    params = StftParams()
-    assert params.window_len == 1200
-    assert params.hop_samples == 1
-    assert params.bin_spacing_bpm == 1.0
+    assert StftParams().samples(20.0) == (1200, 1)
+    spec = stft(np.zeros(1200), 20.0)
+    np.testing.assert_allclose(spec.freq_axis_bpm, np.arange(601.0), rtol=0, atol=1e-9)
 
 
 def test_param_validation():
@@ -43,15 +42,35 @@ def test_param_validation():
         StftParams(overlap_s=60.0)  # overlap must stay below the window
     with pytest.raises(ValueError):
         StftParams(window_shape="hamming")
+    with pytest.raises(ValueError, match="hop must be at least one sample"):
+        StftParams(window_s=60.0, overlap_s=59.99999).samples(20.0)  # hop rounds to zero
+
+
+@pytest.mark.parametrize("window_s", [np.inf, np.nan, 0.0, -1.0])
+def test_params_reject_window_that_is_not_positive_and_finite(window_s):
     with pytest.raises(ValueError):
-        StftParams(window_s=60.0, overlap_s=59.99999)  # hop rounds to zero
+        StftParams(window_s=window_s, overlap_s=0.0)
+
+
+@pytest.mark.parametrize("rate_hz", [0.0, -20.0, np.inf, np.nan])
+def test_samples_rejects_rate_that_is_not_positive_and_finite(rate_hz):
+    with pytest.raises(ValueError, match="sample rate must be positive and finite"):
+        StftParams().samples(rate_hz)
+    with pytest.raises(ValueError, match="sample rate must be positive and finite"):
+        stft(np.zeros(2400), rate_hz)
+
+
+def test_samples_checks_whole_window_at_the_given_rate():
+    params = StftParams(window_s=60.025, overlap_s=59.975)
+    assert params.samples(40.0) == (2401, 2)
+    with pytest.raises(ValueError, match="whole number of samples"):
+        params.samples(20.0)
 
 
 def test_reduced_window_params():
-    params = StftParams(window_s=30.0, overlap_s=29.5)
-    assert params.window_len == 600
-    assert params.hop_samples == 10
-    assert params.bin_spacing_bpm == 2.0
+    assert StftParams(window_s=30.0, overlap_s=29.5).samples(20.0) == (600, 10)
+    spec = stft(np.zeros(600), 20.0, StftParams(window_s=30.0, overlap_s=29.5))
+    np.testing.assert_allclose(spec.freq_axis_bpm, np.arange(0.0, 601.0, 2.0), rtol=0, atol=1e-9)
 
 
 # --- stft ------------------------------------------------------------------------
@@ -59,7 +78,7 @@ def test_reduced_window_params():
 
 def test_stft_frame_count_and_axes():
     x, _ = tone(0.25, 360.0)
-    spec = stft(x, StftParams())
+    spec = stft(x, 20.0, StftParams())
     assert spec.magnitudes.shape[0] == (7200 - 1200) // 1 + 1 == 6001
     assert spec.freq_axis_bpm[0] == 0.0
     assert spec.freq_axis_bpm[-1] == 600.0
@@ -69,23 +88,32 @@ def test_stft_frame_count_and_axes():
 
 def test_stft_pure_tone_argmax_at_15bpm():
     x, _ = tone(0.25, 360.0)
-    spec = stft(x)
+    spec = stft(x, 20.0)
     assert np.all(np.argmax(spec.magnitudes, axis=1) == 15)
 
 
 def test_stft_zero_trace():
-    spec = stft(np.zeros(2000))
+    spec = stft(np.zeros(2000), 20.0)
     assert np.allclose(spec.magnitudes, 0.0)
 
 
 def test_stft_trace_too_short():
     with pytest.raises(TraceTooShortError):
-        stft(np.zeros(1199))
+        stft(np.zeros(1199), 20.0)
+
+
+def test_stft_reads_the_rate_it_is_given():
+    # 0.25 Hz at 25 Hz: a 1500-sample window, still 1 bpm bins, peak at 15 bpm
+    x, _ = tone(0.25, 120.0, rate_hz=25.0)
+    spec = stft(x, 25.0)
+    np.testing.assert_allclose(spec.freq_axis_bpm, np.arange(751.0), rtol=0, atol=1e-9)
+    assert np.all(np.argmax(spec.magnitudes, axis=1) == 15)
+    assert spec.time_axis_s[0] == pytest.approx(30.0 - 0.5 / 25.0)
 
 
 def test_stft_complex_signed_axis():
     t = np.arange(2400) / 20.0
-    spec = stft(np.exp(1j * 2 * np.pi * 0.25 * t))
+    spec = stft(np.exp(1j * 2 * np.pi * 0.25 * t), 20.0)
     assert spec.is_signed
     assert spec.freq_axis_bpm[0] == -600.0
     assert spec.freq_axis_bpm[-1] == 599.0
@@ -98,12 +126,13 @@ def stft_reference(trace, params):
     2048 windows a batch, and an fftshift copy of the complex spectrum."""
     x = np.asarray(trace)
     complex_input = np.iscomplexobj(x)
-    segments = sliding_window_view(x, params.window_len)[:: params.hop_samples]
+    length, hop = params.samples(20.0)
+    segments = sliding_window_view(x, length)[::hop]
     out = []
     for lo in range(0, segments.shape[0], 2048):
         block = segments[lo : lo + 2048].astype(np.complex128 if complex_input else np.float64)
         block -= block.mean(axis=1, keepdims=True)
-        block *= params.window_array()
+        block *= cosine_window(params.window_shape, length, periodic=True)
         if complex_input:
             spectrum = np.fft.fftshift(np.fft.fft(block, axis=1), axes=1)
         else:
@@ -142,14 +171,15 @@ def test_stft_does_not_depend_on_worker_count(monkeypatch, fast_thread_switching
         trace = trace + 1j * rng.standard_normal(n_samples)
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     monkeypatch.setattr(spectral, "_FFT_CHUNK", fft_chunk)
-    n_windows = (n_samples - params.window_len) // params.hop_samples + 1
+    length, hop = params.samples(20.0)
+    n_windows = (n_samples - length) // hop + 1
     assert n_windows % max(1, fft_chunk // workers) != 0  # a short last batch
-    assert np.array_equal(stft(trace, params).magnitudes, stft_reference(trace, params))
+    assert np.array_equal(stft(trace, 20.0, params).magnitudes, stft_reference(trace, params))
 
 
 def test_rectangular_window_bin_centred_single_bin():
     x, _ = tone(0.25, 120.0)
-    spec = stft(x, StftParams(window_shape="rectangular"))
+    spec = stft(x, 20.0, StftParams(window_shape="rectangular"))
     row = spec.magnitudes[0]
     peak = row[15]
     others = np.delete(row, 15)
@@ -158,8 +188,8 @@ def test_rectangular_window_bin_centred_single_bin():
 
 def test_blackman_widens_lobe_but_keeps_argmax():
     x, _ = tone(0.25, 120.0)
-    rect = stft(x, StftParams(window_shape="rectangular"))
-    blackman = stft(x, StftParams(window_shape="blackman"))
+    rect = stft(x, 20.0, StftParams(window_shape="rectangular"))
+    blackman = stft(x, 20.0, StftParams(window_shape="blackman"))
     assert np.argmax(blackman.magnitudes[0]) == np.argmax(rect.magnitudes[0]) == 15
     width = lambda row: np.sum(row > row.max() * 0.01)
     assert width(blackman.magnitudes[0]) > width(rect.magnitudes[0])
@@ -175,15 +205,11 @@ def test_windows_match_scipy(shape, scipy_name, n):
             cosine_window(shape, n, periodic=periodic),
             get_window(scipy_name, n, fftbins=periodic),
         )
-    np.testing.assert_array_equal(
-        StftParams(window_s=n / 20.0, overlap_s=0.0, window_shape=shape).window_array(),
-        get_window(scipy_name, n, fftbins=True),
-    )
 
 
 def test_segment_mean_removal_suppresses_dc():
     x, _ = tone(0.25, 120.0, amplitude=0.2)
-    spec = stft(x + 5.0)  # large offset
+    spec = stft(x + 5.0, 20.0)  # large offset
     assert np.all(np.argmax(spec.magnitudes, axis=1) == 15)
 
 
@@ -192,7 +218,7 @@ def test_segment_mean_removal_suppresses_dc():
 
 def test_extract_rate_constant_15():
     x, _ = tone(0.25, 200.0)
-    rates = extract_rate(stft(x))
+    rates = extract_rate(stft(x, 20.0))
     assert np.all(rates.rates_bpm == 15.0)
     assert rates.times_s.size == rates.magnitudes.size
 
@@ -200,7 +226,7 @@ def test_extract_rate_constant_15():
 def test_extract_rate_prefers_fundamental_over_half_amplitude_harmonic():
     t = np.arange(4000) / 20.0
     x = np.sin(2 * np.pi * 0.2 * t) + 0.5 * np.sin(2 * np.pi * 0.4 * t)  # 12 + 24 bpm
-    rates = extract_rate(stft(x))
+    rates = extract_rate(stft(x, 20.0))
     assert np.all(rates.rates_bpm == 12.0)
 
 
@@ -227,7 +253,7 @@ def test_extract_rate_band_outside_axis():
 def test_extract_rate_scale_invariance():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(2000)
-    spec = stft(x)
+    spec = stft(x, 20.0)
     base = extract_rate(spec)
     scaled = Spectrogram(spec.magnitudes * 123.4, spec.freq_axis_bpm, spec.time_axis_s)
     again = extract_rate(scaled)
@@ -237,13 +263,13 @@ def test_extract_rate_scale_invariance():
 @pytest.mark.parametrize("bpm", [8, 10, 15, 20, 30])
 def test_frequency_calibration_integer_bpm(bpm):
     x, _ = tone(bpm / 60.0, 150.0)
-    rates = extract_rate(stft(x))
+    rates = extract_rate(stft(x, 20.0))
     assert np.all(rates.rates_bpm == bpm)
 
 
 def test_frequency_calibration_half_bin():
     x, _ = tone(12.5 / 60.0, 150.0)
-    rates = extract_rate(stft(x))
+    rates = extract_rate(stft(x, 20.0))
     assert np.all(np.abs(rates.rates_bpm - 12.5) <= 0.5)
 
 
@@ -253,7 +279,7 @@ def test_rate_step_crossed_within_half_window():
     t = np.arange(int(duration * rate_hz)) / rate_hz
     freq = np.where(t < t0, 0.2, 1.0 / 3.0)
     phase = 2 * np.pi * np.cumsum(freq) / rate_hz
-    rates = extract_rate(stft(np.sin(phase)))
+    rates = extract_rate(stft(np.sin(phase), 20.0))
     below = rates.times_s[rates.rates_bpm <= 13.0]
     above = rates.times_s[rates.rates_bpm >= 19.0]
     crossing_lo = below.max()
@@ -265,7 +291,7 @@ def test_rate_step_crossed_within_half_window():
 def test_extract_rate_complex_band_on_magnitude():
     t = np.arange(2400) / 20.0
     x = np.exp(-1j * 2 * np.pi * 0.25 * t)  # negative 15 bpm line only
-    rates = extract_rate(stft(x))
+    rates = extract_rate(stft(x, 20.0))
     assert np.all(rates.rates_bpm == 15.0)
 
 
@@ -394,7 +420,7 @@ def test_csv_writer_matches_savetxt_on_adversarial_cells(tmp_path, n_cols):
 
 
 def test_zero_spectrogram_csv_never_formats_per_cell(tmp_path, monkeypatch):
-    spec = stft(np.zeros(2000))
+    spec = stft(np.zeros(2000), 20.0)
     header = "time_s," + ",".join(f"bpm_{f:g}" for f in spec.freq_axis_bpm)
     expected = savetxt_8g(tmp_path / "ref.csv", header, np.column_stack([spec.time_axis_s, spec.magnitudes]))
 
