@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .audio_dsp import AudioTrace, EnvelopeTrace, decimate_to_frame_rate, envelope
+from .audio_dsp import FRAME_RATE_HZ, AudioTrace, EnvelopeTrace, decimate_to_frame_rate, envelope
 from .ingest import RadarCube
 from .radar_dsp import (
     PhaseTrace,
@@ -56,6 +56,8 @@ def process_radar_cube(
     variant = variant.upper()
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    stft_params = stft_params or StftParams()
+    stft_params.samples(cube.config.frame_rate_hz)  # a bad window fails before the range FFT
     rmap = range_fft(cube)
     target_bin = select_target_bin(rmap, min_range_m, max_range_m)
     series = clutter_remove(rmap.bin_series(target_bin))
@@ -98,6 +100,8 @@ def process_audio(
 
     The STFT runs at the envelope's rate.
     """
+    stft_params = stft_params or StftParams()
+    stft_params.samples(FRAME_RATE_HZ)  # a bad window fails before the audio is read
     env = envelope(decimate_to_frame_rate(audio, multistage=multistage), square=square)
     spectrogram = stft(env.samples, env.rate_hz, stft_params)
     rates = extract_rate(spectrogram, band_bpm)

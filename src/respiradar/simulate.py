@@ -21,6 +21,7 @@ from .spectral import cosine_window
 DEFAULT_CHAMBER_EXTENT_M = 6.0
 
 _BURST_BAND_HZ = (200.0, 2000.0)
+_NOISE_BLOCK = 1 << 18  # background-noise samples drawn at a time, 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,9 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     if spec.noise_db is not None:
         background_std = spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0)
         if background_std > 0:
-            x += rng.normal(scale=background_std, size=n)
+            # drawn in blocks: the same numbers as one draw of n, without an n-sample temporary
+            for lo in range(0, n, _NOISE_BLOCK):
+                x[lo : lo + _NOISE_BLOCK] += rng.normal(scale=background_std, size=min(_NOISE_BLOCK, n - lo))
 
     return AudioTrace(samples=np.clip(x, -1.0, 1.0, out=x))
 

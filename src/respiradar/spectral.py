@@ -12,6 +12,7 @@ import collections
 import functools
 import json
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -192,8 +193,17 @@ def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) ->
     workers = _worker_count()
     batch = max(1, _FFT_CHUNK // workers)
 
+    # one block per worker thread, reused by each of its batches: a block allocated
+    # per batch came from fresh pages each time, whose faults cost a quarter to a
+    # third of a real STFT's time
+    scratch = threading.local()
+
     def transform(lo: int) -> None:
-        block = segments[lo : lo + batch].astype(np.complex128 if complex_input else np.float64)
+        segment = segments[lo : lo + batch]
+        if not hasattr(scratch, "block"):
+            scratch.block = np.empty((batch, length), np.complex128 if complex_input else np.float64)
+        block = scratch.block[: len(segment)]
+        block[...] = segment
         block -= block.mean(axis=1, keepdims=True)
         block *= window
         rows = magnitudes[lo : lo + batch]
@@ -292,8 +302,7 @@ def rate_series_from_csv(path) -> RateSeries:
 
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
     header = "time_s," + ",".join(f"bpm_{f:g}" for f in spectrogram.freq_axis_bpm)
-    table = np.column_stack([spectrogram.time_axis_s, spectrogram.magnitudes])
-    _write_csv_8g(path, header, table)
+    _write_csv_8g(path, header, spectrogram.magnitudes, first_column=spectrogram.time_axis_s)
 
 
 # --- printf %.8g CSV writer ------------------------------------------------
@@ -315,6 +324,7 @@ def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
 # not proven here are formatted by Python's '%.8g' instead.
 
 _CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
+_CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
 _G8_EXP_LO, _G8_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
 
 
@@ -456,28 +466,42 @@ def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
         texts = [(t + s).ljust(24, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
         cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, 24)
     flat = cells.reshape(-1)
-    return np.compress(flat != 0, flat)
+    # a boolean mask, not np.compress, whose index array takes 8 bytes per byte kept
+    return flat[flat != 0]
 
 
 def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
     """Write a one-line header and a 2-D table as comma-separated '%.10g'
-    cells (the rate, phase, envelope and truth CSVs)."""
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.10g")
-
-
-def _write_csv_8g(path, header: str, table: np.ndarray) -> None:
-    """Write a one-line header and a 2-D table as comma-separated '%.8g'
-    cells, byte for byte what np.savetxt(path, table, delimiter=",",
-    header=header, comments="", fmt="%.8g") writes."""
+    cells (the rate, phase, envelope and truth CSVs), byte for byte what
+    np.savetxt(path, table, delimiter=",", header=header, comments="",
+    fmt="%.10g") writes, with one % operation per block of rows."""
     table = np.asarray(table, dtype=np.float64)
     n_rows, n_cols = table.shape
+    row = b",".join([b"%.10g"] * n_cols) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, n_rows, _CSV_10G_ROWS):
+            block = table[lo : lo + _CSV_10G_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray | None = None) -> None:
+    """Write a one-line header and a 2-D table as comma-separated '%.8g'
+    cells, byte for byte what np.savetxt(path, table, delimiter=",",
+    header=header, comments="", fmt="%.8g") writes.  A first_column is
+    written before the table's columns, joined to it one batch at a time."""
+    table = np.asarray(table, dtype=np.float64)
+    n_rows, n_cols = table.shape
+    n_cols += first_column is not None
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
 
     def format_rows(lo: int) -> bytes:
-        block = table[lo : lo + rows].reshape(-1)
-        return _format_8g(block, last[: block.size])
+        block = table[lo : lo + rows]
+        if first_column is not None:
+            block = np.column_stack([first_column[lo : lo + rows], block])
+        return _format_8g(block.reshape(-1), last[: block.size])
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from respiradar.audio_dsp import (
     design_stage_taps,
 )
 from respiradar.errors import AudioTooShortError, UnsupportedWavError
+from respiradar.pipeline import process_audio
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -85,6 +88,57 @@ def test_decimate_passband_sinusoid_against_resampled_oracle(multistage):
     amp_ref = fit_sine_amplitude(oracle[core], 0.25, 20.0)
     assert amp_out == pytest.approx(amp_ref, rel=0.05)
     assert np.corrcoef(out[core], oracle[core])[0, 1] > 0.999
+
+
+def pcm_counts(n, seed):
+    """n int16 counts that include both ends of the range."""
+    counts = np.random.default_rng(seed).integers(-32768, 32768, n).astype(np.int16)
+    counts[::7] = -32768
+    counts[3::11] = 32767
+    return counts
+
+
+@pytest.mark.parametrize("multistage", [False, True], ids=["default", "multistage"])
+@pytest.mark.parametrize("n", [21, 22, DECIMATION_FACTOR - 1, DECIMATION_FACTOR, DECIMATION_FACTOR + 1,
+                               6 * DECIMATION_FACTOR - 1, 6 * DECIMATION_FACTOR, 400_001])
+def test_int16_counts_decimate_bit_identically_to_their_floats(n, multistage):
+    counts = pcm_counts(n, n)
+    from_counts = decimate_to_frame_rate(AudioTrace(counts), multistage=multistage)
+    from_floats = decimate_to_frame_rate(AudioTrace(counts / 32768.0), multistage=multistage)
+    assert from_counts.dtype == from_floats.dtype == np.float64
+    assert from_counts.tobytes() == from_floats.tobytes()
+
+
+def test_int16_counts_too_short():
+    with pytest.raises(AudioTooShortError):
+        decimate_to_frame_rate(AudioTrace(np.zeros(20, dtype=np.int16)))
+
+
+class NoScan(np.ndarray):
+    """An array on which any ufunc, a min or max included, fails."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("the counts were scanned")
+
+
+def test_audio_trace_keeps_int16_counts_unconverted_and_unscanned():
+    counts = pcm_counts(1000, 0)
+    guarded = counts.view(NoScan)
+    with pytest.raises(AssertionError, match="scanned"):
+        guarded.max()
+    assert AudioTrace(guarded).data is guarded
+    trace = AudioTrace(counts)
+    assert trace.data is counts
+    assert trace.samples.dtype == np.float64
+    np.testing.assert_array_equal(trace.samples, counts / 32768.0)
+    assert trace.samples.min() == -1.0
+
+
+def test_audio_trace_checks_float_full_scale():
+    with pytest.raises(ValueError, match="full scale"):
+        AudioTrace(np.array([0.0, 1.5]))
+    with pytest.raises(ValueError, match="mono"):
+        AudioTrace(np.zeros((2, 2), dtype=np.int16))
 
 
 def test_multistage_rejects_aliases_where_default_leaks():
@@ -247,6 +301,83 @@ def test_wav_rejects_extensible_float(tmp_path):
     path.write_bytes(_extensible_wav(np.zeros(100), subformat_tag=3))
     with pytest.raises(UnsupportedWavError, match="16-bit"):
         load_wav(path)
+
+
+def test_load_wav_keeps_the_data_chunk_as_int16_counts(tmp_path):
+    counts = pcm_counts(4410, 1)
+    path = tmp_path / "counts.wav"
+    wavfile.write(path, 44100, counts)
+    trace = load_wav(path)
+    assert trace.data.dtype == np.int16
+    assert not trace.data.flags.writeable
+    np.testing.assert_array_equal(trace.data, counts)
+    np.testing.assert_array_equal(trace.samples, counts / 32768.0)
+    wavfile.write(path, 44100, np.zeros(0, dtype=np.int16))
+    assert load_wav(path).data.size == 0
+
+
+def wav_with_data_chunk(declared: int, present: bytes) -> bytes:
+    fmt = struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", declared)
+    return b"RIFF" + struct.pack("<I", len(body) + declared) + body + present
+
+
+@pytest.mark.parametrize("declared, present, message", [
+    (2000, 1900, "truncated WAV file: 1900 bytes of samples, 2000 declared"),
+    (2000, 0, "truncated WAV file: 0 bytes of samples, 2000 declared"),
+    (2001, 2002, "truncated WAV file: 2001 bytes of samples, 2001 declared"),
+    (2001, 2000, "truncated WAV file: 2000 bytes of samples, 2001 declared"),
+], ids=["short", "empty", "odd", "odd-and-short"])
+def test_wav_rejects_short_or_odd_data_chunk(tmp_path, declared, present, message):
+    path = tmp_path / "data.wav"
+    path.write_bytes(wav_with_data_chunk(declared, bytes(present)))
+    with pytest.raises(UnsupportedWavError) as info:
+        load_wav(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("multistage", [False, True], ids=["default", "multistage"])
+def test_process_audio_peaks_below_a_float_copy_of_its_wav(tmp_path, multistage):
+    n = 120 * AUDIO_RATE_HZ
+    path = tmp_path / "long.wav"
+    wavfile.write(path, AUDIO_RATE_HZ, pcm_counts(n, 6))
+    tracemalloc.start()
+    try:
+        process_audio(load_wav(path), multistage=multistage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8  # 42 MB
+
+
+@pytest.mark.parametrize("duration_s, spec, sha256", [
+    (20.0, dict(resp_rate_bpm=15.0, exhale_only=False, burst_duration_s=0.5, noise_db=-20.0, seed=7),
+     "077a16d5634d841be946670708d6dd3c02130451a03cdd21d91d47a01db13d84"),
+    (13.0, dict(resp_rate_bpm=12.0, exhale_only=True, noise_db=-6.0, seed=3),
+     "c1cebece1b82971e822e784b600d9e520040a530ccc0d92d686fb63aed51831a"),
+    # loud enough that about a quarter of the samples clip
+    (10.0, dict(resp_rate_bpm=20.0, exhale_only=False, burst_amplitude=0.8, noise_db=0.0, seed=11),
+     "08a314ef04308fafcb6f441d233fa8f8a46532a420b5c96eaccb0dc4f7102088"),
+])
+def test_breath_wav_bytes_are_pinned(tmp_path, duration_s, spec, sha256):
+    # the noise is drawn and the WAV quantised in blocks; these are the bytes of one
+    # full-length draw and one full-length quantisation
+    path = tmp_path / "breath.wav"
+    save_wav(path, synth_audio(BreathAudioSpec(**spec), duration_s))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_synth_and_save_peak_near_one_float_copy(tmp_path):
+    spec = BreathAudioSpec(resp_rate_bpm=15.0, exhale_only=False, noise_db=-20.0, seed=7)
+    n = 60 * AUDIO_RATE_HZ
+    tracemalloc.start()
+    try:
+        trace = synth_audio(spec, 60.0)
+        save_wav(tmp_path / "breath.wav", trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * 8
 
 
 @pytest.mark.parametrize("cut", [0, 20, 44 + 100])  # not RIFF; inside the header; inside the data

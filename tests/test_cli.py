@@ -179,6 +179,16 @@ def test_process_bad_number_flags_are_input_errors(runner, recordings, tmp_path,
     assert not (out / "rates.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["process-radar", "process-audio"])
+def test_process_window_off_the_sample_grid_is_input_error(runner, recordings, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, str(recordings[command]), "--window-s", "60.01",
+                                  "--out", str(out)])
+    assert_input_error(result)
+    assert "error: window_s must span a whole number of samples" in result.output + (result.stderr or "")
+    assert not out.exists()
+
+
 def test_process_radar_missing_capture(runner, tmp_path):
     result = runner.invoke(
         main, ["process-radar", str(tmp_path / "nope.rvsc"), "--out", str(tmp_path / "o")]

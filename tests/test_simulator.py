@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,9 @@ from respiradar import (
 )
 from respiradar.errors import DurationTooShortError
 from respiradar.ingest import quantize_cube
-from respiradar.pipeline import process_audio
+from respiradar import pipeline
+from respiradar.audio_dsp import AudioTrace
+from respiradar.pipeline import process_audio, process_radar_cube
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
 from respiradar.simulate import _burst_filter
 from respiradar.spectral import StftParams, extract_rate, stft
@@ -202,6 +205,34 @@ def test_process_audio_stft_runs_at_envelope_rate():
     assert result.envelope.rate_hz == 20.0
     np.testing.assert_allclose(result.spectrogram.freq_axis_bpm, np.arange(601.0), rtol=0, atol=1e-9)
     assert np.all(np.abs(result.rates.rates_bpm - 12.0) <= 1.0)
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("a bad window reached the heavy stages")
+
+
+@pytest.mark.parametrize("params, message", [
+    (StftParams(window_s=60.01), "whole number of samples"),
+    (StftParams(window_s=60.0, overlap_s=59.99), "hop must be at least one sample"),
+])
+def test_process_audio_checks_the_window_before_decimating(monkeypatch, params, message):
+    monkeypatch.setattr(pipeline, "decimate_to_frame_rate", never_called)
+    audio = AudioTrace(np.zeros(70 * 44100, dtype=np.int16))
+    with pytest.raises(ValueError, match=message):
+        process_audio(audio, stft_params=params)
+
+
+@pytest.mark.parametrize("frame_rate_hz, params, message", [
+    (20.0, StftParams(window_s=60.01), "whole number of samples"),
+    (10.0, StftParams(), "hop must be at least one sample"),
+])
+def test_process_radar_checks_the_window_before_the_range_fft(monkeypatch, config, frame_rate_hz,
+                                                              params, message):
+    monkeypatch.setattr(pipeline, "range_fft", never_called)
+    cfg = dataclasses.replace(config, frame_rate_hz=frame_rate_hz)
+    cube = synth_cube(breathing_scene(seed=3), cfg, 2.0)
+    with pytest.raises(ValueError, match=message):
+        process_radar_cube(cube, stft_params=params)
 
 
 # --- capture writers ---------------------------------------------------------------

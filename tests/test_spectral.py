@@ -445,6 +445,20 @@ def test_csv_writer_does_not_depend_on_worker_count(tmp_path, monkeypatch, fast_
     assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_cols, chunk_cells", [(7, 70), (602, spectral._CSV_CHUNK_CELLS)])
+def test_csv_writer_joins_a_first_column_per_batch(tmp_path, monkeypatch, workers, n_cols, chunk_cells):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", chunk_cells)
+    cells = adversarial_cells()
+    table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
+    first = np.arange(table.shape[0]) * 0.05 + 29.975
+    path = tmp_path / "g8.csv"
+    spectral._write_csv_8g(path, "a,b", table, first_column=first)
+    expected = savetxt_8g(tmp_path / "ref.csv", "a,b", np.column_stack([first, table]))
+    assert path.read_bytes() == expected
+
+
 @pytest.mark.parametrize("failing_batch", [0, 5, 12])
 def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monkeypatch,
                                                                   failing_batch):
@@ -463,3 +477,28 @@ def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monk
     with pytest.raises(RuntimeError, match="batch failed"):
         spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 8)))
     assert threading.active_count() == threads
+
+
+# --- %.10g CSV writer ----------------------------------------------------------
+
+
+def savetxt_10g(path, header, table):
+    """The reference: what the rate, phase, envelope and truth CSVs must hold."""
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.10g")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, spectral._CSV_10G_ROWS - 1, spectral._CSV_10G_ROWS + 1,
+                                    3 * spectral._CSV_10G_ROWS + 5, 6001])
+def test_csv_10g_writer_matches_savetxt(tmp_path, n_rows, n_cols):
+    rng = np.random.default_rng(n_rows + n_cols)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1e22, 1e23, 5e-324,
+               0.1, 1 / 3, 123456789.0, 1234567890123.0]
+    n = n_rows * n_cols
+    cells = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+    cells[: len(special)] = special[:n]
+    table = rng.permutation(cells).reshape(n_rows, n_cols)
+    path = tmp_path / "g10.csv"
+    spectral._write_csv_10g(path, "time_s,rate_bpm", table)
+    assert path.read_bytes() == savetxt_10g(tmp_path / "ref.csv", "time_s,rate_bpm", table)
