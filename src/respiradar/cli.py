@@ -28,7 +28,7 @@ import numpy as np
 from .audio_dsp import FRAME_RATE_HZ, envelope_to_csv, load_wav, save_wav
 from .config import RadarConfig
 from .errors import RespiradarError
-from .ingest import load_capture, write_capture
+from .ingest import capture_config, load_capture, write_capture
 from .pipeline import process_audio, process_radar_cube
 from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
 from .simulate import BreathAudioSpec, SceneSpec, scene_truth, synth_audio, synth_cube
@@ -150,11 +150,14 @@ def _run_simulate_audio(m: RunManifest) -> str:
 
 
 def _run_process_radar(m: RunManifest) -> str:
+    stft_params = StftParams(**m.stft)
+    # a window off the grid of the capture's frame rate fails on the header alone
+    stft_params.samples(_read_input(capture_config, m.inputs["capture"], "capture").frame_rate_hz)
     cube = _read_input(load_capture, m.inputs["capture"], "capture")
     result = process_radar_cube(
         cube,
         variant=m.variant,
-        stft_params=StftParams(**m.stft),
+        stft_params=stft_params,
         band_bpm=tuple(m.band_bpm),
         min_range_m=m.options["min_range_m"],
         max_range_m=m.options["max_range_m"],

@@ -14,6 +14,7 @@ one f64 timestamp per frame.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 from dataclasses import astuple, dataclass
@@ -33,6 +34,7 @@ from .errors import (
     TruncatedFrameError,
     UnsupportedVersionError,
 )
+from .spectral import _map_frame_blocks
 
 _DATAGRAM_HEADER = struct.Struct("<IIH")  # seq, then the u48 byte offset as lo32, hi16
 DATAGRAM_HEADER_BYTES = _DATAGRAM_HEADER.size
@@ -197,7 +199,8 @@ def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube
     """Decode a raw sample stream (any bytes-like object) into a cube of rx channel 0.
 
     Only rx 0 is converted: its int16 I/Q pairs are written straight into the
-    complex128 output, and the other rx blocks are never copied.
+    complex128 output, one block of frames at a time on the worker pool, and
+    the other rx blocks are never copied.
 
     Raises LengthMismatchError when the stream is not aligned to whole
     I/Q pairs, TruncatedFrameError when it ends inside a frame.
@@ -217,8 +220,13 @@ def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube
         n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp, 2
     )[:, :, 0]
     samples = np.empty(iq.shape[:-1], dtype=np.complex128)
-    samples.real = iq[..., 0]
-    samples.imag = iq[..., 1]
+
+    def convert(frames: slice) -> None:
+        block = samples[frames]
+        block.real = iq[frames, ..., 0]
+        block.imag = iq[frames, ..., 1]
+
+    _map_frame_blocks(convert, n_frames)
 
     if frame_timestamps is None:
         frame_timestamps = np.arange(n_frames) / config.frame_rate_hz
@@ -271,39 +279,59 @@ def write_capture(cube: RadarCube, path) -> None:
         fh.write(cube.frame_timestamps.astype("<f8").tobytes())
 
 
+def _read_capture_header(fh) -> tuple[RadarConfig, int]:
+    """Read and check the header at the start of fh: its config and frame
+    count.  The file must be as long as the header says."""
+    head = fh.read(_CAPTURE_HEADER.size)
+    if head[:4] != CAPTURE_MAGIC:
+        raise BadMagicError("not a capture container (bad magic)")
+    version = int.from_bytes(head[4:6], "little")
+    if len(head) >= 6 and version != CAPTURE_VERSION:
+        raise UnsupportedVersionError(f"container version {version} not supported")
+    if len(head) < _CAPTURE_HEADER.size:
+        raise HeaderCubeMismatchError(
+            f"container of {len(head)} bytes ends inside its {_CAPTURE_HEADER.size}-byte header"
+        )
+
+    fields = _CAPTURE_HEADER.unpack(head)
+    config = RadarConfig(*fields[2:9])
+    declared_bw, n_frames = fields[9:]
+    if abs(declared_bw - config.bandwidth_hz) > 1e-6 * config.bandwidth_hz:
+        raise HeaderCubeMismatchError("declared bandwidth disagrees with chirp parameters")
+
+    size = os.fstat(fh.fileno()).st_size
+    expected_size = _CAPTURE_HEADER.size + n_frames * (frame_stream_bytes(config) + 8)
+    if size != expected_size:
+        raise HeaderCubeMismatchError(
+            f"container holds {size} bytes, header implies {expected_size}"
+        )
+    return config, n_frames
+
+
+def capture_config(path) -> RadarConfig:
+    """The radar config of a capture container, from its header alone.
+
+    Raises what load_capture raises for a file that is not a whole
+    container, without reading its samples.
+    """
+    with open(path, "rb") as fh:
+        return _read_capture_header(fh)[0]
+
+
 def load_capture(path) -> RadarCube:
     """Read a capture container back into a cube with its embedded timestamps.
 
     Raises BadMagicError, UnsupportedVersionError or HeaderCubeMismatchError
     for a file that is not a whole container, however short.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CAPTURE_MAGIC:
-        raise BadMagicError("not a capture container (bad magic)")
-    version = int.from_bytes(blob[4:6], "little")
-    if len(blob) >= 6 and version != CAPTURE_VERSION:
-        raise UnsupportedVersionError(f"container version {version} not supported")
-    if len(blob) < _CAPTURE_HEADER.size:
-        raise HeaderCubeMismatchError(
-            f"container of {len(blob)} bytes ends inside its {_CAPTURE_HEADER.size}-byte header"
-        )
-
-    fields = _CAPTURE_HEADER.unpack_from(blob)
-    config = RadarConfig(*fields[2:9])
-    declared_bw, n_frames = fields[9:]
-    if abs(declared_bw - config.bandwidth_hz) > 1e-6 * config.bandwidth_hz:
-        raise HeaderCubeMismatchError("declared bandwidth disagrees with chirp parameters")
-
+    # unbuffered: the body is read straight into one bytes object, not joined
+    # to what a buffered header read would have read ahead
+    with open(path, "rb", buffering=0) as fh:
+        config, n_frames = _read_capture_header(fh)
+        body = fh.read()
     sample_bytes = n_frames * frame_stream_bytes(config)
-    expected_size = _CAPTURE_HEADER.size + sample_bytes + 8 * n_frames
-    if len(blob) != expected_size:
-        raise HeaderCubeMismatchError(
-            f"container holds {len(blob)} bytes, header implies {expected_size}"
-        )
-    body = memoryview(blob)[_CAPTURE_HEADER.size :]
-    stamps = np.frombuffer(body[sample_bytes:], dtype="<f8").copy()
-    return decode_cube(body[:sample_bytes], config, frame_timestamps=stamps)
+    stamps = np.frombuffer(body, dtype="<f8", offset=sample_bytes).copy()
+    return decode_cube(memoryview(body)[:sample_bytes], config, frame_timestamps=stamps)
 
 
 def receive_datagrams(

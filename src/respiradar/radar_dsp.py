@@ -13,7 +13,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import _write_csv_8g, _write_csv_10g, cosine_window
+from .spectral import _map_frame_blocks, _write_csv_8g, _write_csv_10g, cosine_window
 
 
 @dataclass
@@ -67,9 +67,10 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     """Compress fast time into a complex range profile for every frame.
 
     Chirps within a frame are averaged coherently, a symmetric Hann window
-    is applied over fast time and the full-length FFT is taken.  The beat
-    signal is complex, so all samples_per_chirp bins are retained and bin k
-    maps to range k * c / (2 * bandwidth).
+    is applied over fast time and the full-length FFT is taken, one block
+    of frames at a time on the worker pool.  The beat signal is complex, so
+    all samples_per_chirp bins are retained and bin k maps to range
+    k * c / (2 * bandwidth).
 
     The DFT is referenced to the window centre (a fixed per-bin rotation),
     so together with a chirp-centre beat reference the bin phase reads the
@@ -77,11 +78,17 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     """
     if cube.n_frames == 0 or cube.data.size == 0:
         raise EmptyCubeError("cube holds no frames")
-    fast = cube.data.mean(axis=1)  # coherent average over chirps
     n = cube.config.samples_per_chirp
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    values = np.fft.fft(fast * window, axis=1) * centre_ref
+    values = np.empty((cube.n_frames, n), np.complex128)
+
+    def compress(frames: slice) -> None:
+        fast = cube.data[frames].mean(axis=1)  # coherent average over chirps
+        fast *= window
+        np.multiply(np.fft.fft(fast, axis=1), centre_ref, out=values[frames])
+
+    _map_frame_blocks(compress, cube.n_frames)
     return RangeTimeMap(
         values=values,
         bin_spacing_m=cube.config.range_bin_spacing_m,

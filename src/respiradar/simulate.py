@@ -8,6 +8,7 @@ captures serve as ground truth for the processing chain.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .audio_dsp import AUDIO_RATE_HZ, AudioTrace
 from .config import SPEED_OF_LIGHT_M_S, RadarConfig
 from .errors import DurationTooShortError
 from .ingest import Datagram, RadarCube, encode_cube, stream_to_datagrams
-from .spectral import cosine_window
+from .spectral import _FRAME_BLOCK, _map_frame_blocks, cosine_window
 
 DEFAULT_CHAMBER_EXTENT_M = 6.0
 
@@ -166,7 +167,8 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     specified reflectivity, with no range-law decay.
 
     Complex white Gaussian noise is added at snr_db below the strongest
-    scatterer; generation is deterministic under the scene seed.
+    scatterer; generation is deterministic under the scene seed.  The noise
+    is drawn first, then each block of frames is summed on the worker pool.
     """
     n_frames = int(round(duration_s * config.frame_rate_hz))
     if n_frames < 1:
@@ -176,7 +178,6 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     n_fast = config.samples_per_chirp
     fast_index = np.arange(n_fast) - (n_fast - 1) / 2.0  # chirp-centre reference
     shape = (n_frames, config.chirps_per_frame, n_fast)
-    data = np.zeros(shape, dtype=np.complex128)
 
     scatterers: list[tuple[np.ndarray, float]] = []
     for motion, reflectivity in scene.targets:
@@ -185,16 +186,7 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     for range_m, reflectivity in scene.static_reflectors:
         scatterers.append((np.full(n_frames, range_m), reflectivity))
 
-    wavelength = config.wavelength_m
-    for ranges, reflectivity in scatterers:
-        beat_hz = 2.0 * config.chirp_slope_hz_per_s * ranges / SPEED_OF_LIGHT_M_S
-        slow_phase = 4.0 * np.pi * ranges / wavelength
-        phase = (
-            2.0 * np.pi * beat_hz[:, None] * fast_index[None, :] / config.adc_rate_hz
-            + slow_phase[:, None]
-        )
-        data += reflectivity * np.exp(1j * phase)[:, None, :]
-
+    noise = None
     if scene.snr_db is not None:
         if not scatterers:
             raise ValueError("snr_db is relative to the strongest scatterer; scene is empty")
@@ -202,8 +194,38 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
         noise_power = strongest**2 * 10.0 ** (-scene.snr_db / 10.0)
         rng = np.random.default_rng(scene.seed)
         sigma = np.sqrt(noise_power / 2.0)
-        data += rng.normal(scale=sigma, size=shape) + 1j * rng.normal(scale=sigma, size=shape)
+        # drawn whole and first: the real parts of every frame, then the imaginary parts
+        noise = rng.normal(scale=sigma, size=shape), rng.normal(scale=sigma, size=shape)
 
+    wavelength = config.wavelength_m
+    data = np.empty(shape, dtype=np.complex128)
+
+    # one phase and one wave block per worker thread, reused by each of its blocks:
+    # temporaries allocated per block came from fresh pages each time
+    scratch = threading.local()
+
+    def synth(frames: slice) -> None:
+        block = data[frames]
+        block[...] = 0
+        if not hasattr(scratch, "phase"):
+            scratch.phase = np.empty((_FRAME_BLOCK, n_fast))
+            scratch.wave = np.empty((_FRAME_BLOCK, n_fast), np.complex128)
+        phase, wave = scratch.phase[: len(block)], scratch.wave[: len(block)]
+        for ranges, reflectivity in scatterers:
+            beat_hz = 2.0 * config.chirp_slope_hz_per_s * ranges[frames] / SPEED_OF_LIGHT_M_S
+            slow_phase = 4.0 * np.pi * ranges[frames] / wavelength
+            np.multiply(2.0 * np.pi * beat_hz[:, None], fast_index, out=phase)
+            phase /= config.adc_rate_hz
+            phase += slow_phase[:, None]
+            np.multiply(1j, phase, out=wave)
+            np.exp(wave, out=wave)
+            wave *= reflectivity
+            block += wave[:, None, :]
+        if noise is not None:
+            block.real += noise[0][frames]
+            block.imag += noise[1][frames]
+
+    _map_frame_blocks(synth, n_frames)
     return RadarCube(config=config, data=data, frame_timestamps=frame_times)
 
 

@@ -27,6 +27,7 @@ _WINDOW_COEFFS = {"blackman": (0.42, 0.50, 0.08), "hann": (0.5, 0.5), "rectangul
 DEFAULT_BAND_BPM = (6.0, 60.0)
 
 _FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays in cache
+_FRAME_BLOCK = 512  # frames per batch of the radar stages (simulate, decode, range FFT)
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,13 @@ def _map_batches(fn, batches, workers: int, sink=lambda result: None) -> None:
             sink(pending.popleft().result())
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _map_frame_blocks(fn, n_frames: int) -> None:
+    """Apply fn to slices of _FRAME_BLOCK frames covering range(n_frames), on
+    the pool.  fn writes its block of a preallocated output and returns None."""
+    blocks = (slice(lo, lo + _FRAME_BLOCK) for lo in range(0, n_frames, _FRAME_BLOCK))
+    _map_batches(fn, blocks, _worker_count())
 
 
 def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) -> Spectrogram:
@@ -314,18 +322,20 @@ def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
 # 4-digit ASCII words.  Everything else printf decides (fixed or e+XX form,
 # where the point goes, stripped trailing zeros, the sign, the separator) is a
 # function of the class (e, significant digits, sign, last column), so it is
-# read from per-class tables of shifts and masks that assemble three
-# zero-padded little-endian uint64 words per cell:
-#   word 0: sign, "0." and leading zeros, then the digits before the point
-#   word 1: digits that spill out of word 0 (only forms without a fraction),
-#           or "." and the fraction digits
-#   word 2: "e+XX" if any, then "," or "\n"
-# Dropping the zero bytes joins the cells.  Cells whose correct rounding is
-# not proven here are formatted by Python's '%.8g' instead.
+# read from per-class tables.  Each cell is assembled in 16 bytes, two
+# little-endian uint64 words: its text from byte 0, then zero bytes.
+#   - a per-class pattern holds the bytes that do not depend on the digits: the
+#     sign, "0." and leading zeros, the point, "e+XX" and "," or "\n";
+#   - the digits before the point are ORed in after the lead;
+#   - the digits after it go one byte further, past the point.
+# No cell with its separator is longer than 16 bytes ("-4.9406565e-324,"), so
+# dropping the zero bytes joins the cells, one run of bytes per cell.  Cells
+# whose correct rounding is not proven here are formatted by Python's '%.8g'.
 
 _CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
 _CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
 _G8_EXP_LO, _G8_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
+_G8_CELL_BYTES = 16
 
 
 def _le_word(text: str) -> int:
@@ -340,13 +350,11 @@ class _G8Tables(NamedTuple):
     # stored times 4, their stride in the class index
     sig_lo: np.ndarray
     sig_hi: np.ndarray
-    lead: np.ndarray  # per class: word-0 text before the digits
+    pattern_lo: np.ndarray  # per class: bytes 0-7 of the cell without its digits
+    pattern_hi: np.ndarray  # per class: bytes 8-15
     int_mask: np.ndarray  # per class: keeps the digits before the point
+    frac_mask: np.ndarray  # per class: keeps the digits after it
     int_shift: np.ndarray  # per class: bit length of the lead
-    frac_shift: np.ndarray  # per class: moves the fraction digits to byte 1
-    frac_mask: np.ndarray  # per class: keeps them
-    point: np.ndarray  # per class: "." where there is a fraction
-    tail: np.ndarray  # per class: word 2
     # the scale 10**(7 - e) as a factor and a divisor, one of them 1.0;
     # indexed by _G8_EXP_HI - e
     pow_mul: np.ndarray
@@ -377,6 +385,18 @@ def _g8_tables() -> _G8Tables:
     lead = lead[:, None, None, None]
     tail = tail[:, None, None, None]
     sep = np.where(last == 1, ord("\n"), ord(",")).astype(np.uint64)
+    lead = np.where(neg == 1, (lead << np.uint64(8)) | np.uint64(ord("-")), lead)
+    tail = tail | (sep << np.uint64(32) * (tail > 0))
+
+    def at(word, byte):
+        """word moved up by `byte` bytes, as the low and high uint64 of 16 bytes."""
+        bits = np.uint64(8) * byte.astype(np.uint64)
+        # numpy defines a shift by 64 or more as 0, and bits - 64 wraps around below 64
+        return word << bits, (word >> (np.uint64(64) - bits)) | (word << (bits - np.uint64(64)))
+
+    point_at = n_lead + n_int
+    point_lo, point_hi = at(np.where(n_frac > 0, ord("."), 0).astype(np.uint64), point_at)
+    tail_lo, tail_hi = at(tail, point_at + np.where(n_frac > 0, 1 + n_frac, 0))
 
     def per_class(values) -> np.ndarray:
         return np.broadcast_to(np.asarray(values, np.uint64), (exps.size, 9, 2, 2)).ravel()
@@ -386,13 +406,11 @@ def _g8_tables() -> _G8Tables:
         quad_hi=quad << np.uint64(32),
         sig_lo=4 * np.where(n == 0, 0, 8 - zeros),
         sig_hi=4 * (4 - zeros),
-        lead=per_class(np.where(neg == 1, (lead << np.uint64(8)) | np.uint64(ord("-")), lead)),
+        pattern_lo=per_class(lead | point_lo | tail_lo),
+        pattern_hi=per_class(point_hi | tail_hi),
         int_mask=per_class(low[n_int]),
+        frac_mask=per_class(low[n_int + n_frac] ^ low[n_int]),
         int_shift=per_class(8 * n_lead),
-        frac_shift=per_class(8 * (n_int - 1)),
-        frac_mask=per_class(low[n_frac] << np.uint64(8)),
-        point=per_class(np.where(n_frac > 0, ord("."), 0)),
-        tail=per_class(tail | (sep << np.uint64(32) * (tail > 0))),
         pow_mul=np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in exps[::-1]]),
         pow_div=np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in exps[::-1]]),
     )
@@ -451,20 +469,20 @@ def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
     cls[np.signbit(x)] += 2
     shift = t.int_shift[cls]
     integer = digits & t.int_mask[cls]
-    words = np.empty((x.size, 3), np.uint64)
-    words[:, 0] = t.lead[cls] | (integer << shift)
+    fraction = digits & t.frac_mask[cls]
+    words = np.empty((x.size, 2), np.uint64)
     # numpy defines a shift by 64 as 0: nothing spills when there is no lead
+    words[:, 0] = t.pattern_lo[cls] | (integer << shift) | (fraction << (shift + np.uint64(8)))
     words[:, 1] = (
-        (integer >> (np.uint64(64) - shift))
-        | ((digits >> t.frac_shift[cls]) & t.frac_mask[cls])
-        | t.point[cls]
+        t.pattern_hi[cls]
+        | (integer >> (np.uint64(64) - shift))
+        | (fraction >> (np.uint64(56) - shift))
     )
-    words[:, 2] = t.tail[cls]
-    cells = words.view(np.uint8).reshape(x.size, 24)
+    cells = words.view(np.uint8).reshape(x.size, _G8_CELL_BYTES)
     if slow.size:
         seps = [b"\n" if end else b"," for end in last[slow].tolist()]
-        texts = [(t + s).ljust(24, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
-        cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, 24)
+        texts = [(t + s).ljust(_G8_CELL_BYTES, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
+        cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, _G8_CELL_BYTES)
     flat = cells.reshape(-1)
     # a boolean mask, not np.compress, whose index array takes 8 bytes per byte kept
     return flat[flat != 0]
@@ -496,11 +514,18 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
+    # one joined block per worker thread, reused by each of its batches, as in stft
+    scratch = threading.local()
 
     def format_rows(lo: int) -> bytes:
         block = table[lo : lo + rows]
         if first_column is not None:
-            block = np.column_stack([first_column[lo : lo + rows], block])
+            if not hasattr(scratch, "block"):
+                scratch.block = np.empty((rows, n_cols))
+            joined = scratch.block[: len(block)]
+            joined[:, 0] = first_column[lo : lo + rows]
+            joined[:, 1:] = block
+            block = joined
         return _format_8g(block.reshape(-1), last[: block.size])
 
     with open(path, "wb") as fh:

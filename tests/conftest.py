@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,14 @@ def sine_amplitude(x: np.ndarray) -> float:
     """Amplitude of a zero-mean sinusoid-like trace (sqrt(2) * RMS)."""
     x = np.asarray(x, dtype=np.float64)
     return float(np.sqrt(2.0) * x.std())
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond, so pool workers interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

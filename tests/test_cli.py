@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import breathing_scene
+from respiradar import ingest
 from respiradar.cli import main
 from respiradar.ingest import load_capture
 from respiradar.spectral import rate_series_from_csv
@@ -184,6 +185,21 @@ def test_process_window_off_the_sample_grid_is_input_error(runner, recordings, t
     out = tmp_path / "out"
     result = runner.invoke(main, [command, str(recordings[command]), "--window-s", "60.01",
                                   "--out", str(out)])
+    assert_input_error(result)
+    assert "error: window_s must span a whole number of samples" in result.output + (result.stderr or "")
+    assert not out.exists()
+
+
+def test_process_radar_checks_the_window_on_the_capture_header(runner, recordings, tmp_path,
+                                                               monkeypatch):
+    # the frame rate comes from the container's header: no sample is decoded
+    def never_decoded(*args, **kwargs):
+        raise AssertionError("the capture's samples were decoded")
+
+    monkeypatch.setattr(ingest, "decode_cube", never_decoded)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["process-radar", str(recordings["process-radar"]),
+                                  "--window-s", "60.01", "--out", str(out)])
     assert_input_error(result)
     assert "error: window_s must span a whole number of samples" in result.output + (result.stderr or "")
     assert not out.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import breathing_scene, sine_amplitude, static_scene
 from respiradar import (
     BreathAudioSpec,
     MotionSpec,
+    RadarConfig,
     SceneSpec,
     chest_displacement,
     datagram_stream,
@@ -245,6 +247,25 @@ def test_write_then_load_round_trip(tmp_path, config):
     loaded = load_capture(path)
     assert np.array_equal(loaded.data, quantize_cube(cube).data)
     assert np.allclose(loaded.frame_timestamps, cube.frame_timestamps)
+
+
+@pytest.mark.parametrize("duration_s, config, scene, sha256", [
+    # the README scene, over a frame-block boundary (600 frames)
+    (30.0, RadarConfig(), SceneSpec(targets=((MotionSpec(0.5, 15.0, 0.001), 1.0),),
+                                    static_reflectors=((3.0, 2.0),), snr_db=30.0, seed=7),
+     "381a99d9059cfd732c832d2ca7da84602c735cf8381e571d85c239b9966ed418"),
+    # three chirps a frame and no noise (520 frames)
+    (26.0, RadarConfig(chirps_per_frame=3),
+     SceneSpec(targets=((MotionSpec(0.4, 18.0, 0.0005, harmonic_2_frac=0.2), 1.0),),
+               static_reflectors=((1.5, 0.5),)),
+     "d8fb071e6a1bd79074d2a978fbfa8fbd65e2202ce76ca4091703feada74898a6"),
+], ids=["readme", "three-chirps-no-noise"])
+def test_capture_bytes_are_pinned(tmp_path, duration_s, config, scene, sha256):
+    # the cube is summed in frame blocks on the worker pool; these are the bytes of
+    # one whole-array pass
+    path = tmp_path / "capture.rvsc"
+    write_capture(synth_cube(scene, config, duration_s), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_datagram_stream_round_trip(config):

@@ -1,5 +1,4 @@
 import itertools
-import sys
 import threading
 
 import numpy as np
@@ -139,17 +138,6 @@ def stft_reference(trace, params):
             spectrum = np.fft.rfft(block, axis=1)
         out.append(np.abs(spectrum))
     return np.concatenate(out)
-
-
-@pytest.fixture
-def fast_thread_switching():
-    """Switch threads every microsecond, so pool workers interleave often."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -457,6 +445,34 @@ def test_csv_writer_joins_a_first_column_per_batch(tmp_path, monkeypatch, worker
     spectral._write_csv_8g(path, "a,b", table, first_column=first)
     expected = savetxt_8g(tmp_path / "ref.csv", "a,b", np.column_stack([first, table]))
     assert path.read_bytes() == expected
+
+
+def edge_cells():
+    """The longest cells of each form, and the cells printf treats apart."""
+    longest = [-4.9406564584124654e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
+               1.7976931348623157e308, -1.2345678e29, -1.2345678e-15, -0.00012345678,
+               -0.00098765432, -1234567.8, -99999999.0, 0.00012345678]
+    special = [5e-324, 1e-310, -0.0, 0.0, np.nan, np.inf, -np.inf]
+    return np.array(longest + special)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("first_column", [False, True], ids=["table", "first-column"])
+def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, first_column):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 64)  # several batches per worker
+    cells = edge_cells()
+    # each row rotates the cells by one, so every cell lands in every column, the last one too
+    table = np.array([np.roll(cells, k) for k in range(cells.size)] * 3)
+    path = tmp_path / "g8.csv"
+    if first_column:
+        spectral._write_csv_8g(path, "a,b", table[:, 1:], first_column=table[:, 0])
+    else:
+        spectral._write_csv_8g(path, "a,b", table)
+    expected = savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+    assert path.read_bytes() == expected
+    assert b"-4.9406565e-324," in expected and b"-1.7976931e+308\n" in expected
+    assert b"-0.00012345678," in expected and b"-1.2345678e+29\n" in expected
 
 
 @pytest.mark.parametrize("failing_batch", [0, 5, 12])
