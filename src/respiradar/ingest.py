@@ -10,6 +10,11 @@ Captures are stored in a small binary container: one ``_CAPTURE_HEADER``
 (magic ``RVSC``, u16 LE version, the ``RadarConfig`` fields in declaration
 order, the f64 bandwidth, a u64 frame count), the raw sample stream, then
 one f64 timestamp per frame.
+
+A decoded capture or wire stream stays as the radar sent it: the cube
+holds rx 0's int16 I/Q counts as a read-only view of the stream, and each
+stage that needs complex samples converts one block of frames at a time
+(``complex_block``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import threading
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -34,11 +40,12 @@ from .errors import (
     TruncatedFrameError,
     UnsupportedVersionError,
 )
-from .spectral import _map_frame_blocks
+from .spectral import _FRAME_BLOCK, _map_frame_blocks
 
 _DATAGRAM_HEADER = struct.Struct("<IIH")  # seq, then the u48 byte offset as lo32, hi16
 DATAGRAM_HEADER_BYTES = _DATAGRAM_HEADER.size
 MAX_PAYLOAD_BYTES = 1456
+_MAX_DATAGRAM_BYTES = DATAGRAM_HEADER_BYTES + MAX_PAYLOAD_BYTES
 BYTES_PER_SAMPLE = 4  # int16 I + int16 Q
 
 CAPTURE_MAGIC = b"RVSC"
@@ -47,6 +54,9 @@ DEFAULT_UDP_PORT = 4098
 
 # magic, version, the RadarConfig fields in declaration order, bandwidth, frame count
 _CAPTURE_HEADER = struct.Struct("<4sHdddQQdQdQ")
+
+# one sample of the raw stream, as a RadarCube keeps it: int16 I and Q counts
+IQ_COUNTS = np.dtype([("i", "<i2"), ("q", "<i2")])
 
 
 class Datagram(NamedTuple):
@@ -73,16 +83,18 @@ def parse_datagram(buf: bytes) -> Datagram:
     Raises DatagramTooShortError below 11 bytes and PayloadTooLargeError
     above header + 1456 bytes; any other byte content is accepted.
     """
-    if len(buf) <= DATAGRAM_HEADER_BYTES:
-        raise DatagramTooShortError(
-            f"datagram of {len(buf)} bytes is shorter than header + 1 payload byte"
-        )
-    if len(buf) > DATAGRAM_HEADER_BYTES + MAX_PAYLOAD_BYTES:
+    if not DATAGRAM_HEADER_BYTES < len(buf) <= _MAX_DATAGRAM_BYTES:
+        if len(buf) <= DATAGRAM_HEADER_BYTES:
+            raise DatagramTooShortError(
+                f"datagram of {len(buf)} bytes is shorter than header + 1 payload byte"
+            )
         raise PayloadTooLargeError(
             f"payload of {len(buf) - DATAGRAM_HEADER_BYTES} bytes exceeds {MAX_PAYLOAD_BYTES}"
         )
     seq, offset_lo, offset_hi = _DATAGRAM_HEADER.unpack_from(buf)
-    return Datagram(seq, offset_lo | offset_hi << 32, bytes(buf[DATAGRAM_HEADER_BYTES:]))
+    payload = bytes(buf[DATAGRAM_HEADER_BYTES:])
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    return tuple.__new__(Datagram, (seq, offset_lo | offset_hi << 32, payload))
 
 
 def serialize_datagram(dgram: Datagram) -> bytes:
@@ -154,14 +166,22 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
 
 @dataclass
 class RadarCube:
-    """Decoded raw capture: complex samples indexed [frame][chirp][sample]."""
+    """Raw capture of rx channel 0, indexed [frame][chirp][sample].
+
+    ``data`` holds what the cube was given: complex128 samples (the
+    simulator's, or any array that converts to complex), or the int16 I/Q
+    counts of a decoded stream as an IQ_COUNTS array, kept as they are.
+    ``samples`` is the cube as complex128 either way; the radar stages read
+    ``data`` one block of frames at a time through ``complex_block``.
+    """
 
     config: RadarConfig
     data: np.ndarray
     frame_timestamps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        if not _is_counts(self.data):
+            self.data = np.asarray(self.data, dtype=np.complex128)
         self.frame_timestamps = np.asarray(self.frame_timestamps, dtype=np.float64)
         expected = (
             self.data.shape[0],
@@ -184,6 +204,38 @@ class RadarCube:
     def n_frames(self) -> int:
         return self.data.shape[0]
 
+    @property
+    def samples(self) -> np.ndarray:
+        """The cube as complex128; a new array when data holds counts."""
+        if not _is_counts(self.data):
+            return self.data
+        return _counts_to_complex(self.data, np.empty(self.data.shape, np.complex128))
+
+
+def _is_counts(x) -> bool:
+    return isinstance(x, np.ndarray) and x.dtype == IQ_COUNTS
+
+
+def _counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out.real = counts["i"]
+    out.imag = counts["q"]
+    return out
+
+
+def complex_block(block: np.ndarray, scratch: threading.local,
+                  rows: int = _FRAME_BLOCK) -> np.ndarray:
+    """A block of at most `rows` frames of RadarCube.data as complex128.
+
+    Complex data is returned as it is.  Counts are converted into this
+    thread's ``scratch.iq``, which the thread's later blocks reuse, so a
+    stage that reads a whole cube of counts never holds it converted.
+    """
+    if not _is_counts(block):
+        return block
+    if not hasattr(scratch, "iq"):
+        scratch.iq = np.empty((rows,) + block.shape[1:], np.complex128)
+    return _counts_to_complex(block, scratch.iq[: len(block)])
+
 
 def frame_stream_bytes(config: RadarConfig) -> int:
     """Byte size of one frame on the wire (all rx channels)."""
@@ -198,9 +250,10 @@ def frame_stream_bytes(config: RadarConfig) -> int:
 def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube:
     """Decode a raw sample stream (any bytes-like object) into a cube of rx channel 0.
 
-    Only rx 0 is converted: its int16 I/Q pairs are written straight into the
-    complex128 output, one block of frames at a time on the worker pool, and
-    the other rx blocks are never copied.
+    The cube holds rx 0's int16 I/Q counts as a read-only IQ_COUNTS view of
+    the stream: nothing is converted, and the other rx blocks are never
+    read.  A writable stream (a bytearray, a writable memoryview) is not
+    aliased: rx 0's counts are copied out of it.
 
     Raises LengthMismatchError when the stream is not aligned to whole
     I/Q pairs, TruncatedFrameError when it ends inside a frame.
@@ -216,59 +269,82 @@ def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube
         )
     n_frames = len(stream) // frame_bytes
 
-    iq = np.frombuffer(stream, dtype="<i2").reshape(
-        n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp, 2
+    counts = np.frombuffer(stream, dtype=IQ_COUNTS).reshape(
+        n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp
     )[:, :, 0]
-    samples = np.empty(iq.shape[:-1], dtype=np.complex128)
-
-    def convert(frames: slice) -> None:
-        block = samples[frames]
-        block.real = iq[frames, ..., 0]
-        block.imag = iq[frames, ..., 1]
-
-    _map_frame_blocks(convert, n_frames)
+    if counts.flags.writeable:
+        counts = counts.copy()
+        counts.flags.writeable = False
 
     if frame_timestamps is None:
         frame_timestamps = np.arange(n_frames) / config.frame_rate_hz
-    return RadarCube(config=config, data=samples, frame_timestamps=frame_timestamps)
+    return RadarCube(config=config, data=counts, frame_timestamps=frame_timestamps)
 
 
 def default_full_scale(cube: RadarCube) -> float:
-    """Quantiser full-scale: 4x the peak I/Q component, for noise headroom."""
+    """Quantiser full-scale: 4x the peak I/Q component, for noise headroom.
+
+    The peak is the largest of the per-block peaks, which is exact in any
+    order; a NaN component makes it NaN, as a whole-array max does.
+    """
     if cube.data.size == 0:
         return 1.0
-    peak = max(float(np.abs(cube.data.real).max()), float(np.abs(cube.data.imag).max()))
+    # per block: max and -min of the real parts, then of the imaginary parts
+    peaks = np.empty((-(-cube.n_frames // _FRAME_BLOCK), 4))
+    scratch = threading.local()
+
+    def block_peaks(frames: slice) -> None:
+        block = complex_block(cube.data[frames], scratch)
+        peaks[frames.start // _FRAME_BLOCK] = (
+            block.real.max(), -block.real.min(), block.imag.max(), -block.imag.min()
+        )
+
+    _map_frame_blocks(block_peaks, cube.n_frames)
+    peak = max(float(peaks[:, :2].max()), float(peaks[:, 2:].max()))
     return 4.0 * peak if peak > 0 else 1.0
 
 
-def _quantize(values: np.ndarray, full_scale: float) -> np.ndarray:
-    scaled = np.rint(values * (32767.0 / full_scale))
-    return np.clip(scaled, -32768, 32767)
-
-
 def quantize_cube(cube: RadarCube) -> RadarCube:
-    """The cube as it survives int16 encoding (values in ADC counts)."""
-    full_scale = default_full_scale(cube)
-    data = _quantize(cube.data.real, full_scale) + 1j * _quantize(cube.data.imag, full_scale)
+    """The cube as it survives int16 encoding: its I/Q counts.
+
+    Each block of frames is scaled, rounded and clipped in a per-thread
+    block and written straight into the IQ_COUNTS output.
+    """
+    scale = 32767.0 / default_full_scale(cube)
+    counts = np.empty(cube.data.shape, IQ_COUNTS)
+    scratch = threading.local()
+
+    def quantize(frames: slice) -> None:
+        block = complex_block(cube.data[frames], scratch)
+        if not hasattr(scratch, "scaled"):
+            scratch.scaled = np.empty((_FRAME_BLOCK,) + block.shape[1:])
+        scaled = scratch.scaled[: len(block)]
+        for part, field in ((block.real, "i"), (block.imag, "q")):
+            np.multiply(part, scale, out=scaled)
+            np.rint(scaled, out=scaled)
+            np.clip(scaled, -32768, 32767, out=scaled)
+            counts[field][frames] = scaled
+
+    _map_frame_blocks(quantize, cube.n_frames)
     return RadarCube(
-        config=cube.config, data=data, frame_timestamps=cube.frame_timestamps.copy()
+        config=cube.config, data=counts, frame_timestamps=cube.frame_timestamps.copy()
     )
+
+
+def _single_channel_counts(cube: RadarCube) -> np.ndarray:
+    if cube.config.rx_channels != 1:
+        raise ValueError("only single-channel cubes can be encoded")
+    return quantize_cube(cube).data
 
 
 def encode_cube(cube: RadarCube) -> bytes:
     """Serialise a single-channel cube to the raw int16 I/Q stream."""
-    if cube.config.rx_channels != 1:
-        raise ValueError("only single-channel cubes can be encoded")
-    full_scale = default_full_scale(cube)
-    interleaved = np.empty(cube.data.shape + (2,), dtype="<i2")
-    interleaved[..., 0] = _quantize(cube.data.real, full_scale)
-    interleaved[..., 1] = _quantize(cube.data.imag, full_scale)
-    return interleaved.tobytes()
+    return _single_channel_counts(cube).tobytes()
 
 
 def write_capture(cube: RadarCube, path) -> None:
     """Write the capture container for a cube (quantising to int16)."""
-    payload = encode_cube(cube)
+    payload = _single_channel_counts(cube)
     cfg = cube.config
     header = _CAPTURE_HEADER.pack(
         CAPTURE_MAGIC, CAPTURE_VERSION, *astuple(cfg), cfg.bandwidth_hz, cube.n_frames
@@ -321,17 +397,22 @@ def capture_config(path) -> RadarConfig:
 def load_capture(path) -> RadarCube:
     """Read a capture container back into a cube with its embedded timestamps.
 
+    The body is read once into a read-only buffer, and the cube holds rx
+    0's I/Q counts as decode_cube returns them, a view of that buffer: the
+    samples are neither copied again nor converted here.
+
     Raises BadMagicError, UnsupportedVersionError or HeaderCubeMismatchError
     for a file that is not a whole container, however short.
     """
-    # unbuffered: the body is read straight into one bytes object, not joined
-    # to what a buffered header read would have read ahead
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb") as fh:
         config, n_frames = _read_capture_header(fh)
-        body = fh.read()
-    sample_bytes = n_frames * frame_stream_bytes(config)
+        sample_bytes = n_frames * frame_stream_bytes(config)
+        body = np.empty(sample_bytes + 8 * n_frames, np.uint8)
+        if fh.readinto(body) != body.size:
+            raise HeaderCubeMismatchError("container ended while its body was read")
+    body.flags.writeable = False
     stamps = np.frombuffer(body, dtype="<f8", offset=sample_bytes).copy()
-    return decode_cube(memoryview(body)[:sample_bytes], config, frame_timestamps=stamps)
+    return decode_cube(body[:sample_bytes], config, frame_timestamps=stamps)
 
 
 def receive_datagrams(

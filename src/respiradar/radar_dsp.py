@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +13,13 @@ from .errors import (
     WindowEmptyError,
     ZeroMagnitudeError,
 )
-from .ingest import RadarCube
+from .ingest import RadarCube, complex_block
 from .spectral import _map_frame_blocks, _write_csv_8g, _write_csv_10g, cosine_window
+
+# frames converted and transformed at once inside each pool block: with
+# temporaries this small (256 KB at 256 samples a chirp) the steps reuse
+# the same memory, where whole-block temporaries were fresh pages each time
+_RANGE_STEP = 64
 
 
 @dataclass
@@ -68,7 +74,11 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
 
     Chirps within a frame are averaged coherently, a symmetric Hann window
     is applied over fast time and the full-length FFT is taken, one block
-    of frames at a time on the worker pool.  The beat signal is complex, so
+    of frames at a time on the worker pool.  Each block is worked through
+    _RANGE_STEP frames at a time: a cube of int16 counts is converted to
+    complex128 in a step-sized block each worker thread reuses, so the
+    whole cube is never held as complex, and the chirp mean is taken
+    straight into its rows of the output.  The beat signal is complex, so
     all samples_per_chirp bins are retained and bin k maps to range
     k * c / (2 * bandwidth).
 
@@ -82,11 +92,15 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
     values = np.empty((cube.n_frames, n), np.complex128)
+    scratch = threading.local()  # one converted step per worker thread
 
     def compress(frames: slice) -> None:
-        fast = cube.data[frames].mean(axis=1)  # coherent average over chirps
-        fast *= window
-        np.multiply(np.fft.fft(fast, axis=1), centre_ref, out=values[frames])
+        data, rows = cube.data[frames], values[frames]
+        for lo in range(0, len(rows), _RANGE_STEP):
+            step = complex_block(data[lo : lo + _RANGE_STEP], scratch, _RANGE_STEP)
+            fast = np.mean(step, axis=1, out=rows[lo : lo + _RANGE_STEP])  # coherent average over chirps
+            fast *= window
+            np.multiply(np.fft.fft(fast, axis=1), centre_ref, out=fast)
 
     _map_frame_blocks(compress, cube.n_frames)
     return RangeTimeMap(

@@ -421,71 +421,115 @@ def _printf_8g(values: np.ndarray) -> list[bytes]:
     return [b"%.8g" % v for v in values.tolist()]
 
 
-def _g8_mantissa(t: _G8Tables, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """round(a * 10**(7 - e)) and whether that rounding is not proven.
+class _G8Work:
+    """_format_8g's work arrays for up to `size` cells.  _write_csv_8g keeps
+    one per worker thread and reuses it for each of the thread's batches, as
+    stft reuses its block: temporaries allocated per batch came from fresh
+    pages in a process that had freed no large array yet, about 950 minor
+    faults a batch."""
+
+    def __init__(self, size: int) -> None:
+        self.a, self.y, self.g, self.m = np.empty((4, size))
+        self.e, self.i, self.lo, self.cls = np.empty((4, size), np.intp)
+        self.digits, self.integer, self.shift, self.tmp = np.empty((4, size), np.uint64)
+        self.fast, self.tie, self.flag, self.flag2 = np.empty((4, size), bool)
+        self.words = np.empty((size, 2), np.uint64)
+        self.nonzero = np.empty(size * _G8_CELL_BYTES, bool)
+
+
+def _g8_mantissa(t: _G8Tables, a: np.ndarray, e: np.ndarray,
+                 w: _G8Work) -> tuple[np.ndarray, np.ndarray]:
+    """round(a * 10**(7 - e)) and whether that rounding is not proven, in w.m and w.tie.
 
     y is the double nearest the exact product (one of the two factors is
     1.0), and every n + 0.5 below 2**52 is a double, so y can land on the
     midpoint between two mantissas but never cross it.  A y exactly on it
     may have been rounded there, so only those cells are in doubt.
     """
-    i = _G8_EXP_HI - e
-    y = a * t.pow_mul[i] / t.pow_div[i]
-    m = np.rint(y)
-    return m, np.abs(y - m) == 0.5
+    k = a.size
+    # every index is in range: "clip" only spares take the buffered copy "raise" makes
+    i = np.subtract(_G8_EXP_HI, e, out=w.i[:k])
+    y = np.multiply(a, t.pow_mul.take(i, out=w.g[:k], mode="clip"), out=w.y[:k])
+    y /= t.pow_div.take(i, out=w.g[:k], mode="clip")
+    m = np.rint(y, out=w.m[:k])
+    y -= m
+    return m, np.equal(np.abs(y, out=y), 0.5, out=w.tie[:k])
 
 
-def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
+def _format_8g(x: np.ndarray, last: np.ndarray, w: _G8Work) -> np.ndarray:
     """Bytes of '%.8g' of each cell of x, each followed by "\\n" where last
-    is 1 and by "," elsewhere."""
+    is 1 and by "," elsewhere.  Every temporary is one of the work arrays
+    w; only the returned bytes are allocated."""
     t = _g8_tables()
-    a = np.abs(x)
-    fast = (a >= 10.0**_G8_EXP_LO) & (a < 10.0 ** (_G8_EXP_HI + 1))  # false for 0, nan, inf
-    a[~fast] = 1.0
-    e = np.clip(np.floor(np.log10(a)), _G8_EXP_LO, _G8_EXP_HI).astype(np.intp)
-    m, tie = _g8_mantissa(t, a, e)
+    n = x.size
+    a = np.abs(x, out=w.a[:n])
+    fast = np.greater_equal(a, 10.0**_G8_EXP_LO, out=w.fast[:n])
+    fast &= np.less(a, 10.0 ** (_G8_EXP_HI + 1), out=w.flag[:n])  # false for 0, nan, inf
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=w.flag[:n]))
+    y = np.log10(a, out=w.y[:n])
+    np.clip(np.floor(y, out=y), _G8_EXP_LO, _G8_EXP_HI, out=y)
+    e = w.e[:n]
+    np.copyto(e, y, casting="unsafe")
+    m, tie = _g8_mantissa(t, a, e, w)
     # log10 can miss by one next to a power of ten, and rounding can carry
     # into a ninth digit: move e by one and scale again.  The new mantissa
     # then lies within 0.05 of 1e7 or 1e8, so never on a midpoint.
-    off = np.flatnonzero((m < 1e7) | (m >= 1e8))
+    off = np.less(m, 1e7, out=w.flag[:n])
+    off |= np.greater_equal(m, 1e8, out=w.flag2[:n])
+    off = np.flatnonzero(off)
     if off.size:
         e[off] += np.where(m[off] >= 1e8, 1, -1)
         fast[off] &= (e[off] >= _G8_EXP_LO) & (e[off] <= _G8_EXP_HI)
         e[off[~fast[off]]] = 0
-        m[off] = _g8_mantissa(t, a[off], e[off])[0]
+        m[off] = _g8_mantissa(t, a[off], e[off], _G8Work(off.size))[0]
         fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
-    slow = np.flatnonzero((~fast & (x != 0)) | tie)
+    not_fast = np.logical_not(fast, out=w.flag2[:n])
+    slow = np.not_equal(x, 0, out=w.flag[:n])
+    slow &= not_fast
+    slow |= tie
+    slow = np.flatnonzero(slow)
     # zeros (and the slow cells, overwritten below) print as m = 0, e = 0: "0"
-    m[~fast] = 0.0
-    e[~fast] = 0
+    np.copyto(m, 0.0, where=not_fast)
+    np.copyto(e, 0, where=not_fast)
 
-    hi = np.floor(m / 1e4)
-    lo = (m - hi * 1e4).astype(np.intp)
-    hi = hi.astype(np.intp)
-    digits = t.quad_lo[hi] | t.quad_hi[lo]
-    cls = np.maximum(t.sig_lo[lo], t.sig_hi[hi])
-    cls += 36 * (e - _G8_EXP_LO)
+    hi_float = np.floor(np.divide(m, 1e4, out=w.y[:n]), out=w.y[:n])
+    lo_float = np.subtract(m, np.multiply(hi_float, 1e4, out=w.g[:n]), out=w.g[:n])
+    lo, hi = w.lo[:n], w.i[:n]
+    np.copyto(lo, lo_float, casting="unsafe")
+    np.copyto(hi, hi_float, casting="unsafe")
+    digits = t.quad_lo.take(hi, out=w.digits[:n], mode="clip")
+    digits |= t.quad_hi.take(lo, out=w.tmp[:n], mode="clip")
+    cls = t.sig_lo.take(lo, out=w.cls[:n], mode="clip")
+    np.maximum(cls, t.sig_hi.take(hi, out=lo, mode="clip"), out=cls)
+    e -= _G8_EXP_LO
+    e *= 36
+    cls += e
     cls += last
-    cls[np.signbit(x)] += 2
-    shift = t.int_shift[cls]
-    integer = digits & t.int_mask[cls]
-    fraction = digits & t.frac_mask[cls]
-    words = np.empty((x.size, 2), np.uint64)
-    # numpy defines a shift by 64 as 0: nothing spills when there is no lead
-    words[:, 0] = t.pattern_lo[cls] | (integer << shift) | (fraction << (shift + np.uint64(8)))
-    words[:, 1] = (
-        t.pattern_hi[cls]
-        | (integer >> (np.uint64(64) - shift))
-        | (fraction >> (np.uint64(56) - shift))
-    )
-    cells = words.view(np.uint8).reshape(x.size, _G8_CELL_BYTES)
+    np.add(cls, 2, out=cls, where=np.signbit(x, out=w.flag[:n]))
+    shift = t.int_shift.take(cls, out=w.shift[:n], mode="clip")
+    integer = w.integer[:n]
+    np.bitwise_and(digits, t.int_mask.take(cls, out=integer, mode="clip"), out=integer)
+    fraction = digits
+    fraction &= t.frac_mask.take(cls, out=w.tmp[:n], mode="clip")
+    words = w.words[:n]
+    low_word, high_word = words[:, 0], words[:, 1]
+    # low: pattern_lo | integer << shift | fraction << (shift + 8)
+    np.left_shift(integer, shift, out=low_word)
+    low_word |= t.pattern_lo.take(cls, out=w.tmp[:n], mode="clip")
+    low_word |= np.left_shift(fraction, np.add(shift, np.uint64(8), out=w.tmp[:n]), out=w.tmp[:n])
+    # high: pattern_hi | integer >> (64 - shift) | fraction >> (56 - shift); numpy
+    # defines a shift by 64 as 0: nothing spills when there is no lead
+    np.right_shift(integer, np.subtract(np.uint64(64), shift, out=w.tmp[:n]), out=high_word)
+    high_word |= t.pattern_hi.take(cls, out=integer, mode="clip")
+    high_word |= np.right_shift(fraction, np.subtract(np.uint64(56), shift, out=shift), out=fraction)
+    cells = words.view(np.uint8).reshape(n, _G8_CELL_BYTES)
     if slow.size:
         seps = [b"\n" if end else b"," for end in last[slow].tolist()]
         texts = [(t + s).ljust(_G8_CELL_BYTES, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
         cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, _G8_CELL_BYTES)
     flat = cells.reshape(-1)
     # a boolean mask, not np.compress, whose index array takes 8 bytes per byte kept
-    return flat[flat != 0]
+    return flat[np.not_equal(flat, 0, out=w.nonzero[: flat.size])]
 
 
 def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
@@ -514,11 +558,14 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
-    # one joined block per worker thread, reused by each of its batches, as in stft
+    # one joined block and one set of work arrays per worker thread, reused by
+    # each of its batches, as in stft
     scratch = threading.local()
 
     def format_rows(lo: int) -> bytes:
         block = table[lo : lo + rows]
+        if not hasattr(scratch, "work"):
+            scratch.work = _G8Work(rows * n_cols)
         if first_column is not None:
             if not hasattr(scratch, "block"):
                 scratch.block = np.empty((rows, n_cols))
@@ -526,7 +573,7 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
             joined[:, 0] = first_column[lo : lo + rows]
             joined[:, 1:] = block
             block = joined
-        return _format_8g(block.reshape(-1), last[: block.size])
+        return _format_8g(block.reshape(-1), last[: block.size], scratch.work)
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")

@@ -189,7 +189,7 @@ def test_criterion_7_ingest_robustness(config):
     wire = encode_cube(cube)
     rebuilt, _ = reassemble(datagram_stream(cube))
     assert rebuilt == wire
-    assert np.array_equal(decode_cube(rebuilt, config).data, quantize_cube(cube).data)
+    assert np.array_equal(decode_cube(rebuilt, config).samples, quantize_cube(cube).samples)
     report(7, "10k-datagram fuzz clean; 1% loss accounted exactly; round trips bit-identical")
 
 

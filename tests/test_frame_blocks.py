@@ -1,6 +1,7 @@
 """The radar stages that run in frame blocks on the worker pool (simulate,
-capture decode, range FFT) give the same bits as one whole-array pass, at
-any worker count and on either side of a block boundary."""
+quantise and encode, range FFT) give the same bits as one whole-array
+pass, at any worker count and on either side of a block boundary, whether
+the cube holds complex samples or a decoded stream's int16 counts."""
 
 import dataclasses
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import breathing_scene
-from respiradar import RadarCube, RadarConfig, decode_cube, range_fft, synth_cube
+from respiradar import RadarCube, RadarConfig, decode_cube, encode_cube, range_fft, synth_cube
 from respiradar import spectral
 from respiradar.config import SPEED_OF_LIGHT_M_S
 from respiradar.simulate import chest_displacement
@@ -51,7 +52,7 @@ def range_fft_reference(cube):
     n = cube.config.samples_per_chirp
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    return np.fft.fft(cube.data.mean(axis=1) * window, axis=1) * centre_ref
+    return np.fft.fft(cube.samples.mean(axis=1) * window, axis=1) * centre_ref
 
 
 def decode_reference(stream, config, n_frames):
@@ -62,6 +63,24 @@ def decode_reference(stream, config, n_frames):
     samples.real = iq[..., 0]
     samples.imag = iq[..., 1]
     return samples
+
+
+def encode_reference(samples):
+    """The int16 stream of one whole-array quantisation: 4x the peak I/Q
+    component is full scale."""
+    peak = max(np.abs(samples.real).max(), np.abs(samples.imag).max())
+    scale = 32767.0 / (4.0 * peak)
+    interleaved = np.empty(samples.shape + (2,), dtype="<i2")
+    interleaved[..., 0] = np.clip(np.rint(samples.real * scale), -32768, 32767)
+    interleaved[..., 1] = np.clip(np.rint(samples.imag * scale), -32768, 32767)
+    return interleaved.tobytes()
+
+
+def random_stream(config, n_frames, seed):
+    n = n_frames * config.chirps_per_frame * config.rx_channels * config.samples_per_chirp * 2
+    counts = np.random.default_rng(seed).integers(-32768, 32768, n).astype("<i2")
+    counts[:4] = [-32768, 32767, 0, -1]
+    return counts.tobytes()
 
 
 def short_config(chirps):
@@ -109,10 +128,40 @@ def test_decode_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thre
                                                           workers, chirps, n_frames):
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = dataclasses.replace(short_config(chirps), rx_channels=2)
-    n = n_frames * chirps * 2 * config.samples_per_chirp * 2
-    counts = np.random.default_rng(n_frames).integers(-32768, 32768, n).astype("<i2")
-    counts[:4] = [-32768, 32767, 0, -1]
-    stream = counts.tobytes()
+    stream = random_stream(config, n_frames, seed=n_frames)
     cube = decode_cube(stream, config)
-    assert same_bits(cube.data, decode_reference(stream, config, n_frames))
+    assert same_bits(cube.samples, decode_reference(stream, config, n_frames))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rx", [1, 4])
+@pytest.mark.parametrize("chirps", [1, 3, 4])
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+def test_range_fft_of_decoded_counts_matches_the_complex_cube(monkeypatch, fast_thread_switching,
+                                                              workers, rx, chirps, n_frames):
+    # the counts are converted one frame block at a time, in a block each thread reuses
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    config = dataclasses.replace(short_config(chirps), rx_channels=rx)
+    stream = random_stream(config, n_frames, seed=n_frames + chirps + rx)
+    counts = decode_cube(stream, config)
+    stamps = np.arange(n_frames) / config.frame_rate_hz
+    complex_cube = RadarCube(config=config, data=decode_reference(stream, config, n_frames),
+                             frame_timestamps=stamps)
+    assert same_bits(range_fft(counts).values, range_fft(complex_cube).values)
+    assert same_bits(range_fft(counts).values, range_fft_reference(complex_cube))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chirps", [1, 3])
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+def test_encode_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thread_switching,
+                                                          workers, chirps, n_frames):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    config = short_config(chirps)
+    cube = synth_cube(SCENES["noisy"], config, n_frames / config.frame_rate_hz)
+    stream = encode_cube(cube)
+    assert stream == encode_reference(cube.data)
+    # a decoded cube encodes as its complex samples do: rescaled to 4x its peak
+    decoded = decode_cube(stream, config)
+    assert encode_cube(decoded) == encode_reference(decode_reference(stream, config, n_frames))
 

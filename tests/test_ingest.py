@@ -269,7 +269,7 @@ def test_decode_matches_float64_reference(rx, chirps, samples, n_frames, data):
         values[0], values[-1] = -32768, 32767
     stream = values.astype("<i2").tobytes()
 
-    decoded = decode_cube(stream, config).data
+    decoded = decode_cube(stream, config).samples
     reference = decode_reference(stream, config)
     assert decoded.shape == reference.shape
     assert np.array_equal(decoded, reference)
@@ -290,18 +290,48 @@ def test_decode_peak_memory_is_the_output():
     assert peak <= 1.1 * output_bytes
 
 
+def test_decode_keeps_a_read_only_view_of_a_bytes_stream():
+    config = RadarConfig(samples_per_chirp=64, chirps_per_frame=4, rx_channels=4)
+    stream = np.random.default_rng(32).bytes(400 * frame_stream_bytes(config))
+    tracemalloc.start()
+    try:
+        cube = decode_cube(stream, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * len(stream)
+    assert np.shares_memory(cube.data, np.frombuffer(stream, np.uint8))
+    assert not cube.data.flags.writeable
+    # size counts complex samples: one 4-byte I/Q pair each, rx 0 only
+    assert cube.data.size * 4 == len(stream) // 4
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "writable-memoryview"])
+def test_decode_copies_rx0_out_of_a_writable_stream(wrap):
+    config = RadarConfig(samples_per_chirp=8, chirps_per_frame=2, rx_channels=2)
+    raw = np.random.default_rng(33).bytes(3 * frame_stream_bytes(config))
+    stream = wrap(raw)
+    cube = decode_cube(stream, config)
+    before = cube.samples.copy()
+    stream[:] = bytes(len(raw))
+    assert np.array_equal(cube.samples, before)
+    assert np.array_equal(before, decode_reference(raw, config))
+    assert not cube.data.flags.writeable
+
+
 def test_decode_zero_frame_bytes(config):
     frame = bytes(4 * config.samples_per_chirp)
     cube = decode_cube(frame, config)
-    assert cube.data.shape == (1, 1, config.samples_per_chirp)
-    assert np.all(cube.data == 0)
+    assert cube.samples.shape == (1, 1, config.samples_per_chirp)
+    assert np.all(cube.samples == 0)
 
 
 def test_decode_constant_iq(config):
     one = struct.pack("<hh", 1, -1)
     cube = decode_cube(one * config.samples_per_chirp * 3, config)
     assert cube.n_frames == 3
-    assert np.all(cube.data == 1 - 1j)
+    assert np.all(cube.samples == 1 - 1j)
 
 
 def test_decode_alignment_errors(config):
@@ -316,15 +346,23 @@ def test_decode_selects_channel_zero():
     ch0 = struct.pack("<hh", 5, 0) * 4
     ch1 = struct.pack("<hh", 9, 0) * 4
     cube = decode_cube(ch0 + ch1, config)
-    assert cube.data.shape == (1, 1, 4)
-    assert np.all(cube.data == 5)
+    assert cube.samples.shape == (1, 1, 4)
+    assert np.all(cube.samples == 5)
 
 
 def test_encode_decode_round_trip(config):
     cube = random_cube(config, n_frames=4, seed=5)
     reference = quantize_cube(cube)
     decoded = decode_cube(encode_cube(cube), config)
-    assert np.array_equal(decoded.data, reference.data)
+    assert np.array_equal(decoded.samples, reference.samples)
+
+
+def test_a_decoded_cube_encodes_rescaled_to_four_times_its_peak(config):
+    stream = struct.pack("<hh", 1000, -4) + struct.pack("<hh", -3, 2) * (config.samples_per_chirp - 1)
+    decoded = decode_cube(stream, config)
+    # full scale 4000: 1000 reads 8192, -4 reads -33, -3 reads -25 and 2 reads 16
+    expected = struct.pack("<hh", 8192, -33) + struct.pack("<hh", -25, 16) * (config.samples_per_chirp - 1)
+    assert encode_cube(decoded) == expected
 
 
 def test_cube_timestamp_validation(config):
@@ -346,7 +384,7 @@ def test_capture_round_trip(tmp_path, config):
     loaded = load_capture(path)
     reference = quantize_cube(cube)
     assert loaded.config == config
-    assert np.array_equal(loaded.data, reference.data)
+    assert np.array_equal(loaded.samples, reference.samples)
     assert np.allclose(loaded.frame_timestamps, cube.frame_timestamps)
 
 
@@ -418,7 +456,7 @@ def test_capture_zero_frames(tmp_path, config):
     write_capture(empty, path)
     loaded = load_capture(path)
     assert loaded.n_frames == 0
-    assert loaded.data.shape == (0, 1, config.samples_per_chirp)
+    assert loaded.samples.shape == (0, 1, config.samples_per_chirp)
 
 
 # --- UDP listener -----------------------------------------------------------

@@ -7,16 +7,19 @@ from scipy.signal import detrend
 from conftest import breathing_scene, sine_amplitude, static_scene
 from respiradar import (
     MotionSpec,
+    RadarConfig,
     RadarCube,
     SceneSpec,
     clutter_remove,
     extract_unwrapped_phase,
+    load_capture,
     range_fft,
     select_target_bin,
     static_profile,
     synth_cube,
+    write_capture,
 )
-from respiradar import radar_dsp
+from respiradar import radar_dsp, spectral
 from respiradar.errors import (
     EmptyCubeError,
     TooFewFramesError,
@@ -81,6 +84,26 @@ def test_range_axis_calibration_sweep(config):
         rmap = range_fft(cube)
         k = int(np.argmax(np.mean(np.abs(rmap.values) ** 2, axis=0)))
         assert abs(k * rmap.bin_spacing_m - r) <= rmap.bin_spacing_m / 2
+
+
+def test_load_capture_and_range_fft_peak_below_a_complex_copy_of_the_cube(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: 2)
+    config = RadarConfig(samples_per_chirp=64, chirps_per_frame=4)
+    n_frames = 16 * spectral._FRAME_BLOCK
+    shape = (n_frames, config.chirps_per_frame, config.samples_per_chirp)
+    noise = np.random.default_rng(34).standard_normal(shape[:2] + (2 * shape[2],))
+    cube = RadarCube(config=config, data=noise.view(np.complex128),
+                     frame_timestamps=np.arange(n_frames) / config.frame_rate_hz)
+    path = tmp_path / "capture.rvsc"
+    write_capture(cube, path)
+    del cube, noise
+    tracemalloc.start()
+    try:
+        range_fft(load_capture(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * config.chirps_per_frame * config.samples_per_chirp * 16  # 33.6 MB
 
 
 # --- static_profile ----------------------------------------------------------

@@ -481,10 +481,10 @@ def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monk
     calls = itertools.count()
     format_8g = spectral._format_8g
 
-    def format_or_fail(x, last):
+    def format_or_fail(*args):
         if next(calls) == failing_batch:
             raise RuntimeError("batch failed")
-        return format_8g(x, last)
+        return format_8g(*args)
 
     monkeypatch.setattr(spectral, "_format_8g", format_or_fail)
     monkeypatch.setattr(spectral, "_worker_count", lambda: 3)
