@@ -11,6 +11,12 @@ the original run and reproduces its outputs bit-identically.
 
 Exit codes: 0 success, 2 input error (bad flags, configs or manifests, or
 an unreadable capture, WAV or rates file), 3 processing error.
+
+Only click, the standard library, ``config`` and ``errors`` are imported
+at the top.  Each runner, and each command that reads a spec file, imports
+the modules it uses when it is called, so ``--help`` and a flag error
+return without loading numpy or any DSP module, and ``compare`` loads only
+``spectral``.
 """
 
 from __future__ import annotations
@@ -18,29 +24,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .audio_dsp import FRAME_RATE_HZ, envelope_to_csv, load_wav, save_wav
 from .config import RadarConfig
 from .errors import RespiradarError
-from .ingest import capture_config, load_capture, write_capture
-from .pipeline import process_audio, process_radar_cube
-from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
-from .simulate import BreathAudioSpec, SceneSpec, scene_truth, synth_audio, synth_cube
-from .spectral import (
-    StftParams,
-    _write_csv_10g,
-    compare_rates,
-    comparison_to_json,
-    rate_series_from_csv,
-    rate_series_to_csv,
-    spectrogram_to_csv,
-)
 
 EXIT_INPUT_ERROR = 2
 EXIT_PROCESSING_ERROR = 3
@@ -122,10 +114,16 @@ def _read_input(load, path: str, what: str):
 
 
 def _run_simulate(m: RunManifest) -> str:
+    import numpy as np
+
+    from .ingest import write_capture
+    from .simulate import SceneSpec, scene_truth, synth_cube
+    from .spectral import _write_csv_10g
+
     scene = SceneSpec.from_dict(m.options["scene"])
     config = RadarConfig.from_dict(m.radar_config)
     duration_s = m.options["duration_s"]
-    if not 0 < duration_s < np.inf:
+    if not (0 < duration_s and math.isfinite(duration_s)):
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
@@ -136,9 +134,15 @@ def _run_simulate(m: RunManifest) -> str:
 
 
 def _run_simulate_audio(m: RunManifest) -> str:
+    import numpy as np
+
+    from .audio_dsp import FRAME_RATE_HZ, save_wav
+    from .simulate import BreathAudioSpec, synth_audio
+    from .spectral import _write_csv_10g
+
     spec = BreathAudioSpec(**m.options["spec"])
     duration_s = m.options["duration_s"]
-    if not 0 < duration_s < np.inf:
+    if not (0 < duration_s and math.isfinite(duration_s)):
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
@@ -150,6 +154,11 @@ def _run_simulate_audio(m: RunManifest) -> str:
 
 
 def _run_process_radar(m: RunManifest) -> str:
+    from .ingest import capture_config, load_capture
+    from .pipeline import process_radar_cube
+    from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
+    from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
+
     stft_params = StftParams(**m.stft)
     # a window off the grid of the capture's frame rate fails on the header alone
     stft_params.samples(_read_input(capture_config, m.inputs["capture"], "capture").frame_rate_hz)
@@ -174,6 +183,10 @@ def _run_process_radar(m: RunManifest) -> str:
 
 
 def _run_process_audio(m: RunManifest) -> str:
+    from .audio_dsp import envelope_to_csv, load_wav
+    from .pipeline import process_audio
+    from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
+
     audio = _read_input(load_wav, m.inputs["wav"], "WAV")
     result = process_audio(
         audio,
@@ -190,6 +203,8 @@ def _run_process_audio(m: RunManifest) -> str:
 
 
 def _run_compare(m: RunManifest) -> str:
+    from .spectral import compare_rates, comparison_to_json, rate_series_from_csv
+
     series_a = _read_input(rate_series_from_csv, m.inputs["rates_a"], "rates")
     series_b = _read_input(rate_series_from_csv, m.inputs["rates_b"], "rates")
     summary = comparison_to_json(compare_rates(series_a, series_b))
@@ -273,6 +288,8 @@ def _band_flags(fn):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_simulate(scene_json, config_json, duration_s, seed, out_dir) -> RunManifest:
     """Generate a synthetic capture plus its ground-truth CSV."""
+    from .simulate import SceneSpec
+
     scene = SceneSpec.from_json_file(scene_json)
     if seed is not None:
         scene = dataclasses.replace(scene, seed=seed)
@@ -294,6 +311,8 @@ def cmd_simulate(scene_json, config_json, duration_s, seed, out_dir) -> RunManif
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
     """Generate a synthetic breath-sound WAV plus its ground-truth CSV."""
+    from .simulate import BreathAudioSpec
+
     spec = BreathAudioSpec.from_json_file(audio_json)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)

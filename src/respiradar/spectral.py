@@ -296,15 +296,25 @@ def compare_rates(
     )
 
 
+RATE_CSV_HEADER = "time_s,rate_bpm,magnitude"
+
+
 def rate_series_to_csv(series: RateSeries, path) -> None:
     table = np.column_stack([series.times_s, series.rates_bpm, series.magnitudes])
-    _write_csv_10g(path, "time_s,rate_bpm,magnitude", table)
+    _write_csv_10g(path, RATE_CSV_HEADER, table)
 
 
 def rate_series_from_csv(path) -> RateSeries:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    # the header is checked by name: another three-column CSV (a truth file
+    # has time_s,displacement_m,rate_bpm) would otherwise read as rates
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != RATE_CSV_HEADER:
+            raise ValueError(f"rate CSV must start with the header {RATE_CSV_HEADER}, "
+                             f"got {header[:80]!r}")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
     if table.shape[1] != 3:
-        raise ValueError("rate CSV must have columns time_s,rate_bpm,magnitude")
+        raise ValueError(f"rate CSV must have columns {RATE_CSV_HEADER}")
     return RateSeries(times_s=table[:, 0], rates_bpm=table[:, 1], magnitudes=table[:, 2])
 
 

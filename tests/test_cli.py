@@ -11,7 +11,7 @@ from conftest import breathing_scene
 from respiradar import ingest
 from respiradar.cli import main
 from respiradar.ingest import load_capture
-from respiradar.spectral import rate_series_from_csv
+from respiradar.spectral import RateSeries, rate_series_from_csv, rate_series_to_csv
 
 # PYTHONPATH for a fresh interpreter that runs this checkout's sources
 SRC_PATH = os.pathsep.join(
@@ -331,6 +331,21 @@ def test_compare_radar_vs_doubled_audio(runner, scene_json, tmp_path):
     assert summary["mae_bpm"] > 10.0
 
 
+def test_compare_rejects_a_file_without_the_rate_header(runner, scene_json, tmp_path):
+    # a truth CSV also has three columns; read as rates it compared as a
+    # 15 bpm error with exit 0
+    sim = tmp_path / "sim"
+    simulate(runner, scene_json, sim)
+    rates = tmp_path / "rates.csv"
+    rate_series_to_csv(RateSeries(np.arange(3.0), np.full(3, 15.0), np.ones(3)), rates)
+    result = runner.invoke(main, ["compare", str(rates), str(sim / "truth.csv")])
+    assert_input_error(result)
+    assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+        "error: rate CSV must start with the header time_s,rate_bpm,magnitude, "
+        "got 'time_s,displacement_m,rate_bpm'"
+    ]
+
+
 def test_process_audio_rejects_bad_wav(runner, tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a wav at all")
@@ -441,6 +456,63 @@ def test_import_loads_no_thread_pool():
     # imports it when it first maps batches
     code = "import sys, respiradar.cli\nprint(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     assert run_python(code, timeout=60).strip() == "[]"
+
+
+def test_help_and_usage_errors_load_no_numpy_or_dsp_module(tmp_path):
+    # --help and a flag error return before any runner, so they pay for
+    # neither numpy nor the DSP modules; compare needs spectral alone
+    rates = str(tmp_path / "rates.csv")
+    with open(rates, "w", encoding="utf-8") as fh:
+        fh.write("time_s,rate_bpm,magnitude\n0,15,1\n1,15,1\n")
+    runs = [["--help"], ["process-radar", "--help"], ["compare"], ["compare", rates, rates]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "HEAVY = ['numpy'] + ['respiradar.' + m for m in\n"
+        "    ('spectral', 'ingest', 'radar_dsp', 'audio_dsp', 'simulate', 'pipeline')]\n"
+        "def loaded():\n"
+        "    return [m for m in HEAVY if m in sys.modules]\n"
+        "import respiradar\n"
+        "print(json.dumps(loaded()))\n"
+        "import respiradar.cli\n"
+        "print(json.dumps(loaded()))\n"
+        f"for args in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            respiradar.cli.main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(json.dumps([code, loaded()]))\n"
+    )
+    lines = [json.loads(line) for line in run_python(code, timeout=120).splitlines()]
+    assert lines == [
+        [],  # import respiradar
+        [],  # import respiradar.cli
+        [0, []],  # --help
+        [0, []],  # process-radar --help
+        [2, []],  # compare without its arguments: a usage error
+        [0, ["numpy", "respiradar.spectral"]],
+    ]
+
+
+def test_namespace_resolves_every_public_name_lazily():
+    import importlib
+
+    import respiradar
+
+    for name in respiradar.__all__:
+        home = importlib.import_module(f"respiradar.{respiradar._HOME[name]}")
+        assert getattr(respiradar, name) is getattr(home, name), name
+        assert name in dir(respiradar)
+    star = {}
+    exec("from respiradar import *", star)
+    assert set(respiradar.__all__) <= set(star)
+    assert all(star[name] is getattr(respiradar, name) for name in respiradar.__all__)
+    assert not hasattr(respiradar, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        respiradar.no_such_name  # noqa: B018
+    from respiradar import cli
+
+    assert cli is sys.modules["respiradar.cli"]
 
 
 def simulate_at_frame_rate(runner, tmp_path, frame_rate_hz):
