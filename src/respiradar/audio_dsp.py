@@ -1,10 +1,14 @@
 """Microphone reference pipeline: decimation to the radar frame rate and
-extraction of a breathing envelope from the decimated amplitude."""
+extraction of a breathing envelope from the decimated amplitude.
+
+A recording is held as the headset delivers it, 16-bit PCM counts; the
+decimators read the counts they need and scale their output to full
+scale.
+"""
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import struct
 import wave
@@ -35,37 +39,27 @@ _WAVE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 class AudioTrace:
-    """Mono microphone samples at rate_hz, held in ``data``: float64 samples
-    in [-1, 1], or int16 PCM counts, each the sample times 32768.
+    """Mono microphone recording at rate_hz: ``data`` holds its int16 PCM
+    counts, each the sample times 32768; any other dtype is a ValueError.
 
-    Counts are kept as given, neither converted nor range-checked (every
-    count / 32768 lies in [-1, 1)), so a WAV's data chunk is read only where
-    a stage reads it.
+    The counts are kept as given, neither converted nor range-checked
+    (every count / 32768 lies in [-1, 1)), so a stage reads only the
+    samples it uses.
     """
 
     def __init__(self, samples: np.ndarray, rate_hz: int = AUDIO_RATE_HZ) -> None:
-        counts = _is_counts(samples)
-        data = samples if counts else np.asarray(samples, dtype=np.float64)
-        if data.ndim != 1:
+        if not (isinstance(samples, np.ndarray) and samples.dtype.type is np.int16):
+            got = getattr(samples, "dtype", type(samples).__name__)
+            raise ValueError(f"audio must be an array of int16 PCM counts, got {got}")
+        if samples.ndim != 1:
             raise ValueError("audio must be a mono 1-D array")
-        if not counts and data.size and np.maximum(data.max(), -data.min()) > 1.0 + 1e-9:
-            raise ValueError("audio samples exceed full scale")
-        self.data = data
+        self.data = samples
         self.rate_hz = rate_hz
 
     @property
     def samples(self) -> np.ndarray:
-        """The samples as float64 in [-1, 1]; a new array when data holds counts."""
-        return _full_scale(self.data)
-
-
-def _is_counts(x) -> bool:
-    return isinstance(x, np.ndarray) and x.dtype.type is np.int16
-
-
-def _full_scale(x: np.ndarray) -> np.ndarray:
-    """float64 samples of a block of AudioTrace.data (count / 32768 is exact)."""
-    return x / 32768.0 if _is_counts(x) else x
+        """The samples as float64 in [-1, 1), a new array."""
+        return self.data / 32768.0
 
 
 @dataclass
@@ -135,13 +129,12 @@ def _decimate_stage(x: np.ndarray, factor: int) -> np.ndarray:
     # y[n] = sum_j taps[j] * x[factor*n + 10*factor - j] for ceil(len(x)/factor) outputs, x read
     # as 0 outside: rows of `factor` samples meet the reversed taps' 21 phases, y[n] sums row n + a
     phases = np.r_[design_stage_taps(factor)[::-1], np.zeros(factor - 1)].reshape(21, factor)
-    scale = 1.0 / 32768 if _is_counts(x) else 1.0  # int16 counts are scaled as they are copied
     y = np.empty(-(-x.size // factor))
     for k0 in range(0, y.size, _STAGE_CHUNK):
         k1 = min(k0 + _STAGE_CHUNK, y.size)
         lo, hi = factor * (k0 - 10), factor * (k1 + 10)
         rows = np.zeros(hi - lo)
-        np.multiply(x[max(lo, 0) : hi], scale, out=rows[max(-lo, 0) : min(x.size, hi) - lo])
+        rows[max(-lo, 0) : min(x.size, hi) - lo] = x[max(lo, 0) : hi]
         p = rows.reshape(-1, factor) @ phases.T
         y[k0:k1] = sum(p[a : a + k1 - k0, a] for a in range(21))
     return y
@@ -157,7 +150,10 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
     for alias-free references, equal to ``resample_poly(x, 1, f)`` per stage.
 
     Only the kept outputs of the default FIR are computed, each from the
-    input samples around it, and only those samples are read and scaled.
+    input samples around it, and only those samples are read.  Both paths
+    filter the counts and scale the output by 1/32768, which gives the bits
+    of filtering the float samples: the filters are linear, and scaling by
+    a power of two commutes with every rounding.
     """
     if audio.rate_hz != AUDIO_RATE_HZ:
         raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.rate_hz}")
@@ -170,12 +166,12 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
     if multistage:
         for factor in MULTISTAGE_FACTORS:
             x = _decimate_stage(x, factor)
-        return x[:out_len]
+        return x[:out_len] / 32768.0
     taps = design_antialias_taps()
     delay = (len(taps) - 1) // 2
     # y[n] = sum_j taps[j] * x[n + delay - j] at the kept n; x reads 0 before its start
     idx = DECIMATION_FACTOR * np.arange(out_len)[:, None] + np.arange(delay, -delay - 1, -1)
-    return np.where(idx >= 0, _full_scale(x[np.maximum(idx, 0)]), 0.0) @ taps
+    return (np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0) @ taps) / 32768.0
 
 
 def envelope(series: np.ndarray, *, square: bool = False) -> EnvelopeTrace:
@@ -198,8 +194,8 @@ def load_wav(path) -> AudioTrace:
 
     The header may be plain PCM or WAVE_FORMAT_EXTENSIBLE with the PCM
     subformat; chunks other than ``fmt `` and ``data`` are skipped.  The
-    trace holds the data chunk as int16 counts, a read-only view of the
-    file mapped into memory, so samples are read only where they are used.
+    data chunk is read once into a read-only int16 array, which the trace
+    holds as its counts.
     """
     with open(path, "rb") as fh:
         riff = fh.read(12)
@@ -229,27 +225,23 @@ def load_wav(path) -> AudioTrace:
             raise UnsupportedWavError(f"expected mono audio, got {channels} channels")
         if rate != AUDIO_RATE_HZ:
             raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz, got {rate} Hz")
-        start = fh.tell()
-        present = min(size, os.fstat(fh.fileno()).st_size - start)
+        present = min(size, os.fstat(fh.fileno()).st_size - fh.tell())
+        if present == size and not size % 2:
+            counts = np.empty(size // 2, "<i2")
+            present = fh.readinto(counts)  # fewer only if the file shrank since fstat
         if present != size or size % 2:
             raise UnsupportedWavError(f"truncated WAV file: {present} bytes of samples, {size} declared")
-        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    return AudioTrace(np.frombuffer(view, dtype="<i2", count=size // 2, offset=start))
-
-
-_WAV_BLOCK = 1 << 18  # samples quantised at a time, 2 MB of float64
+    counts.flags.writeable = False
+    return AudioTrace(counts)
 
 
 def save_wav(path, trace: AudioTrace) -> None:
-    """Write the trace as 16-bit PCM, each sample rounded from sample * 32767."""
+    """Write the trace's counts as 16-bit PCM."""
     with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(int(trace.rate_hz))
-        for lo in range(0, trace.data.size, _WAV_BLOCK):
-            scaled = _full_scale(trace.data[lo : lo + _WAV_BLOCK]) * 32767.0
-            np.rint(scaled, out=scaled)
-            wav.writeframesraw(np.clip(scaled, -32768, 32767, out=scaled).astype("<i2"))
+        wav.writeframesraw(np.ascontiguousarray(trace.data, "<i2"))
 
 
 def envelope_to_csv(env: EnvelopeTrace, path) -> None:

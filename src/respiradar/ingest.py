@@ -11,10 +11,11 @@ Captures are stored in a small binary container: one ``_CAPTURE_HEADER``
 order, the f64 bandwidth, a u64 frame count), the raw sample stream, then
 one f64 timestamp per frame.
 
-A decoded capture or wire stream stays as the radar sent it: the cube
-holds rx 0's int16 I/Q counts as a read-only view of the stream, and each
-stage that needs complex samples converts one block of frames at a time
-(``complex_block``).
+A cube holds int16 I/Q counts only, as the radar sends them: a decoded
+capture or wire stream keeps rx 0's counts as a read-only view of the
+stream, and encoding writes a cube's counts as they are, so decoding and
+encoding are exact inverses.  Each stage that needs complex samples
+converts one block of frames at a time (``complex_block``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     TruncatedFrameError,
     UnsupportedVersionError,
 )
-from .spectral import _FRAME_BLOCK, _map_frame_blocks
 
 _DATAGRAM_HEADER = struct.Struct("<IIH")  # seq, then the u48 byte offset as lo32, hi16
 DATAGRAM_HEADER_BYTES = _DATAGRAM_HEADER.size
@@ -168,11 +168,10 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
 class RadarCube:
     """Raw capture of rx channel 0, indexed [frame][chirp][sample].
 
-    ``data`` holds what the cube was given: complex128 samples (the
-    simulator's, or any array that converts to complex), or the int16 I/Q
-    counts of a decoded stream as an IQ_COUNTS array, kept as they are.
-    ``samples`` is the cube as complex128 either way; the radar stages read
-    ``data`` one block of frames at a time through ``complex_block``.
+    ``data`` holds the int16 I/Q counts as an IQ_COUNTS array, kept as
+    given; any other dtype is a ValueError.  ``samples`` is the cube as
+    complex128; the radar stages read ``data`` one block of frames at a
+    time through ``complex_block``.
     """
 
     config: RadarConfig
@@ -180,8 +179,9 @@ class RadarCube:
     frame_timestamps: np.ndarray
 
     def __post_init__(self) -> None:
-        if not _is_counts(self.data):
-            self.data = np.asarray(self.data, dtype=np.complex128)
+        if not (isinstance(self.data, np.ndarray) and self.data.dtype == IQ_COUNTS):
+            got = getattr(self.data, "dtype", type(self.data).__name__)
+            raise ValueError(f"cube data must be an array of int16 I/Q counts, got {got}")
         self.frame_timestamps = np.asarray(self.frame_timestamps, dtype=np.float64)
         expected = (
             self.data.shape[0],
@@ -206,14 +206,8 @@ class RadarCube:
 
     @property
     def samples(self) -> np.ndarray:
-        """The cube as complex128; a new array when data holds counts."""
-        if not _is_counts(self.data):
-            return self.data
+        """The cube as complex128, a new array."""
         return _counts_to_complex(self.data, np.empty(self.data.shape, np.complex128))
-
-
-def _is_counts(x) -> bool:
-    return isinstance(x, np.ndarray) and x.dtype == IQ_COUNTS
 
 
 def _counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -222,16 +216,13 @@ def _counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_block(block: np.ndarray, scratch: threading.local,
-                  rows: int = _FRAME_BLOCK) -> np.ndarray:
+def complex_block(block: np.ndarray, scratch: threading.local, rows: int) -> np.ndarray:
     """A block of at most `rows` frames of RadarCube.data as complex128.
 
-    Complex data is returned as it is.  Counts are converted into this
-    thread's ``scratch.iq``, which the thread's later blocks reuse, so a
-    stage that reads a whole cube of counts never holds it converted.
+    The counts are converted into this thread's ``scratch.iq``, which the
+    thread's later blocks reuse, so a stage that reads a whole cube never
+    holds it converted.
     """
-    if not _is_counts(block):
-        return block
     if not hasattr(scratch, "iq"):
         scratch.iq = np.empty((rows,) + block.shape[1:], np.complex128)
     return _counts_to_complex(block, scratch.iq[: len(block)])
@@ -281,70 +272,16 @@ def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube
     return RadarCube(config=config, data=counts, frame_timestamps=frame_timestamps)
 
 
-def default_full_scale(cube: RadarCube) -> float:
-    """Quantiser full-scale: 4x the peak I/Q component, for noise headroom.
-
-    The peak is the largest of the per-block peaks, which is exact in any
-    order; a NaN component makes it NaN, as a whole-array max does.
-    """
-    if cube.data.size == 0:
-        return 1.0
-    # per block: max and -min of the real parts, then of the imaginary parts
-    peaks = np.empty((-(-cube.n_frames // _FRAME_BLOCK), 4))
-    scratch = threading.local()
-
-    def block_peaks(frames: slice) -> None:
-        block = complex_block(cube.data[frames], scratch)
-        peaks[frames.start // _FRAME_BLOCK] = (
-            block.real.max(), -block.real.min(), block.imag.max(), -block.imag.min()
-        )
-
-    _map_frame_blocks(block_peaks, cube.n_frames)
-    peak = max(float(peaks[:, :2].max()), float(peaks[:, 2:].max()))
-    return 4.0 * peak if peak > 0 else 1.0
-
-
-def quantize_cube(cube: RadarCube) -> RadarCube:
-    """The cube as it survives int16 encoding: its I/Q counts.
-
-    Each block of frames is scaled, rounded and clipped in a per-thread
-    block and written straight into the IQ_COUNTS output.
-    """
-    scale = 32767.0 / default_full_scale(cube)
-    counts = np.empty(cube.data.shape, IQ_COUNTS)
-    scratch = threading.local()
-
-    def quantize(frames: slice) -> None:
-        block = complex_block(cube.data[frames], scratch)
-        if not hasattr(scratch, "scaled"):
-            scratch.scaled = np.empty((_FRAME_BLOCK,) + block.shape[1:])
-        scaled = scratch.scaled[: len(block)]
-        for part, field in ((block.real, "i"), (block.imag, "q")):
-            np.multiply(part, scale, out=scaled)
-            np.rint(scaled, out=scaled)
-            np.clip(scaled, -32768, 32767, out=scaled)
-            counts[field][frames] = scaled
-
-    _map_frame_blocks(quantize, cube.n_frames)
-    return RadarCube(
-        config=cube.config, data=counts, frame_timestamps=cube.frame_timestamps.copy()
-    )
-
-
-def _single_channel_counts(cube: RadarCube) -> np.ndarray:
+def encode_cube(cube: RadarCube) -> bytes:
+    """The raw int16 I/Q stream of a single-channel cube: its counts as they are."""
     if cube.config.rx_channels != 1:
         raise ValueError("only single-channel cubes can be encoded")
-    return quantize_cube(cube).data
-
-
-def encode_cube(cube: RadarCube) -> bytes:
-    """Serialise a single-channel cube to the raw int16 I/Q stream."""
-    return _single_channel_counts(cube).tobytes()
+    return cube.data.tobytes()
 
 
 def write_capture(cube: RadarCube, path) -> None:
-    """Write the capture container for a cube (quantising to int16)."""
-    payload = _single_channel_counts(cube)
+    """Write the capture container for a single-channel cube."""
+    payload = encode_cube(cube)
     cfg = cube.config
     header = _CAPTURE_HEADER.pack(
         CAPTURE_MAGIC, CAPTURE_VERSION, *astuple(cfg), cfg.bandwidth_hz, cube.n_frames

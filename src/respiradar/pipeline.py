@@ -1,28 +1,20 @@
-"""End-to-end processing chains shared by the CLI and the test suite."""
+"""End-to-end processing chains shared by the CLI and the test suite.
+
+Each chain imports its DSP modules when it runs, so a radar run loads no
+audio_dsp and an audio run neither ingest nor radar_dsp.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .audio_dsp import FRAME_RATE_HZ, AudioTrace, EnvelopeTrace, decimate_to_frame_rate, envelope
-from .ingest import RadarCube
-from .radar_dsp import (
-    PhaseTrace,
-    RangeTimeMap,
-    clutter_remove,
-    detrend_linear,
-    extract_unwrapped_phase,
-    range_fft,
-    select_target_bin,
-)
-from .spectral import (
-    DEFAULT_BAND_BPM,
-    RateSeries,
-    Spectrogram,
-    StftParams,
-    extract_rate,
-    stft,
-)
+from .spectral import DEFAULT_BAND_BPM, RateSeries, Spectrogram, StftParams, extract_rate, stft
+
+if TYPE_CHECKING:
+    from .audio_dsp import AudioTrace, EnvelopeTrace
+    from .ingest import RadarCube
+    from .radar_dsp import PhaseTrace, RangeTimeMap
 
 VARIANTS = ("A", "B")
 
@@ -53,6 +45,9 @@ def process_radar_cube(
     before the STFT; variant B hands the complex slow-time series to the
     STFT directly.  The STFT runs at the cube's frame rate.
     """
+    from .radar_dsp import (clutter_remove, detrend_linear, extract_unwrapped_phase, range_fft,
+                            select_target_bin)
+
     variant = variant.upper()
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -100,6 +95,8 @@ def process_audio(
 
     The STFT runs at the envelope's rate.
     """
+    from .audio_dsp import FRAME_RATE_HZ, decimate_to_frame_rate, envelope
+
     stft_params = stft_params or StftParams()
     stft_params.samples(FRAME_RATE_HZ)  # a bad window fails before the audio is read
     env = envelope(decimate_to_frame_rate(audio, multistage=multistage), square=square)

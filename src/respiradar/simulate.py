@@ -2,7 +2,9 @@
 
 Scenes are declarative (targets with chest motion, static reflectors, an
 SNR and a seed) and fully deterministic under their seed, so simulated
-captures serve as ground truth for the processing chain.
+captures serve as ground truth for the processing chain.  Like the radar
+and the headset, the simulators deliver integer counts: int16 I/Q pairs
+and 16-bit PCM, quantised here and nowhere else.
 """
 
 from __future__ import annotations
@@ -10,19 +12,22 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio_dsp import AUDIO_RATE_HZ, AudioTrace
 from .config import SPEED_OF_LIGHT_M_S, RadarConfig
 from .errors import DurationTooShortError
-from .ingest import Datagram, RadarCube, encode_cube, stream_to_datagrams
 from .spectral import _FRAME_BLOCK, _map_frame_blocks, cosine_window
+
+if TYPE_CHECKING:  # imported where used: `simulate` needs no audio_dsp, `simulate-audio` no ingest
+    from .audio_dsp import AudioTrace
+    from .ingest import Datagram, RadarCube
 
 DEFAULT_CHAMBER_EXTENT_M = 6.0
 
 _BURST_BAND_HZ = (200.0, 2000.0)
-_NOISE_BLOCK = 1 << 18  # background-noise samples drawn at a time, 2 MB of float64
+_AUDIO_BLOCK = 1 << 18  # samples summed, drawn and quantised at a time, 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,9 @@ def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
     return d
 
 
-def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> RadarCube:
-    """Simulate the beat-signal cube for a scene.
+def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> np.ndarray:
+    """The complex128 beat signal of a scene, [frame][chirp][sample], as
+    synth_cube quantises it.
 
     Each scatterer at instantaneous range R contributes a fast-time tone at
     the beat frequency 2 * slope * R / c with slow-time phase 4*pi*R/lambda.
@@ -226,13 +232,54 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
             block.imag += noise[1][frames]
 
     _map_frame_blocks(synth, n_frames)
-    return RadarCube(config=config, data=data, frame_timestamps=frame_times)
+    return data
+
+
+def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> RadarCube:
+    """Simulate the cube a radar delivers for a scene: beat_signal's samples
+    as int16 I/Q counts.
+
+    Full scale is 4x the peak I/Q component, for noise headroom; each
+    component is scaled, rounded and clipped, one block of frames at a
+    time on the worker pool.
+    """
+    from .ingest import IQ_COUNTS, RadarCube
+
+    data = beat_signal(scene, config, duration_s)
+    parts = data.view(np.float64)  # I, Q, I, Q, ... along each chirp
+    peaks = np.empty(-(-len(parts) // _FRAME_BLOCK))
+
+    def block_peak(frames: slice) -> None:
+        block = parts[frames]
+        peaks[frames.start // _FRAME_BLOCK] = max(block.max(), -block.min())
+
+    _map_frame_blocks(block_peak, len(parts))
+    peak = float(peaks.max())
+    scale = 32767.0 / (4.0 * peak if peak > 0 else 1.0)
+    counts = np.empty(data.shape, IQ_COUNTS)
+    out = counts.view("<i2")
+    scratch = threading.local()
+
+    def quantize(frames: slice) -> None:
+        block = parts[frames]
+        if not hasattr(scratch, "scaled"):
+            scratch.scaled = np.empty((_FRAME_BLOCK,) + parts.shape[1:])
+        scaled = scratch.scaled[: len(block)]
+        np.multiply(block, scale, out=scaled)
+        np.rint(scaled, out=scaled)
+        out[frames] = np.clip(scaled, -32768, 32767, out=scaled)
+
+    _map_frame_blocks(quantize, len(parts))
+    return RadarCube(config=config, data=counts,
+                     frame_timestamps=np.arange(len(counts)) / config.frame_rate_hz)
 
 
 def _burst_filter(burst_len: int):
     """scipy's order-4 Butterworth ``butter`` + ``sosfilt`` over _BURST_BAND_HZ for bursts
     of burst_len samples: the analog prototype at the bilinear transform's prewarped
     frequencies, applied as a zero-padded FFT product."""
+    from .audio_dsp import AUDIO_RATE_HZ
+
     n = burst_len + int(0.1 * AUDIO_RATE_HZ)  # impulse response < 1e-16 of peak after 3,850 samples
     s = 2j * AUDIO_RATE_HZ * np.tan(np.pi * np.arange(n // 2 + 1) / n)[:, None]
     w1, w2 = 2 * AUDIO_RATE_HZ * np.tan(np.pi * np.array(_BURST_BAND_HZ) / AUDIO_RATE_HZ)
@@ -244,22 +291,28 @@ def _burst_filter(burst_len: int):
 
 
 def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
-    """Simulate a headset recording of breath sounds.
+    """Simulate a headset recording of breath sounds as 16-bit PCM counts.
 
     Exhalations are band-limited (200-2000 Hz) noise bursts spaced one
     breath period apart; in both-sounds mode inhalation bursts of equal
     amplitude sit midway between them, which doubles the dominant acoustic
     rate.  White background noise is added at noise_db relative to the
-    burst amplitude.  Deterministic under the spec seed.
+    burst amplitude.  Each sample is clipped to [-1, 1] and rounded from
+    sample * 32767.  Deterministic under the spec seed.
+
+    Every burst is drawn first, then the recording is summed, noise drawn
+    and quantised one block at a time, so no float copy of it is held.
     """
+    from .audio_dsp import AUDIO_RATE_HZ, AudioTrace
+
     period_s = 60.0 / spec.resp_rate_bpm
     if duration_s < period_s:
         raise DurationTooShortError("duration covers less than one breath period")
 
     n = int(round(duration_s * AUDIO_RATE_HZ))
-    x = np.zeros(n)
     rng = np.random.default_rng(spec.seed)
 
+    bursts = []  # (first sample, samples), in time order: both starts and ends ascend
     burst_len = int(round(spec.burst_duration_s * AUDIO_RATE_HZ))
     if burst_len >= 1 and spec.burst_amplitude > 0:
         band_pass = _burst_filter(burst_len)
@@ -282,20 +335,38 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
             stop = min(start + burst_len, n)
             if start < 0 or stop <= start:
                 continue
-            x[start:stop] += spec.burst_amplitude * (burst_window * shaped)[: stop - start]
+            bursts.append((start, spec.burst_amplitude * (burst_window * shaped)[: stop - start]))
 
+    background_std = 0.0
     if spec.noise_db is not None:
         background_std = spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0)
+    counts = np.empty(n, np.int16)
+    x = np.empty(min(n, _AUDIO_BLOCK))
+    first = 0  # the first burst that ends inside or after the current block
+    for lo in range(0, n, _AUDIO_BLOCK):
+        hi = min(lo + _AUDIO_BLOCK, n)
+        block = x[: hi - lo]
+        block[...] = 0
+        while first < len(bursts) and bursts[first][0] + len(bursts[first][1]) <= lo:
+            first += 1
+        for start, burst in bursts[first:]:
+            if start >= hi:
+                break
+            a = max(start, lo)
+            block[a - lo : start + len(burst) - lo] += burst[a - start : hi - start]
         if background_std > 0:
-            # drawn in blocks: the same numbers as one draw of n, without an n-sample temporary
-            for lo in range(0, n, _NOISE_BLOCK):
-                x[lo : lo + _NOISE_BLOCK] += rng.normal(scale=background_std, size=min(_NOISE_BLOCK, n - lo))
-
-    return AudioTrace(samples=np.clip(x, -1.0, 1.0, out=x))
+            # the same numbers as one draw of n after the bursts
+            block += rng.normal(scale=background_std, size=hi - lo)
+        np.clip(block, -1.0, 1.0, out=block)
+        block *= 32767.0
+        counts[lo:hi] = np.rint(block, out=block)
+    return AudioTrace(counts)
 
 
 def datagram_stream(cube: RadarCube) -> list[Datagram]:
     """The cube's raw sample stream chunked into wire datagrams."""
+    from .ingest import encode_cube, stream_to_datagrams
+
     return stream_to_datagrams(encode_cube(cube))
 
 

@@ -38,6 +38,19 @@ def static_scene(ranges_and_refl, snr_db=None, seed=0):
     return SceneSpec(static_reflectors=tuple(ranges_and_refl), snr_db=snr_db, seed=seed)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_iq_counts(shape, seed=0) -> np.ndarray:
+    """Uniform int16 I/Q counts of the given [frame][chirp][sample] shape,
+    as a RadarCube holds them."""
+    from respiradar.ingest import IQ_COUNTS
+
+    values = np.random.default_rng(seed).integers(-32768, 32768, tuple(shape) + (2,), dtype=np.int16)
+    return values.view(IQ_COUNTS)[..., 0]
+
+
 def sine_amplitude(x: np.ndarray) -> float:
     """Amplitude of a zero-mean sinusoid-like trace (sqrt(2) * RMS)."""
     x = np.asarray(x, dtype=np.float64)

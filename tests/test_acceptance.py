@@ -28,7 +28,7 @@ from respiradar import (
     synth_cube,
 )
 from respiradar.errors import DatagramTooShortError, PayloadTooLargeError
-from respiradar.ingest import quantize_cube, stream_to_datagrams
+from respiradar.ingest import stream_to_datagrams
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
 from respiradar.spectral import StftParams, stft
 
@@ -189,7 +189,7 @@ def test_criterion_7_ingest_robustness(config):
     wire = encode_cube(cube)
     rebuilt, _ = reassemble(datagram_stream(cube))
     assert rebuilt == wire
-    assert np.array_equal(decode_cube(rebuilt, config).samples, quantize_cube(cube).samples)
+    assert decode_cube(rebuilt, config).data.tobytes() == cube.data.tobytes()
     report(7, "10k-datagram fuzz clean; 1% loss accounted exactly; round trips bit-identical")
 
 

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,10 +26,16 @@ from respiradar.audio_dsp import (
     design_antialias_taps,
     design_envelope_taps,
     design_stage_taps,
+    _decimate_stage,
 )
 from respiradar.errors import AudioTooShortError, UnsupportedWavError
 from respiradar.pipeline import process_audio
 from respiradar.spectral import StftParams, extract_rate, stft
+
+
+def pcm(x) -> AudioTrace:
+    """A trace of float samples in [-1, 1] as 16-bit PCM, rounded from sample * 32767."""
+    return AudioTrace(np.rint(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16))
 
 
 def fit_sine_amplitude(x, freq_hz, rate_hz):
@@ -41,7 +50,7 @@ def fit_sine_amplitude(x, freq_hz, rate_hz):
 
 def test_decimate_zero_audio_length():
     n = 5 * DECIMATION_FACTOR + 123
-    out = decimate_to_frame_rate(AudioTrace(np.zeros(n)))
+    out = decimate_to_frame_rate(AudioTrace(np.zeros(n, np.int16)))
     assert out.shape == (5,)
     assert np.all(out == 0)
 
@@ -51,8 +60,13 @@ def test_decimate_zero_audio_length():
     "n", [21, DECIMATION_FACTOR, 44100, 100_000, 7 * DECIMATION_FACTOR - 1, 400_000]
 )
 def test_decimate_output_length_is_floor(n):
-    audio = AudioTrace(np.clip(0.3 * np.random.default_rng(n).standard_normal(n), -1, 1))
-    assert decimate_to_frame_rate(audio).size == n // DECIMATION_FACTOR
+    audio = pcm(0.3 * np.random.default_rng(n).standard_normal(n))
+    out = decimate_to_frame_rate(audio)
+    assert out.size == n // DECIMATION_FACTOR
+    # the default path is the order-20 FIR of the samples at every 2205th one, to rounding
+    taps = design_antialias_taps()
+    full = np.convolve(audio.samples, taps)[10 : 10 + n : DECIMATION_FACTOR][: n // DECIMATION_FACTOR]
+    np.testing.assert_allclose(out, full, rtol=0, atol=1e-13 * np.abs(full).max(initial=0))
     # the multistage chain is resample_poly(., 1, f) at each stage, to rounding
     reference = audio.samples
     for factor in MULTISTAGE_FACTORS:
@@ -65,12 +79,14 @@ def test_decimate_output_length_is_floor(n):
 
 
 def test_decimate_too_short():
-    with pytest.raises(AudioTooShortError):
-        decimate_to_frame_rate(AudioTrace(np.zeros(20)))
+    for multistage in (False, True):
+        with pytest.raises(AudioTooShortError, match="at least 21 samples, got 20"):
+            decimate_to_frame_rate(AudioTrace(np.zeros(20, np.int16)), multistage=multistage)
+        assert decimate_to_frame_rate(AudioTrace(np.zeros(21, np.int16)), multistage=multistage).size == 0
 
 
 def test_decimate_dc_gain():
-    out = decimate_to_frame_rate(AudioTrace(np.full(10 * DECIMATION_FACTOR, 0.5)))
+    out = decimate_to_frame_rate(AudioTrace(np.full(10 * DECIMATION_FACTOR, 16384, np.int16)))
     assert np.allclose(out[1:-1], 0.5, atol=1e-6)
 
 
@@ -78,7 +94,7 @@ def test_decimate_dc_gain():
 def test_decimate_passband_sinusoid_against_resampled_oracle(multistage):
     duration = 20.0
     t_in = np.arange(int(duration * AUDIO_RATE_HZ)) / AUDIO_RATE_HZ
-    audio = AudioTrace(0.9 * np.sin(2 * np.pi * 0.25 * t_in))
+    audio = pcm(0.9 * np.sin(2 * np.pi * 0.25 * t_in))
     out = decimate_to_frame_rate(audio, multistage=multistage)
 
     t_out = np.arange(out.size) / 20.0
@@ -102,9 +118,18 @@ def pcm_counts(n, seed):
 @pytest.mark.parametrize("n", [21, 22, DECIMATION_FACTOR - 1, DECIMATION_FACTOR, DECIMATION_FACTOR + 1,
                                6 * DECIMATION_FACTOR - 1, 6 * DECIMATION_FACTOR, 400_001])
 def test_int16_counts_decimate_bit_identically_to_their_floats(n, multistage):
+    # the decimators filter the counts and scale the output; filtering the
+    # float samples count / 32768 through the same filters gives the same bits
     counts = pcm_counts(n, n)
     from_counts = decimate_to_frame_rate(AudioTrace(counts), multistage=multistage)
-    from_floats = decimate_to_frame_rate(AudioTrace(counts / 32768.0), multistage=multistage)
+    floats = counts / 32768.0
+    if multistage:
+        for factor in MULTISTAGE_FACTORS:
+            floats = _decimate_stage(floats, factor)
+        from_floats = floats[: n // DECIMATION_FACTOR]
+    else:
+        idx = DECIMATION_FACTOR * np.arange(n // DECIMATION_FACTOR)[:, None] + np.arange(10, -11, -1)
+        from_floats = np.where(idx >= 0, floats[np.maximum(idx, 0)], 0.0) @ design_antialias_taps()
     assert from_counts.dtype == from_floats.dtype == np.float64
     assert from_counts.tobytes() == from_floats.tobytes()
 
@@ -134,16 +159,18 @@ def test_audio_trace_keeps_int16_counts_unconverted_and_unscanned():
     assert trace.samples.min() == -1.0
 
 
-def test_audio_trace_checks_float_full_scale():
-    with pytest.raises(ValueError, match="full scale"):
-        AudioTrace(np.array([0.0, 1.5]))
+def test_audio_trace_takes_only_mono_int16_counts():
+    for samples in (np.array([0.0, 0.5]), np.array([0.0, 1.5]), np.zeros(4, np.int32),
+                    np.zeros(4, np.complex128), [0, 1]):
+        with pytest.raises(ValueError, match="int16 PCM counts"):
+            AudioTrace(samples)
     with pytest.raises(ValueError, match="mono"):
         AudioTrace(np.zeros((2, 2), dtype=np.int16))
 
 
 def test_multistage_rejects_aliases_where_default_leaks():
     t = np.arange(20 * AUDIO_RATE_HZ) / AUDIO_RATE_HZ
-    tone = AudioTrace(0.5 * np.sin(2 * np.pi * 1502.3 * t))
+    tone = pcm(0.5 * np.sin(2 * np.pi * 1502.3 * t))
     leaked = decimate_to_frame_rate(tone)
     clean = decimate_to_frame_rate(tone, multistage=True)
     assert np.std(clean[40:-40]) < 0.05 * np.std(leaked[40:-40])
@@ -223,7 +250,7 @@ def test_full_chain_burst_alignment_at_audio_rate():
     audio[centre - burst_len // 2 : centre + burst_len // 2] = 0.5 * get_window(
         "hann", burst_len, fftbins=False
     )
-    env = envelope(decimate_to_frame_rate(AudioTrace(audio)))
+    env = envelope(decimate_to_frame_rate(pcm(audio)))
     assert abs(int(np.argmax(env.samples)) - 200) <= 2
 
 
@@ -240,20 +267,23 @@ def test_breath_audio_envelope_rate(config):
 
 
 def test_wav_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    trace = AudioTrace(np.clip(0.3 * rng.standard_normal(44100), -1, 1))
+    trace = AudioTrace(pcm_counts(44100, 1))
     path = tmp_path / "x.wav"
     save_wav(path, trace)
     loaded = load_wav(path)
     assert loaded.rate_hz == 44100
-    assert np.max(np.abs(loaded.samples - trace.samples)) < 1e-4
+    np.testing.assert_array_equal(loaded.data, trace.data)
 
     # byte-identical to scipy's writer, and reads back what scipy reads
     reference = tmp_path / "ref.wav"
-    quantized = np.clip(np.rint(trace.samples * 32767.0), -32768, 32767).astype(np.int16)
-    wavfile.write(reference, 44100, quantized)
+    wavfile.write(reference, 44100, trace.data)
     assert path.read_bytes() == reference.read_bytes()
     np.testing.assert_array_equal(load_wav(reference).samples, wavfile.read(reference)[1] / 32768.0)
+
+    # a loaded WAV saves back byte for byte
+    again = tmp_path / "again.wav"
+    save_wav(again, load_wav(reference))
+    assert again.read_bytes() == reference.read_bytes()
 
 
 def test_wav_rejects_wrong_rate(tmp_path):
@@ -383,7 +413,33 @@ def test_synth_and_save_peak_near_one_float_copy(tmp_path):
 @pytest.mark.parametrize("cut", [0, 20, 44 + 100])  # not RIFF; inside the header; inside the data
 def test_wav_rejects_unreadable(tmp_path, cut):
     path = tmp_path / "cut.wav"
-    save_wav(path, AudioTrace(np.zeros(1000)))
+    save_wav(path, AudioTrace(np.zeros(1000, np.int16)))
     path.write_bytes(path.read_bytes()[:cut] if cut else b"not a wav at all, just some bytes")
     with pytest.raises(UnsupportedWavError):
         load_wav(path)
+
+
+def test_a_wav_truncated_while_its_trace_is_in_use_still_decimates(tmp_path):
+    # in a fresh interpreter, so that a crash (SIGBUS, had the trace mapped
+    # the file) fails this test alone: the trace holds its counts, so cutting
+    # the file after load_wav leaves the decimated outputs as they were
+    path = tmp_path / "cut-later.wav"
+    wavfile.write(path, AUDIO_RATE_HZ, pcm_counts(70 * AUDIO_RATE_HZ, 9))
+    code = (
+        "import sys\n"
+        "from respiradar.audio_dsp import decimate_to_frame_rate, load_wav\n"
+        "trace = load_wav(sys.argv[1])\n"
+        "before = [decimate_to_frame_rate(trace, multistage=m) for m in (False, True)]\n"
+        "with open(sys.argv[1], 'r+b') as fh:\n"
+        "    fh.truncate(44)\n"
+        "for want, multistage in zip(before, (False, True)):\n"
+        "    got = decimate_to_frame_rate(trace, multistage=multistage)\n"
+        "    print(got.size, got.tobytes() == want.tobytes())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1400", "True", "1400", "True"]
+    assert path.stat().st_size == 44

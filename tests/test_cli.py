@@ -458,13 +458,11 @@ def test_import_loads_no_thread_pool():
     assert run_python(code, timeout=60).strip() == "[]"
 
 
-def test_help_and_usage_errors_load_no_numpy_or_dsp_module(tmp_path):
-    # --help and a flag error return before any runner, so they pay for
-    # neither numpy nor the DSP modules; compare needs spectral alone
-    rates = str(tmp_path / "rates.csv")
-    with open(rates, "w", encoding="utf-8") as fh:
-        fh.write("time_s,rate_bpm,magnitude\n0,15,1\n1,15,1\n")
-    runs = [["--help"], ["process-radar", "--help"], ["compare"], ["compare", rates, rates]]
+def modules_loaded_by(runs):
+    """[exit code, numpy and the respiradar DSP modules loaded so far] after
+    each CLI run in `runs`, all in one fresh interpreter; the first two
+    entries are the modules loaded by `import respiradar` and by
+    `import respiradar.cli`."""
     code = (
         "import contextlib, io, json, sys\n"
         "HEAVY = ['numpy'] + ['respiradar.' + m for m in\n"
@@ -483,8 +481,17 @@ def test_help_and_usage_errors_load_no_numpy_or_dsp_module(tmp_path):
         "            code = exc.code\n"
         "    print(json.dumps([code, loaded()]))\n"
     )
-    lines = [json.loads(line) for line in run_python(code, timeout=120).splitlines()]
-    assert lines == [
+    return [json.loads(line) for line in run_python(code, timeout=120).splitlines()]
+
+
+def test_help_and_usage_errors_load_no_numpy_or_dsp_module(tmp_path):
+    # --help and a flag error return before any runner, so they pay for
+    # neither numpy nor the DSP modules; compare needs spectral alone
+    rates = str(tmp_path / "rates.csv")
+    with open(rates, "w", encoding="utf-8") as fh:
+        fh.write("time_s,rate_bpm,magnitude\n0,15,1\n1,15,1\n")
+    runs = [["--help"], ["process-radar", "--help"], ["compare"], ["compare", rates, rates]]
+    assert modules_loaded_by(runs) == [
         [],  # import respiradar
         [],  # import respiradar.cli
         [0, []],  # --help
@@ -492,6 +499,26 @@ def test_help_and_usage_errors_load_no_numpy_or_dsp_module(tmp_path):
         [2, []],  # compare without its arguments: a usage error
         [0, ["numpy", "respiradar.spectral"]],
     ]
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("simulate", ["ingest", "simulate"]),
+    ("simulate-audio", ["audio_dsp", "simulate"]),
+    ("process-radar", ["ingest", "radar_dsp", "pipeline"]),
+    ("process-audio", ["audio_dsp", "pipeline"]),
+], ids=["simulate", "simulate-audio", "process-radar", "process-audio"])
+def test_each_command_loads_only_the_modules_it_runs(recordings, scene_json, audio_json, tmp_path,
+                                                     command, modules):
+    # a radar run loads no audio_dsp, an audio run neither ingest nor radar_dsp
+    inputs = {"simulate": [str(scene_json), "--duration", "5"],
+              "simulate-audio": [str(audio_json), "--duration", "5"],
+              "process-radar": [str(recordings["process-radar"])],
+              "process-audio": [str(recordings["process-audio"])]}
+    args = [command, *inputs[command], "--out", str(tmp_path / "out")]
+    expected = ["numpy", "respiradar.spectral"] + [
+        f"respiradar.{m}" for m in ("ingest", "radar_dsp", "audio_dsp", "simulate", "pipeline") if m in modules
+    ]
+    assert modules_loaded_by([args])[-1] == [0, expected]
 
 
 def test_namespace_resolves_every_public_name_lazily():

@@ -1,14 +1,13 @@
-"""The radar stages that run in frame blocks on the worker pool (simulate,
-quantise and encode, range FFT) give the same bits as one whole-array
-pass, at any worker count and on either side of a block boundary, whether
-the cube holds complex samples or a decoded stream's int16 counts."""
+"""The radar stages that run in frame blocks on the worker pool (simulate
+and quantise, decode, range FFT) give the same bits as one whole-array
+pass, at any worker count and on either side of a block boundary."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import breathing_scene
+from conftest import breathing_scene, random_iq_counts, same_bits
 from respiradar import RadarCube, RadarConfig, decode_cube, encode_cube, range_fft, synth_cube
 from respiradar import spectral
 from respiradar.config import SPEED_OF_LIGHT_M_S
@@ -16,10 +15,6 @@ from respiradar.simulate import chest_displacement
 from respiradar.spectral import cosine_window
 
 FRAME_COUNTS = [1, spectral._FRAME_BLOCK - 1, spectral._FRAME_BLOCK, spectral._FRAME_BLOCK + 1]
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def synth_reference(scene, config, n_frames):
@@ -48,11 +43,12 @@ def synth_reference(scene, config, n_frames):
     return data
 
 
-def range_fft_reference(cube):
-    n = cube.config.samples_per_chirp
+def range_fft_reference(samples):
+    """The range FFT of complex samples [frame][chirp][sample] in one pass."""
+    n = samples.shape[-1]
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    return np.fft.fft(cube.samples.mean(axis=1) * window, axis=1) * centre_ref
+    return np.fft.fft(samples.mean(axis=1) * window, axis=1) * centre_ref
 
 
 def decode_reference(stream, config, n_frames):
@@ -103,7 +99,8 @@ def test_synth_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_threa
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = short_config(chirps)
     cube = synth_cube(SCENES[scene], config, n_frames / config.frame_rate_hz)
-    assert same_bits(cube.data, synth_reference(SCENES[scene], config, n_frames))
+    assert cube.data.shape == (n_frames, chirps, config.samples_per_chirp)
+    assert cube.data.tobytes() == encode_reference(synth_reference(SCENES[scene], config, n_frames))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -113,12 +110,10 @@ def test_range_fft_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thread
                                                         workers, chirps, n_frames):
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = short_config(chirps)
-    rng = np.random.default_rng(n_frames + chirps)
-    shape = (n_frames, chirps, config.samples_per_chirp)
     # three chirps make the mean divide by 3, which is not exact
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    data = random_iq_counts((n_frames, chirps, config.samples_per_chirp), seed=n_frames + chirps)
     cube = RadarCube(config=config, data=data, frame_timestamps=np.arange(n_frames) / 20.0)
-    assert same_bits(range_fft(cube).values, range_fft_reference(cube))
+    assert same_bits(range_fft(cube).values, range_fft_reference(cube.samples))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -144,11 +139,8 @@ def test_range_fft_of_decoded_counts_matches_the_complex_cube(monkeypatch, fast_
     config = dataclasses.replace(short_config(chirps), rx_channels=rx)
     stream = random_stream(config, n_frames, seed=n_frames + chirps + rx)
     counts = decode_cube(stream, config)
-    stamps = np.arange(n_frames) / config.frame_rate_hz
-    complex_cube = RadarCube(config=config, data=decode_reference(stream, config, n_frames),
-                             frame_timestamps=stamps)
-    assert same_bits(range_fft(counts).values, range_fft(complex_cube).values)
-    assert same_bits(range_fft(counts).values, range_fft_reference(complex_cube))
+    assert same_bits(range_fft(counts).values,
+                     range_fft_reference(decode_reference(stream, config, n_frames)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -158,10 +150,8 @@ def test_encode_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thre
                                                           workers, chirps, n_frames):
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = short_config(chirps)
-    cube = synth_cube(SCENES["noisy"], config, n_frames / config.frame_rate_hz)
-    stream = encode_cube(cube)
-    assert stream == encode_reference(cube.data)
-    # a decoded cube encodes as its complex samples do: rescaled to 4x its peak
-    decoded = decode_cube(stream, config)
-    assert encode_cube(decoded) == encode_reference(decode_reference(stream, config, n_frames))
+    stream = encode_cube(synth_cube(SCENES["noisy"], config, n_frames / config.frame_rate_hz))
+    assert stream == encode_reference(synth_reference(SCENES["noisy"], config, n_frames))
+    # a decoded cube encodes its counts as they are
+    assert encode_cube(decode_cube(stream, config)) == stream
 

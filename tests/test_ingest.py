@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_iq_counts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -32,22 +33,15 @@ from respiradar.errors import (
     TruncatedFrameError,
     UnsupportedVersionError,
 )
-from respiradar.ingest import (
-    MAX_PAYLOAD_BYTES,
-    frame_stream_bytes,
-    quantize_cube,
-    stream_to_datagrams,
-)
+from respiradar.ingest import IQ_COUNTS, MAX_PAYLOAD_BYTES, frame_stream_bytes, stream_to_datagrams
 
 
 def make_raw(seq, byte_count, payload):
     return struct.pack("<I", seq) + byte_count.to_bytes(6, "little") + payload
 
 
-def random_cube(config, n_frames, seed=0, scale=1000.0):
-    rng = np.random.default_rng(seed)
-    shape = (n_frames, config.chirps_per_frame, config.samples_per_chirp)
-    data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def random_cube(config, n_frames, seed=0):
+    data = random_iq_counts((n_frames, config.chirps_per_frame, config.samples_per_chirp), seed)
     return RadarCube(config=config, data=data, frame_timestamps=np.arange(n_frames) / config.frame_rate_hz)
 
 
@@ -352,22 +346,52 @@ def test_decode_selects_channel_zero():
 
 def test_encode_decode_round_trip(config):
     cube = random_cube(config, n_frames=4, seed=5)
-    reference = quantize_cube(cube)
     decoded = decode_cube(encode_cube(cube), config)
-    assert np.array_equal(decoded.samples, reference.samples)
+    assert decoded.data.tobytes() == cube.data.tobytes()
+    with pytest.raises(ValueError, match="single-channel"):
+        encode_cube(decode_cube(bytes(8 * config.samples_per_chirp), RadarConfig(rx_channels=2)))
 
 
-def test_a_decoded_cube_encodes_rescaled_to_four_times_its_peak(config):
-    stream = struct.pack("<hh", 1000, -4) + struct.pack("<hh", -3, 2) * (config.samples_per_chirp - 1)
-    decoded = decode_cube(stream, config)
-    # full scale 4000: 1000 reads 8192, -4 reads -33, -3 reads -25 and 2 reads 16
-    expected = struct.pack("<hh", 8192, -33) + struct.pack("<hh", -25, 16) * (config.samples_per_chirp - 1)
-    assert encode_cube(decoded) == expected
+def exact_inverse_streams(config):
+    n = config.samples_per_chirp
+    extremes = np.random.default_rng(36).integers(-32768, 32768, 5 * 2 * n).astype("<i2")
+    extremes[:4] = [-32768, 32767, 0, -1]
+    return {
+        "empty": b"",
+        # one peak of 1000 among small counts: a rescale to 4x the peak would show
+        "lone-peak": struct.pack("<hh", 1000, -4) + struct.pack("<hh", -3, 2) * (n - 1),
+        "extremes": extremes.tobytes(),
+    }
+
+
+@pytest.mark.parametrize("name", ["empty", "lone-peak", "extremes"])
+def test_decode_and_encode_are_exact_inverses(tmp_path, config, name):
+    # a cube keeps its counts as they are, so a single-rx stream and a
+    # container both come back byte for byte
+    stream = exact_inverse_streams(config)[name]
+    assert encode_cube(decode_cube(stream, config)) == stream
+
+    n_frames = len(stream) // frame_stream_bytes(config)
+    path = tmp_path / "capture.rvsc"
+    write_capture(decode_cube(stream, config, 0.25 + np.arange(n_frames) / config.frame_rate_hz), path)
+    again = tmp_path / "again.rvsc"
+    write_capture(load_capture(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_cube_takes_only_iq_counts(config):
+    shape = (2, 1, config.samples_per_chirp)
+    stamps = np.arange(2) / config.frame_rate_hz
+    assert RadarCube(config=config, data=np.zeros(shape, IQ_COUNTS), frame_timestamps=stamps).n_frames == 2
+    for data in (np.zeros(shape), np.zeros(shape, np.complex128), np.zeros(shape + (2,), np.int16),
+                 np.zeros(shape, np.int16), np.zeros(shape).tolist()):
+        with pytest.raises(ValueError, match="int16 I/Q counts"):
+            RadarCube(config=config, data=data, frame_timestamps=stamps)
 
 
 def test_cube_timestamp_validation(config):
     n = config.samples_per_chirp
-    data = np.zeros((2, 1, n))
+    data = np.zeros((2, 1, n), IQ_COUNTS)
     with pytest.raises(ValueError):
         RadarCube(config=config, data=data, frame_timestamps=np.array([0.0, 0.2]))
     with pytest.raises(ValueError):
@@ -382,9 +406,8 @@ def test_capture_round_trip(tmp_path, config):
     path = tmp_path / "capture.rvsc"
     write_capture(cube, path)
     loaded = load_capture(path)
-    reference = quantize_cube(cube)
     assert loaded.config == config
-    assert np.array_equal(loaded.samples, reference.samples)
+    assert loaded.data.tobytes() == cube.data.tobytes()
     assert np.allclose(loaded.frame_timestamps, cube.frame_timestamps)
 
 
@@ -449,7 +472,7 @@ def test_capture_every_header_prefix_is_a_container_error(tmp_path, config):
 def test_capture_zero_frames(tmp_path, config):
     empty = RadarCube(
         config=config,
-        data=np.zeros((0, 1, config.samples_per_chirp)),
+        data=np.zeros((0, 1, config.samples_per_chirp), IQ_COUNTS),
         frame_timestamps=np.zeros(0),
     )
     path = tmp_path / "empty.rvsc"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import detrend
 
-from conftest import breathing_scene, sine_amplitude, static_scene
+from conftest import breathing_scene, random_iq_counts, sine_amplitude, static_scene
 from respiradar import (
     MotionSpec,
     RadarConfig,
@@ -20,6 +20,7 @@ from respiradar import (
     write_capture,
 )
 from respiradar import radar_dsp, spectral
+from respiradar.ingest import IQ_COUNTS
 from respiradar.errors import (
     EmptyCubeError,
     TooFewFramesError,
@@ -40,7 +41,7 @@ def expected_bin(range_m, config):
 def test_range_fft_zero_cube(config):
     cube = RadarCube(
         config=config,
-        data=np.zeros((3, 1, config.samples_per_chirp)),
+        data=np.zeros((3, 1, config.samples_per_chirp), IQ_COUNTS),
         frame_timestamps=np.arange(3) / config.frame_rate_hz,
     )
     rmap = range_fft(cube)
@@ -52,7 +53,7 @@ def test_range_fft_zero_cube(config):
 def test_range_fft_empty_cube(config):
     cube = RadarCube(
         config=config,
-        data=np.zeros((0, 1, config.samples_per_chirp)),
+        data=np.zeros((0, 1, config.samples_per_chirp), IQ_COUNTS),
         frame_timestamps=np.zeros(0),
     )
     with pytest.raises(EmptyCubeError):
@@ -91,12 +92,11 @@ def test_load_capture_and_range_fft_peak_below_a_complex_copy_of_the_cube(tmp_pa
     config = RadarConfig(samples_per_chirp=64, chirps_per_frame=4)
     n_frames = 16 * spectral._FRAME_BLOCK
     shape = (n_frames, config.chirps_per_frame, config.samples_per_chirp)
-    noise = np.random.default_rng(34).standard_normal(shape[:2] + (2 * shape[2],))
-    cube = RadarCube(config=config, data=noise.view(np.complex128),
+    cube = RadarCube(config=config, data=random_iq_counts(shape, seed=34),
                      frame_timestamps=np.arange(n_frames) / config.frame_rate_hz)
     path = tmp_path / "capture.rvsc"
     write_capture(cube, path)
-    del cube, noise
+    del cube
     tracemalloc.start()
     try:
         range_fft(load_capture(path))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import butter, get_window, sosfilt
 
-from conftest import breathing_scene, sine_amplitude, static_scene
+from conftest import breathing_scene, same_bits, sine_amplitude, static_scene
 from respiradar import (
     BreathAudioSpec,
     MotionSpec,
@@ -14,7 +14,6 @@ from respiradar import (
     SceneSpec,
     chest_displacement,
     datagram_stream,
-    decode_cube,
     encode_cube,
     load_capture,
     range_fft,
@@ -24,13 +23,13 @@ from respiradar import (
     synth_cube,
     write_capture,
 )
+from respiradar import audio_dsp, radar_dsp
 from respiradar.errors import DurationTooShortError
-from respiradar.ingest import quantize_cube
-from respiradar import pipeline
-from respiradar.audio_dsp import AudioTrace
+from respiradar.audio_dsp import AudioTrace, load_wav, save_wav
+from respiradar.ingest import IQ_COUNTS, RadarCube
 from respiradar.pipeline import process_audio, process_radar_cube
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
-from respiradar.simulate import _burst_filter
+from respiradar.simulate import _burst_filter, beat_signal
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -75,7 +74,7 @@ def test_scene_rejects_ranges_beyond_chamber():
 
 def test_empty_scene_snr_off_zero_cube(config):
     cube = synth_cube(SceneSpec(), config, 1.0)
-    assert np.all(cube.data == 0)
+    assert np.all(cube.samples == 0)
 
 
 def test_empty_scene_with_snr_rejected(config):
@@ -100,18 +99,24 @@ def test_determinism_same_seed_bit_identical(config):
 def test_static_reflector_matches_closed_form(config):
     sp = config.range_bin_spacing_m
     r = 10 * sp  # bin-centred so the beat lands exactly on bin 10
-    cube = synth_cube(static_scene([(r, 1.0)]), config, 2.0)
-    rmap = range_fft(cube)
-    assert np.all(np.argmax(np.abs(rmap.values), axis=1) == 10)
+    scene = static_scene([(r, 1.0)])
+    assert np.all(np.argmax(np.abs(range_fft(synth_cube(scene, config, 2.0)).values), axis=1) == 10)
+
+    # the beat signal before quantisation, through the range FFT: chirp mean,
+    # Hann window, DFT, and the chirp-centre phase reference
+    n = config.samples_per_chirp
+    window = get_window("hann", n, fftbins=False)
+    centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
+    values = np.fft.fft(beat_signal(scene, config, 2.0).mean(axis=1) * window, axis=1) * centre_ref
+    assert np.all(np.argmax(np.abs(values), axis=1) == 10)
 
     # bin phase reads 4*pi*R/lambda and stays constant
     expected = np.angle(np.exp(1j * 4 * np.pi * r / config.wavelength_m))
-    phases = np.angle(rmap.values[:, 10])
+    phases = np.angle(values[:, 10])
     assert np.max(np.abs(np.angle(np.exp(1j * (phases - expected))))) < 1e-9
 
     # bin magnitude equals reflectivity times the window sum (on-bin tone)
-    window_sum = get_window("hann", 256, fftbins=False).sum()
-    assert np.abs(rmap.values[:, 10]) == pytest.approx(window_sum, rel=1e-9)
+    assert np.abs(values[:, 10]) == pytest.approx(window.sum(), rel=1e-9)
 
 
 def test_breathing_cube_full_chain_phase_and_rate(config):
@@ -218,7 +223,7 @@ def never_called(*args, **kwargs):
     (StftParams(window_s=60.0, overlap_s=59.99), "hop must be at least one sample"),
 ])
 def test_process_audio_checks_the_window_before_decimating(monkeypatch, params, message):
-    monkeypatch.setattr(pipeline, "decimate_to_frame_rate", never_called)
+    monkeypatch.setattr(audio_dsp, "decimate_to_frame_rate", never_called)
     audio = AudioTrace(np.zeros(70 * 44100, dtype=np.int16))
     with pytest.raises(ValueError, match=message):
         process_audio(audio, stft_params=params)
@@ -230,7 +235,7 @@ def test_process_audio_checks_the_window_before_decimating(monkeypatch, params, 
 ])
 def test_process_radar_checks_the_window_before_the_range_fft(monkeypatch, config, frame_rate_hz,
                                                               params, message):
-    monkeypatch.setattr(pipeline, "range_fft", never_called)
+    monkeypatch.setattr(radar_dsp, "range_fft", never_called)
     cfg = dataclasses.replace(config, frame_rate_hz=frame_rate_hz)
     cube = synth_cube(breathing_scene(seed=3), cfg, 2.0)
     with pytest.raises(ValueError, match=message):
@@ -245,7 +250,7 @@ def test_write_then_load_round_trip(tmp_path, config):
     path = tmp_path / "sim.rvsc"
     write_capture(cube, path)
     loaded = load_capture(path)
-    assert np.array_equal(loaded.samples, quantize_cube(cube).samples)
+    assert loaded.data.tobytes() == cube.data.tobytes()
     assert np.allclose(loaded.frame_timestamps, cube.frame_timestamps)
 
 
@@ -272,16 +277,13 @@ def test_datagram_stream_round_trip(config):
     cube = synth_cube(breathing_scene(seed=3), config, 5.0)
     stream, report = reassemble(datagram_stream(cube))
     assert report.gaps == ()
-    decoded = decode_cube(stream, config)
-    assert np.array_equal(decoded.samples, quantize_cube(cube).samples)
+    assert stream == cube.data.tobytes()
 
 
 def test_empty_cube_header_only_file(tmp_path, config):
-    from respiradar import RadarCube
-
     zero = RadarCube(
         config=config,
-        data=np.zeros((0, 1, config.samples_per_chirp)),
+        data=np.zeros((0, 1, config.samples_per_chirp), IQ_COUNTS),
         frame_timestamps=np.zeros(0),
     )
     path = tmp_path / "empty.rvsc"
@@ -296,3 +298,39 @@ def test_scene_spec_json_round_trip(tmp_path):
     path.write_text(json.dumps(scene.to_dict()), encoding="utf-8")
     loaded = SceneSpec.from_json_file(path)
     assert loaded == scene
+
+
+# --- in-process runs equal CLI runs -------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_in_process_radar_run_equals_the_run_on_its_capture(tmp_path, config, variant):
+    # the simulator delivers the counts a capture holds, so a run on the
+    # simulated cube and a run on its written capture are the same run
+    cube = synth_cube(breathing_scene(seed=5, static_reflectors=((3.0, 2.0),)), config, 75.0)
+    path = tmp_path / "capture.rvsc"
+    write_capture(cube, path)
+    params = StftParams(window_s=30.0, overlap_s=29.0)
+    direct = process_radar_cube(cube, variant=variant, stft_params=params)
+    loaded = process_radar_cube(load_capture(path), variant=variant, stft_params=params)
+    assert direct.target_bin == loaded.target_bin
+    assert same_bits(direct.range_map.values, loaded.range_map.values)
+    assert same_bits(direct.spectrogram.magnitudes, loaded.spectrogram.magnitudes)
+    for field in ("times_s", "rates_bpm", "magnitudes"):
+        assert same_bits(getattr(direct.rates, field), getattr(loaded.rates, field))
+    if variant == "A":
+        assert same_bits(direct.phase.samples, loaded.phase.samples)
+
+
+def test_in_process_audio_run_equals_the_run_on_its_wav(tmp_path):
+    trace = synth_audio(BreathAudioSpec(resp_rate_bpm=15.0, exhale_only=False, noise_db=-20.0, seed=7), 75.0)
+    path = tmp_path / "breath.wav"
+    save_wav(path, trace)
+    params = StftParams(window_s=30.0, overlap_s=29.0)
+    for multistage in (False, True):
+        direct = process_audio(trace, stft_params=params, multistage=multistage)
+        loaded = process_audio(load_wav(path), stft_params=params, multistage=multistage)
+        assert same_bits(direct.envelope.samples, loaded.envelope.samples)
+        assert same_bits(direct.spectrogram.magnitudes, loaded.spectrogram.magnitudes)
+        for field in ("times_s", "rates_bpm", "magnitudes"):
+            assert same_bits(getattr(direct.rates, field), getattr(loaded.rates, field))
