@@ -109,6 +109,14 @@ def _read_input(load, path: str, what: str):
         raise ValueError(str(exc)) from exc
 
 
+def _duration_s(m: RunManifest) -> float:
+    """A simulate run's --duration; one that is not positive and finite is an input error."""
+    duration_s = m.options["duration_s"]
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    return duration_s
+
+
 # --------------------------------------------------------------------------
 # runners: manifest -> outputs in manifest.output_dir and a one-line report
 
@@ -122,9 +130,7 @@ def _run_simulate(m: RunManifest) -> str:
 
     scene = SceneSpec.from_dict(m.options["scene"])
     config = RadarConfig.from_dict(m.radar_config)
-    duration_s = m.options["duration_s"]
-    if not (0 < duration_s and math.isfinite(duration_s)):
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    duration_s = _duration_s(m)
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
     write_capture(cube, out / "capture.rvsc")
@@ -141,9 +147,7 @@ def _run_simulate_audio(m: RunManifest) -> str:
     from .spectral import _write_csv_10g
 
     spec = BreathAudioSpec(**m.options["spec"])
-    duration_s = m.options["duration_s"]
-    if not (0 < duration_s and math.isfinite(duration_s)):
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    duration_s = _duration_s(m)
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
     save_wav(out / "breath.wav", trace)

@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError for the first named value that is NaN or infinite.
+    None passes: it is how an optional field is left out."""
+    for name, value in values.items():
+        if value is not None and not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,7 @@ class RadarConfig:
     rx_channels: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         for name in (
             "carrier_hz",
             "chirp_slope_hz_per_s",

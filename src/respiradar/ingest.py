@@ -14,8 +14,8 @@ one f64 timestamp per frame.
 A cube holds int16 I/Q counts only, as the radar sends them: a decoded
 capture or wire stream keeps rx 0's counts as a read-only view of the
 stream, and encoding writes a cube's counts as they are, so decoding and
-encoding are exact inverses.  Each stage that needs complex samples
-converts one block of frames at a time (``complex_block``).
+encoding are exact inverses.  A stage that needs complex samples converts
+a block of frames at a time into a buffer it reuses (``counts_to_complex``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import socket
 import struct
-import threading
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -170,8 +169,8 @@ class RadarCube:
 
     ``data`` holds the int16 I/Q counts as an IQ_COUNTS array, kept as
     given; any other dtype is a ValueError.  ``samples`` is the cube as
-    complex128; the radar stages read ``data`` one block of frames at a
-    time through ``complex_block``.
+    complex128; the range FFT instead converts ``data`` one block of frames
+    at a time with ``counts_to_complex``.
     """
 
     config: RadarConfig
@@ -193,11 +192,12 @@ class RadarCube:
         if self.frame_timestamps.shape != (self.data.shape[0],):
             raise ValueError("one timestamp per frame required")
         if self.n_frames >= 2:
+            # each test is written so that a NaN stamp fails it
             dt = np.diff(self.frame_timestamps)
-            if np.any(dt <= 0):
+            if not np.all(dt > 0):
                 raise ValueError("frame timestamps must be strictly increasing")
             mean_dt = float(np.mean(dt))
-            if abs(mean_dt * self.config.frame_rate_hz - 1.0) > 0.01:
+            if not abs(mean_dt * self.config.frame_rate_hz - 1.0) <= 0.01:
                 raise ValueError("mean frame spacing deviates >1% from the frame rate")
 
     @property
@@ -207,25 +207,15 @@ class RadarCube:
     @property
     def samples(self) -> np.ndarray:
         """The cube as complex128, a new array."""
-        return _counts_to_complex(self.data, np.empty(self.data.shape, np.complex128))
+        return counts_to_complex(self.data, np.empty(self.data.shape, np.complex128))
 
 
-def _counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+def counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """I/Q counts (an IQ_COUNTS array) as complex128, written into out, a
+    complex128 array of their shape."""
     out.real = counts["i"]
     out.imag = counts["q"]
     return out
-
-
-def complex_block(block: np.ndarray, scratch: threading.local, rows: int) -> np.ndarray:
-    """A block of at most `rows` frames of RadarCube.data as complex128.
-
-    The counts are converted into this thread's ``scratch.iq``, which the
-    thread's later blocks reuse, so a stage that reads a whole cube never
-    holds it converted.
-    """
-    if not hasattr(scratch, "iq"):
-        scratch.iq = np.empty((rows,) + block.shape[1:], np.complex128)
-    return _counts_to_complex(block, scratch.iq[: len(block)])
 
 
 def frame_stream_bytes(config: RadarConfig) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +12,12 @@ from .errors import (
     WindowEmptyError,
     ZeroMagnitudeError,
 )
-from .ingest import RadarCube, complex_block
-from .spectral import _map_frame_blocks, _write_csv_8g, _write_csv_10g, cosine_window
+from .ingest import RadarCube, counts_to_complex
+from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_8g, _write_csv_10g, cosine_window
 
-# frames converted and transformed at once inside each pool block: with
-# temporaries this small (256 KB at 256 samples a chirp) the steps reuse
-# the same memory, where whole-block temporaries were fresh pages each time
+# frames converted and transformed at once inside each pool block: the
+# FFT's temporaries stay this small (256 KB at 256 samples a chirp), so
+# each step reuses the memory the one before it freed
 _RANGE_STEP = 64
 
 
@@ -92,17 +91,18 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
     values = np.empty((cube.n_frames, n), np.complex128)
-    scratch = threading.local()  # one converted step per worker thread
 
-    def compress(frames: slice) -> None:
+    def compress(frames: slice, iq: np.ndarray) -> None:
         data, rows = cube.data[frames], values[frames]
         for lo in range(0, len(rows), _RANGE_STEP):
-            step = complex_block(data[lo : lo + _RANGE_STEP], scratch, _RANGE_STEP)
+            counts = data[lo : lo + _RANGE_STEP]
+            step = counts_to_complex(counts, iq[: len(counts)])
             fast = np.mean(step, axis=1, out=rows[lo : lo + _RANGE_STEP])  # coherent average over chirps
             fast *= window
             np.multiply(np.fft.fft(fast, axis=1), centre_ref, out=fast)
 
-    _map_frame_blocks(compress, cube.n_frames)
+    _map_blocks(compress, cube.n_frames, _FRAME_BLOCK,
+                work=lambda: np.empty((_RANGE_STEP,) + cube.data.shape[1:], np.complex128))
     return RangeTimeMap(
         values=values,
         bin_spacing_m=cube.config.range_bin_spacing_m,

@@ -10,15 +10,14 @@ and 16-bit PCM, quantised here and nowhere else.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT_M_S, RadarConfig
+from .config import SPEED_OF_LIGHT_M_S, RadarConfig, require_finite
 from .errors import DurationTooShortError
-from .spectral import _FRAME_BLOCK, _map_frame_blocks, cosine_window
+from .spectral import _FRAME_BLOCK, _map_blocks, cosine_window
 
 if TYPE_CHECKING:  # imported where used: `simulate` needs no audio_dsp, `simulate-audio` no ingest
     from .audio_dsp import AudioTrace
@@ -43,6 +42,7 @@ class MotionSpec:
     heart_amplitude_m: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.base_range_m <= 0:
             raise ValueError("base_range_m must be positive")
         if self.resp_amplitude_m < 0:
@@ -73,6 +73,9 @@ class SceneSpec:
             "static_reflectors",
             tuple((float(r), float(a)) for r, a in self.static_reflectors),
         )
+        require_finite(snr_db=self.snr_db, seed=self.seed, chamber_extent_m=self.chamber_extent_m)
+        for _, reflectivity in self.targets + self.static_reflectors:
+            require_finite(reflectivity=reflectivity)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         for motion, _ in self.targets:
@@ -100,11 +103,13 @@ class SceneSpec:
         targets = tuple(
             (MotionSpec(**motion), float(refl)) for motion, refl in d.get("targets", [])
         )
+        seed = d.get("seed", 0)
+        require_finite(seed=seed)  # int() of an infinity is an OverflowError
         return cls(
             targets=targets,
             static_reflectors=tuple(tuple(p) for p in d.get("static_reflectors", [])),
             snr_db=d.get("snr_db"),
-            seed=int(d.get("seed", 0)),
+            seed=int(seed),
             chamber_extent_m=float(d.get("chamber_extent_m", DEFAULT_CHAMBER_EXTENT_M)),
         )
 
@@ -127,6 +132,7 @@ class BreathAudioSpec:
     burst_amplitude: float = 0.3
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.resp_rate_bpm <= 0:
             raise ValueError("resp_rate_bpm must be positive")
         if self.burst_duration_s >= 60.0 / self.resp_rate_bpm:
@@ -161,9 +167,9 @@ def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
     return d
 
 
-def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> np.ndarray:
+def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tuple[np.ndarray, float]:
     """The complex128 beat signal of a scene, [frame][chirp][sample], as
-    synth_cube quantises it.
+    synth_cube quantises it, and its peak I/Q component.
 
     Each scatterer at instantaneous range R contributes a fast-time tone at
     the beat frequency 2 * slope * R / c with slow-time phase 4*pi*R/lambda.
@@ -174,7 +180,8 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> np.
 
     Complex white Gaussian noise is added at snr_db below the strongest
     scatterer; generation is deterministic under the scene seed.  The noise
-    is drawn first, then each block of frames is summed on the worker pool.
+    is drawn first, then each block of frames is summed on the worker pool,
+    and its peak taken while it is fresh.
     """
     n_frames = int(round(duration_s * config.frame_rate_hz))
     if n_frames < 1:
@@ -206,17 +213,10 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> np.
     wavelength = config.wavelength_m
     data = np.empty(shape, dtype=np.complex128)
 
-    # one phase and one wave block per worker thread, reused by each of its blocks:
-    # temporaries allocated per block came from fresh pages each time
-    scratch = threading.local()
-
-    def synth(frames: slice) -> None:
+    def synth(frames: slice, work: tuple[np.ndarray, np.ndarray]) -> float:
         block = data[frames]
         block[...] = 0
-        if not hasattr(scratch, "phase"):
-            scratch.phase = np.empty((_FRAME_BLOCK, n_fast))
-            scratch.wave = np.empty((_FRAME_BLOCK, n_fast), np.complex128)
-        phase, wave = scratch.phase[: len(block)], scratch.wave[: len(block)]
+        phase, wave = (w[: len(block)] for w in work)
         for ranges, reflectivity in scatterers:
             beat_hz = 2.0 * config.chirp_slope_hz_per_s * ranges[frames] / SPEED_OF_LIGHT_M_S
             slow_phase = 4.0 * np.pi * ranges[frames] / wavelength
@@ -230,9 +230,14 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> np.
         if noise is not None:
             block.real += noise[0][frames]
             block.imag += noise[1][frames]
+        parts = block.view(np.float64)
+        return max(parts.max(), -parts.min())
 
-    _map_frame_blocks(synth, n_frames)
-    return data
+    peaks: list[float] = []
+    _map_blocks(synth, n_frames, _FRAME_BLOCK, sink=peaks.append,
+                work=lambda: (np.empty((_FRAME_BLOCK, n_fast)),
+                              np.empty((_FRAME_BLOCK, n_fast), np.complex128)))
+    return data, float(np.max(peaks))  # np.max: a NaN peak stays NaN
 
 
 def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> RadarCube:
@@ -245,31 +250,21 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     """
     from .ingest import IQ_COUNTS, RadarCube
 
-    data = beat_signal(scene, config, duration_s)
+    data, peak = beat_signal(scene, config, duration_s)
     parts = data.view(np.float64)  # I, Q, I, Q, ... along each chirp
-    peaks = np.empty(-(-len(parts) // _FRAME_BLOCK))
-
-    def block_peak(frames: slice) -> None:
-        block = parts[frames]
-        peaks[frames.start // _FRAME_BLOCK] = max(block.max(), -block.min())
-
-    _map_frame_blocks(block_peak, len(parts))
-    peak = float(peaks.max())
     scale = 32767.0 / (4.0 * peak if peak > 0 else 1.0)
     counts = np.empty(data.shape, IQ_COUNTS)
     out = counts.view("<i2")
-    scratch = threading.local()
 
-    def quantize(frames: slice) -> None:
+    def quantize(frames: slice, scaled: np.ndarray) -> None:
         block = parts[frames]
-        if not hasattr(scratch, "scaled"):
-            scratch.scaled = np.empty((_FRAME_BLOCK,) + parts.shape[1:])
-        scaled = scratch.scaled[: len(block)]
+        scaled = scaled[: len(block)]
         np.multiply(block, scale, out=scaled)
         np.rint(scaled, out=scaled)
         out[frames] = np.clip(scaled, -32768, 32767, out=scaled)
 
-    _map_frame_blocks(quantize, len(parts))
+    _map_blocks(quantize, len(parts), _FRAME_BLOCK,
+                work=lambda: np.empty((_FRAME_BLOCK,) + parts.shape[1:]))
     return RadarCube(config=config, data=counts,
                      frame_timestamps=np.arange(len(counts)) / config.frame_rate_hz)
 

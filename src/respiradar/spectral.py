@@ -27,7 +27,7 @@ _WINDOW_COEFFS = {"blackman": (0.42, 0.50, 0.08), "hann": (0.5, 0.5), "rectangul
 DEFAULT_BAND_BPM = (6.0, 60.0)
 
 _FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays in cache
-_FRAME_BLOCK = 512  # frames per batch of the radar stages (simulate, decode, range FFT)
+_FRAME_BLOCK = 512  # frames per block of the radar stages (simulate, quantise, range FFT)
 
 
 @dataclass(frozen=True)
@@ -134,36 +134,42 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_batches(fn, batches, workers: int, sink=lambda result: None) -> None:
-    """Apply fn to each batch on a pool of `workers` threads, and pass the
-    results to sink in batch order, in the calling thread.
+def _map_blocks(fn, n: int, step: int, work=None, sink=lambda result: None) -> None:
+    """Apply fn(block, w) to the slices of `step` items covering range(n) on
+    _worker_count() threads, and pass the results to sink in block order, in
+    the calling thread.
 
-    numpy's FFTs, ufuncs, gathers and compress release the GIL, so batches
-    of array work overlap.  At most two batches per worker are in flight,
-    so the results waiting for sink stay bounded whatever the batch count.
-    An exception in fn is raised here, after the pool's threads have ended.
+    w is work(), built once per worker thread and reused by each of that
+    thread's blocks (None without work): work memory allocated per block came
+    from fresh pages each time, whose faults cost a quarter to a third of a
+    real STFT's time.  numpy's FFTs, ufuncs, gathers and compress release the
+    GIL, so blocks of array work overlap.  At most two blocks per worker are
+    in flight, so the results waiting for sink stay bounded whatever the
+    block count.  An exception in fn is raised here, after the pool's threads
+    have ended.
     """
     # imported here: at module top it would add to every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
+    local = threading.local()
+
+    def run(block: slice):
+        if not hasattr(local, "w"):
+            local.w = None if work is None else work()
+        return fn(block, local.w)
+
+    workers = _worker_count()
     pool = ThreadPoolExecutor(workers)
     pending = collections.deque()
     try:
-        for batch in batches:
-            pending.append(pool.submit(fn, batch))
+        for lo in range(0, n, step):
+            pending.append(pool.submit(run, slice(lo, lo + step)))
             if len(pending) >= 2 * workers:
                 sink(pending.popleft().result())
         while pending:
             sink(pending.popleft().result())
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _map_frame_blocks(fn, n_frames: int) -> None:
-    """Apply fn to slices of _FRAME_BLOCK frames covering range(n_frames), on
-    the pool.  fn writes its block of a preallocated output and returns None."""
-    blocks = (slice(lo, lo + _FRAME_BLOCK) for lo in range(0, n_frames, _FRAME_BLOCK))
-    _map_batches(fn, blocks, _worker_count())
 
 
 def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) -> Spectrogram:
@@ -198,23 +204,16 @@ def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) ->
 
     segments = sliding_window_view(x, length)[::hop]
     shift = length // 2  # fftshift moves bin k to column (k + shift) % length
-    workers = _worker_count()
-    batch = max(1, _FFT_CHUNK // workers)
+    batch = max(1, _FFT_CHUNK // _worker_count())
+    dtype = np.complex128 if complex_input else np.float64
 
-    # one block per worker thread, reused by each of its batches: a block allocated
-    # per batch came from fresh pages each time, whose faults cost a quarter to a
-    # third of a real STFT's time
-    scratch = threading.local()
-
-    def transform(lo: int) -> None:
-        segment = segments[lo : lo + batch]
-        if not hasattr(scratch, "block"):
-            scratch.block = np.empty((batch, length), np.complex128 if complex_input else np.float64)
-        block = scratch.block[: len(segment)]
+    def transform(windows: slice, block: np.ndarray) -> None:
+        segment = segments[windows]
+        block = block[: len(segment)]
         block[...] = segment
         block -= block.mean(axis=1, keepdims=True)
         block *= window
-        rows = magnitudes[lo : lo + batch]
+        rows = magnitudes[windows]
         if complex_input:
             spectrum = np.fft.fft(block, axis=1)
             np.abs(spectrum[:, : length - shift], out=rows[:, shift:])
@@ -222,7 +221,7 @@ def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) ->
         else:
             np.abs(np.fft.rfft(block, axis=1), out=rows)
 
-    _map_batches(transform, range(0, starts.size, batch), workers)
+    _map_blocks(transform, starts.size, batch, work=lambda: np.empty((batch, length), dtype))
 
     times = (starts + (length - 1) / 2.0) / rate_hz
     return Spectrogram(magnitudes=magnitudes, freq_axis_bpm=freq_bpm, time_axis_s=times)
@@ -432,11 +431,8 @@ def _printf_8g(values: np.ndarray) -> list[bytes]:
 
 
 class _G8Work:
-    """_format_8g's work arrays for up to `size` cells.  _write_csv_8g keeps
-    one per worker thread and reuses it for each of the thread's batches, as
-    stft reuses its block: temporaries allocated per batch came from fresh
-    pages in a process that had freed no large array yet, about 950 minor
-    faults a batch."""
+    """_format_8g's work arrays for up to `size` cells, one set per worker
+    thread of _write_csv_8g."""
 
     def __init__(self, size: int) -> None:
         self.a, self.y, self.g, self.m = np.empty((4, size))
@@ -568,26 +564,22 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
-    # one joined block and one set of work arrays per worker thread, reused by
-    # each of its batches, as in stft
-    scratch = threading.local()
 
-    def format_rows(lo: int) -> bytes:
-        block = table[lo : lo + rows]
-        if not hasattr(scratch, "work"):
-            scratch.work = _G8Work(rows * n_cols)
+    def format_rows(batch: slice, w: tuple[_G8Work, np.ndarray]) -> bytes:
+        g8, joined = w
+        block = table[batch]
         if first_column is not None:
-            if not hasattr(scratch, "block"):
-                scratch.block = np.empty((rows, n_cols))
-            joined = scratch.block[: len(block)]
-            joined[:, 0] = first_column[lo : lo + rows]
+            joined = joined[: len(block)]
+            joined[:, 0] = first_column[batch]
             joined[:, 1:] = block
             block = joined
-        return _format_8g(block.reshape(-1), last[: block.size], scratch.work)
+        return _format_8g(block.reshape(-1), last[: block.size], g8)
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        _map_batches(format_rows, range(0, n_rows, rows), _worker_count(), fh.write)
+        # the joined block is left untouched, and so costs no memory, without a first_column
+        _map_blocks(format_rows, n_rows, rows, sink=fh.write,
+                    work=lambda: (_G8Work(rows * n_cols), np.empty((rows, n_cols))))
 
 
 def comparison_to_json(comparison: RateComparison) -> str:

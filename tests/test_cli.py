@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import breathing_scene
-from respiradar import ingest
+from respiradar import RadarConfig, ingest
 from respiradar.cli import main
 from respiradar.ingest import load_capture
 from respiradar.spectral import RateSeries, rate_series_from_csv, rate_series_to_csv
@@ -92,6 +92,47 @@ def test_simulate_audio_bad_duration_is_input_error(runner, audio_json, tmp_path
     )
     assert_input_error(result)
     assert not (tmp_path / "x" / "breath.wav").exists()
+
+
+NAN = float("nan")
+VALID_SCENE = breathing_scene().to_dict()
+
+
+@pytest.mark.parametrize(
+    "command, spec, config, written",
+    [
+        ("simulate", {**VALID_SCENE, "targets": [[{"base_range_m": NAN, "resp_rate_bpm": 15.0}, 1.0]]},
+         None, "capture.rvsc"),
+        ("simulate", VALID_SCENE, {"carrier_hz": NAN}, "capture.rvsc"),
+        ("simulate-audio", {"resp_rate_bpm": NAN}, None, "breath.wav"),
+    ],
+    ids=["simulate-nan-range", "simulate-config-nan-carrier", "simulate-audio-nan-rate"],
+)
+def test_non_finite_spec_or_config_value_is_input_error(tmp_path, command, spec, config, written):
+    # a subprocess with a timeout: a NaN breath rate used to make synth_audio loop for ever
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")  # NaN is written as the literal NaN
+    args = [command, str(spec_path), "--duration", "5", "--out", str(tmp_path / "x")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    out = subprocess.run([sys.executable, "-m", "respiradar.cli", *args],
+                         env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and "must be finite" in out.stderr
+    assert not (tmp_path / "x" / written).exists()
+
+
+def test_capture_with_nan_timestamps_is_input_error(runner, tmp_path):
+    cube = ingest.RadarCube(config=RadarConfig(), frame_timestamps=np.arange(4) / 20.0,
+                            data=np.zeros((4, 1, 256), ingest.IQ_COUNTS))
+    capture = tmp_path / "capture.rvsc"
+    ingest.write_capture(cube, capture)
+    capture.write_bytes(capture.read_bytes()[: -4 * 8] + np.full(4, np.nan, "<f8").tobytes())
+    result = runner.invoke(main, ["process-radar", str(capture), "--out", str(tmp_path / "o")])
+    assert_input_error(result)
+    assert "strictly increasing" in result.output + (result.stderr or "")
 
 
 def test_simulate_same_seed_byte_identical(runner, scene_json, tmp_path):

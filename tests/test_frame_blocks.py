@@ -1,6 +1,7 @@
 """The radar stages that run in frame blocks on the worker pool (simulate
-and quantise, decode, range FFT) give the same bits as one whole-array
-pass, at any worker count and on either side of a block boundary."""
+and quantise, range FFT) give the same bits as one whole-array pass, at
+any worker count and on either side of a block boundary.  Decoding, which
+keeps a view of the stream and converts nothing, is checked beside them."""
 
 import dataclasses
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,51 @@ def test_scene_rejects_ranges_beyond_chamber():
         SceneSpec(static_reflectors=((7.0, 1.0),))
 
 
+def scene_with(**fields):
+    chest = MotionSpec(base_range_m=0.5, resp_rate_bpm=15.0)
+    return SceneSpec(**{"targets": ((chest, 1.0),), "static_reflectors": ((3.0, 2.0),),
+                        "snr_db": 30.0, **fields})
+
+
+# one field of a spec or config set to the value; the rest are valid
+NON_FINITE_CASES = {
+    "motion.base_range_m": lambda v: MotionSpec(base_range_m=v, resp_rate_bpm=15.0),
+    "motion.resp_rate_bpm": lambda v: MotionSpec(base_range_m=0.5, resp_rate_bpm=v),
+    "motion.resp_amplitude_m": lambda v: MotionSpec(0.5, 15.0, resp_amplitude_m=v),
+    "motion.harmonic_2_frac": lambda v: MotionSpec(0.5, 15.0, harmonic_2_frac=v),
+    "motion.heart_rate_bpm": lambda v: MotionSpec(0.5, 15.0, heart_rate_bpm=v, heart_amplitude_m=1e-4),
+    "motion.heart_amplitude_m": lambda v: MotionSpec(0.5, 15.0, heart_rate_bpm=70.0, heart_amplitude_m=v),
+    "scene.target_reflectivity": lambda v: scene_with(targets=((MotionSpec(0.5, 15.0), v),)),
+    "scene.reflector_range": lambda v: scene_with(static_reflectors=((v, 2.0),)),
+    "scene.reflector_reflectivity": lambda v: scene_with(static_reflectors=((3.0, v),)),
+    "scene.snr_db": lambda v: scene_with(snr_db=v),
+    "scene.seed": lambda v: scene_with(seed=v),
+    "scene.chamber_extent_m": lambda v: scene_with(chamber_extent_m=v),
+    "scene.from_dict_seed": lambda v: SceneSpec.from_dict({**scene_with().to_dict(), "seed": v}),
+    "breath.resp_rate_bpm": lambda v: BreathAudioSpec(resp_rate_bpm=v),
+    "breath.burst_duration_s": lambda v: BreathAudioSpec(15.0, burst_duration_s=v),
+    "breath.noise_db": lambda v: BreathAudioSpec(15.0, noise_db=v),
+    "breath.seed": lambda v: BreathAudioSpec(15.0, seed=v),
+    "breath.burst_amplitude": lambda v: BreathAudioSpec(15.0, burst_amplitude=v),
+    **{f"config.{name}": (lambda v, name=name: RadarConfig(**{name: v}))
+       for name in RadarConfig.__dataclass_fields__},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_specs_and_configs_reject_non_finite_fields(case, value):
+    # a NaN rate made synth_audio loop for ever; other NaNs wrote zero captures
+    # or silent WAVs with exit 0.  A reflector range outside (0, extent] was
+    # already rejected, with its own message.
+    with pytest.raises(ValueError, match="must be finite|reflector range outside"):
+        NON_FINITE_CASES[case](value)
+    # None leaves an optional field out
+    MotionSpec(0.5, 15.0, heart_rate_bpm=None, heart_amplitude_m=None)
+    scene_with(snr_db=None)
+    BreathAudioSpec(15.0, noise_db=None)
+
+
 # --- cube synthesis ---------------------------------------------------------------
 
 
@@ -107,7 +153,9 @@ def test_static_reflector_matches_closed_form(config):
     n = config.samples_per_chirp
     window = get_window("hann", n, fftbins=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    values = np.fft.fft(beat_signal(scene, config, 2.0).mean(axis=1) * window, axis=1) * centre_ref
+    signal, peak = beat_signal(scene, config, 2.0)
+    assert peak == max(np.abs(signal.real).max(), np.abs(signal.imag).max())
+    values = np.fft.fft(signal.mean(axis=1) * window, axis=1) * centre_ref
     assert np.all(np.argmax(np.abs(values), axis=1) == 10)
 
     # bin phase reads 4*pi*R/lambda and stays constant

@@ -475,6 +475,43 @@ def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, f
     assert b"-0.00012345678," in expected and b"-1.2345678e+29\n" in expected
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing_block", [None, 0, 5, 12], ids=["none", "0", "5", "12"])
+def test_map_blocks_reuses_one_work_object_per_thread_and_sinks_in_order(
+        monkeypatch, fast_thread_switching, workers, failing_block):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    made = []  # (thread, work object) for each call of work()
+    ran = []  # (block, thread, the work object the block received)
+
+    def work():
+        w = object()
+        made.append((threading.get_ident(), w))
+        return w
+
+    def fn(block, w):
+        ran.append((block, threading.get_ident(), w))
+        if block.start // 8 == failing_block:
+            raise RuntimeError("block failed")
+        return list(range(100)[block])
+
+    sunk = []
+    threads = threading.active_count()
+    if failing_block is None:
+        spectral._map_blocks(fn, 100, 8, work=work, sink=sunk.extend)  # 13 blocks, the last of 4
+        assert sunk == list(range(100)) and len(ran) == 13
+    else:
+        with pytest.raises(RuntimeError, match="block failed"):
+            spectral._map_blocks(fn, 100, 8, work=work, sink=sunk.extend)
+        assert sunk == list(range(8 * failing_block))[: len(sunk)]
+    assert threading.active_count() == threads
+    owner = dict(made)
+    assert len(owner) == len(made) <= workers  # work() ran at most once per thread
+    assert all(w is owner[thread] for _, thread, w in ran)
+    # without work, each block receives None
+    spectral._map_blocks(lambda block, w: ran.append(w), 20, 8)
+    assert ran[-3:] == [None] * 3
+
+
 @pytest.mark.parametrize("failing_batch", [0, 5, 12])
 def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monkeypatch,
                                                                   failing_batch):
