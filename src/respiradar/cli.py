@@ -31,7 +31,7 @@ from pathlib import Path
 
 import click
 
-from .config import RadarConfig
+from .config import RadarConfig, reject_unknown
 from .errors import RespiradarError
 
 EXIT_INPUT_ERROR = 2
@@ -72,10 +72,7 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
+        reject_unknown("manifest", raw, cls.__dataclass_fields__)
         manifest = cls(**raw)
         for name, ref in manifest.inputs.items():
             if not Path(ref).exists():

@@ -10,11 +10,31 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError for the first named value that is NaN or infinite.
-    None passes: it is how an optional field is left out."""
+    """Raise ValueError for the first named number that is NaN, infinite or
+    an integer too large for a float, TypeError for one that is not a
+    number.  None passes: it is how an optional field is left out."""
     for name, value in values.items():
-        if value is not None and not -math.inf < value < math.inf:
+        try:
+            finite = value is None or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_seed(seed) -> int:
+    """A random seed as an int: a nonnegative integer, or a float equal to one."""
+    require_finite(seed=seed)
+    if not (seed >= 0 and seed == int(seed)):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return int(seed)
+
+
+def reject_unknown(kind: str, given, known) -> None:
+    """Raise ValueError naming the fields of given that known lacks."""
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,7 @@ class RadarConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RadarConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown radar config fields: {sorted(unknown)}")
+        reject_unknown("radar config", d, cls.__dataclass_fields__)
         return cls(**d)
 
     @classmethod

@@ -14,8 +14,7 @@ one f64 timestamp per frame.
 A cube holds int16 I/Q counts only, as the radar sends them: a decoded
 capture or wire stream keeps rx 0's counts as a read-only view of the
 stream, and encoding writes a cube's counts as they are, so decoding and
-encoding are exact inverses.  A stage that needs complex samples converts
-a block of frames at a time into a buffer it reuses (``counts_to_complex``).
+encoding are exact inverses.  The range FFT reads the counts as they are.
 """
 
 from __future__ import annotations
@@ -169,8 +168,7 @@ class RadarCube:
 
     ``data`` holds the int16 I/Q counts as an IQ_COUNTS array, kept as
     given; any other dtype is a ValueError.  ``samples`` is the cube as
-    complex128; the range FFT instead converts ``data`` one block of frames
-    at a time with ``counts_to_complex``.
+    complex128, for code that wants it; the range FFT reads ``data``.
     """
 
     config: RadarConfig
@@ -191,14 +189,11 @@ class RadarCube:
             raise ValueError(f"cube shape {self.data.shape} does not match config {expected}")
         if self.frame_timestamps.shape != (self.data.shape[0],):
             raise ValueError("one timestamp per frame required")
-        if self.n_frames >= 2:
-            # each test is written so that a NaN stamp fails it
-            dt = np.diff(self.frame_timestamps)
-            if not np.all(dt > 0):
-                raise ValueError("frame timestamps must be strictly increasing")
-            mean_dt = float(np.mean(dt))
-            if not abs(mean_dt * self.config.frame_rate_hz - 1.0) <= 0.01:
-                raise ValueError("mean frame spacing deviates >1% from the frame rate")
+        dt = np.diff(self.frame_timestamps)
+        if not (np.all(np.isfinite(self.frame_timestamps)) and np.all(dt > 0)):
+            raise ValueError("frame timestamps must be finite and strictly increasing")
+        if self.n_frames >= 2 and not abs(float(np.mean(dt)) * self.config.frame_rate_hz - 1.0) <= 0.01:
+            raise ValueError("mean frame spacing deviates >1% from the frame rate")
 
     @property
     def n_frames(self) -> int:
@@ -207,15 +202,10 @@ class RadarCube:
     @property
     def samples(self) -> np.ndarray:
         """The cube as complex128, a new array."""
-        return counts_to_complex(self.data, np.empty(self.data.shape, np.complex128))
-
-
-def counts_to_complex(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """I/Q counts (an IQ_COUNTS array) as complex128, written into out, a
-    complex128 array of their shape."""
-    out.real = counts["i"]
-    out.imag = counts["q"]
-    return out
+        out = np.empty(self.data.shape, np.complex128)
+        out.real = self.data["i"]
+        out.imag = self.data["q"]
+        return out
 
 
 def frame_stream_bytes(config: RadarConfig) -> int:

@@ -12,13 +12,8 @@ from .errors import (
     WindowEmptyError,
     ZeroMagnitudeError,
 )
-from .ingest import RadarCube, counts_to_complex
+from .ingest import RadarCube
 from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_8g, _write_csv_10g, cosine_window
-
-# frames converted and transformed at once inside each pool block: the
-# FFT's temporaries stay this small (256 KB at 256 samples a chirp), so
-# each step reuses the memory the one before it freed
-_RANGE_STEP = 64
 
 
 @dataclass
@@ -73,13 +68,13 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
 
     Chirps within a frame are averaged coherently, a symmetric Hann window
     is applied over fast time and the full-length FFT is taken, one block
-    of frames at a time on the worker pool.  Each block is worked through
-    _RANGE_STEP frames at a time: a cube of int16 counts is converted to
-    complex128 in a step-sized block each worker thread reuses, so the
-    whole cube is never held as complex, and the chirp mean is taken
-    straight into its rows of the output.  The beat signal is complex, so
-    all samples_per_chirp bins are retained and bin k maps to range
-    k * c / (2 * bandwidth).
+    of frames at a time on the worker pool.  The cube's int16 I/Q counts
+    are summed over chirps in float64 straight into the output rows, whose
+    complex128 layout interleaves I and Q as the counts do: integer sums
+    are exact, so the mean matches that of the complex samples bit for
+    bit, and the cube is never held as complex.  The beat signal is
+    complex, so all samples_per_chirp bins are retained and bin k maps to
+    range k * c / (2 * bandwidth).
 
     The DFT is referenced to the window centre (a fixed per-bin rotation),
     so together with a chirp-centre beat reference the bin phase reads the
@@ -91,18 +86,19 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     window = cosine_window("hann", n, periodic=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
     values = np.empty((cube.n_frames, n), np.complex128)
+    data = cube.data
+    if data.strides[-1] != data.itemsize:  # an int16 view needs the samples side by side
+        data = data.copy()
+    iq = data.view("<i2")  # [frame][chirp][I, Q of each sample]
 
-    def compress(frames: slice, iq: np.ndarray) -> None:
-        data, rows = cube.data[frames], values[frames]
-        for lo in range(0, len(rows), _RANGE_STEP):
-            counts = data[lo : lo + _RANGE_STEP]
-            step = counts_to_complex(counts, iq[: len(counts)])
-            fast = np.mean(step, axis=1, out=rows[lo : lo + _RANGE_STEP])  # coherent average over chirps
-            fast *= window
-            np.multiply(np.fft.fft(fast, axis=1), centre_ref, out=fast)
+    def compress(frames: slice, _) -> None:
+        rows = values[frames]
+        np.add.reduce(iq[frames], axis=1, dtype=np.float64, out=rows.view(np.float64))
+        rows /= cube.config.chirps_per_frame  # coherent average over chirps
+        rows *= window
+        np.multiply(np.fft.fft(rows, axis=1), centre_ref, out=rows)
 
-    _map_blocks(compress, cube.n_frames, _FRAME_BLOCK,
-                work=lambda: np.empty((_RANGE_STEP,) + cube.data.shape[1:], np.complex128))
+    _map_blocks(compress, cube.n_frames, _FRAME_BLOCK)
     return RangeTimeMap(
         values=values,
         bin_spacing_m=cube.config.range_bin_spacing_m,

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT_M_S, RadarConfig, require_finite
+from .config import SPEED_OF_LIGHT_M_S, RadarConfig, reject_unknown, require_finite, require_seed
 from .errors import DurationTooShortError
 from .spectral import _FRAME_BLOCK, _map_blocks, cosine_window
 
@@ -67,17 +67,19 @@ class SceneSpec:
     chamber_extent_m: float = DEFAULT_CHAMBER_EXTENT_M
 
     def __post_init__(self) -> None:
+        for _, reflectivity in self.targets:
+            require_finite(reflectivity=reflectivity)
+        for range_m, reflectivity in self.static_reflectors:
+            require_finite(reflector_range_m=range_m, reflectivity=reflectivity)
+        require_finite(snr_db=self.snr_db, chamber_extent_m=self.chamber_extent_m)
         object.__setattr__(self, "targets", tuple((m, float(a)) for m, a in self.targets))
         object.__setattr__(
             self,
             "static_reflectors",
             tuple((float(r), float(a)) for r, a in self.static_reflectors),
         )
-        require_finite(snr_db=self.snr_db, seed=self.seed, chamber_extent_m=self.chamber_extent_m)
-        for _, reflectivity in self.targets + self.static_reflectors:
-            require_finite(reflectivity=reflectivity)
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "chamber_extent_m", float(self.chamber_extent_m))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         for motion, _ in self.targets:
             if motion.base_range_m > self.chamber_extent_m:
                 raise ValueError("target range exceeds the chamber extent")
@@ -96,21 +98,13 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        known = {"targets", "static_reflectors", "snr_db", "seed", "chamber_extent_m"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown scene fields: {sorted(unknown)}")
-        targets = tuple(
-            (MotionSpec(**motion), float(refl)) for motion, refl in d.get("targets", [])
-        )
-        seed = d.get("seed", 0)
-        require_finite(seed=seed)  # int() of an infinity is an OverflowError
+        reject_unknown("scene", d, cls.__dataclass_fields__)
         return cls(
-            targets=targets,
+            targets=tuple((MotionSpec(**motion), refl) for motion, refl in d.get("targets", [])),
             static_reflectors=tuple(tuple(p) for p in d.get("static_reflectors", [])),
             snr_db=d.get("snr_db"),
-            seed=int(seed),
-            chamber_extent_m=float(d.get("chamber_extent_m", DEFAULT_CHAMBER_EXTENT_M)),
+            seed=d.get("seed", 0),
+            chamber_extent_m=d.get("chamber_extent_m", DEFAULT_CHAMBER_EXTENT_M),
         )
 
     @classmethod
@@ -133,6 +127,7 @@ class BreathAudioSpec:
 
     def __post_init__(self) -> None:
         require_finite(**vars(self))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.resp_rate_bpm <= 0:
             raise ValueError("resp_rate_bpm must be positive")
         if self.burst_duration_s >= 60.0 / self.resp_rate_bpm:
@@ -146,10 +141,7 @@ class BreathAudioSpec:
     def from_json_file(cls, path) -> "BreathAudioSpec":
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown breath audio fields: {sorted(unknown)}")
+        reject_unknown("breath audio", d, cls.__dataclass_fields__)
         return cls(**d)
 
 

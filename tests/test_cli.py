@@ -105,8 +105,11 @@ VALID_SCENE = breathing_scene().to_dict()
          None, "capture.rvsc"),
         ("simulate", VALID_SCENE, {"carrier_hz": NAN}, "capture.rvsc"),
         ("simulate-audio", {"resp_rate_bpm": NAN}, None, "breath.wav"),
+        # 401 digits: an OverflowError once it met a float
+        ("simulate", VALID_SCENE, {"samples_per_chirp": 10**400}, "capture.rvsc"),
     ],
-    ids=["simulate-nan-range", "simulate-config-nan-carrier", "simulate-audio-nan-rate"],
+    ids=["simulate-nan-range", "simulate-config-nan-carrier", "simulate-audio-nan-rate",
+         "simulate-config-int-beyond-float"],
 )
 def test_non_finite_spec_or_config_value_is_input_error(tmp_path, command, spec, config, written):
     # a subprocess with a timeout: a NaN breath rate used to make synth_audio loop for ever
@@ -122,6 +125,18 @@ def test_non_finite_spec_or_config_value_is_input_error(tmp_path, command, spec,
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error:") and "must be finite" in out.stderr
     assert not (tmp_path / "x" / written).exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-audio"])
+def test_fractional_seed_is_input_error(runner, scene_json, audio_json, tmp_path, command):
+    # a scene seed of 7.9 was simulated as seed 7, with exit 0
+    path = scene_json if command == "simulate" else audio_json
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "seed": 7.9}),
+                    encoding="utf-8")
+    result = runner.invoke(main, [command, str(path), "--duration", "5", "--out", str(tmp_path / "x")])
+    assert_input_error(result)
+    assert "seed must be a nonnegative integer" in result.output + (result.stderr or "")
+    assert not any((tmp_path / "x").glob("*"))
 
 
 def test_capture_with_nan_timestamps_is_input_error(runner, tmp_path):

@@ -80,6 +80,14 @@ def random_stream(config, n_frames, seed):
     return counts.tobytes()
 
 
+def full_scale_stream(config, n_frames, seed):
+    """Every count -32768 or 32767: 4 chirps sum to as much as 4 * -32768."""
+    n = n_frames * config.chirps_per_frame * config.rx_channels * config.samples_per_chirp * 2
+    counts = np.random.default_rng(seed).choice(np.array([-32768, 32767], "<i2"), n)
+    counts[: 2 * config.samples_per_chirp * config.rx_channels * config.chirps_per_frame] = -32768
+    return counts.tobytes()
+
+
 def short_config(chirps):
     # a short chirp keeps a 513-frame cube small; 4 chirps of 64 samples fit a 20 Hz frame
     return RadarConfig(samples_per_chirp=64, chirps_per_frame=chirps)
@@ -135,13 +143,24 @@ def test_decode_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thre
 @pytest.mark.parametrize("n_frames", FRAME_COUNTS)
 def test_range_fft_of_decoded_counts_matches_the_complex_cube(monkeypatch, fast_thread_switching,
                                                               workers, rx, chirps, n_frames):
-    # the counts are converted one frame block at a time, in a block each thread reuses
+    # each frame block sums its chirps' int16 counts in float64 straight into
+    # its output rows; at full scale the sums are far beyond int16
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = dataclasses.replace(short_config(chirps), rx_channels=rx)
-    stream = random_stream(config, n_frames, seed=n_frames + chirps + rx)
-    counts = decode_cube(stream, config)
-    assert same_bits(range_fft(counts).values,
-                     range_fft_reference(decode_reference(stream, config, n_frames)))
+    for make_stream in (random_stream, full_scale_stream):
+        stream = make_stream(config, n_frames, seed=n_frames + chirps + rx)
+        counts = decode_cube(stream, config)
+        assert same_bits(range_fft(counts).values,
+                         range_fft_reference(decode_reference(stream, config, n_frames)))
+
+
+@pytest.mark.parametrize("chirps", [1, 3])
+def test_range_fft_of_a_cube_with_strided_samples(chirps):
+    # the counts are read as int16 pairs, which needs the samples side by side
+    config = short_config(chirps)
+    data = random_iq_counts((5, chirps, 2 * config.samples_per_chirp), seed=chirps)[:, :, ::-2]
+    cube = RadarCube(config=config, data=data, frame_timestamps=np.arange(5) / 20.0)
+    assert same_bits(range_fft(cube).values, range_fft_reference(cube.samples))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -398,16 +398,19 @@ def test_cube_timestamp_validation(config):
         RadarCube(config=config, data=data, frame_timestamps=np.array([0.1, 0.05]))
 
 
-@pytest.mark.parametrize("stamps", [[0.0, np.nan, 0.1, 0.15], [np.nan] * 4], ids=["one", "all"])
+@pytest.mark.parametrize("stamps", [[0.0, np.nan, 0.1, 0.15], [np.nan] * 4, [np.nan], [np.inf]],
+                         ids=["one", "all", "one-frame-nan", "one-frame-inf"])
 def test_cube_rejects_nan_timestamps(tmp_path, config, stamps):
-    # NaN compares false both to "<= 0" and to "> 1% off": such stamps used to build a cube
-    data = np.zeros((4, 1, config.samples_per_chirp), IQ_COUNTS)
+    # NaN compares false both to "<= 0" and to "> 1% off": such stamps used to
+    # build a cube, and a one-frame cube's stamp was not checked at all
+    n = len(stamps)
+    data = np.zeros((n, 1, config.samples_per_chirp), IQ_COUNTS)
     with pytest.raises(ValueError, match="strictly increasing|frame spacing"):
         RadarCube(config=config, data=data, frame_timestamps=np.array(stamps))
     path = tmp_path / "capture.rvsc"
-    write_capture(RadarCube(config=config, data=data, frame_timestamps=np.arange(4) / 20.0), path)
+    write_capture(RadarCube(config=config, data=data, frame_timestamps=np.arange(n) / 20.0), path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: -4 * 8] + np.array(stamps, "<f8").tobytes())
+    path.write_bytes(blob[: -n * 8] + np.array(stamps, "<f8").tobytes())
     with pytest.raises(ValueError, match="strictly increasing|frame spacing"):
         load_capture(path)
 

@@ -101,18 +101,37 @@ NON_FINITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
 @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
 def test_specs_and_configs_reject_non_finite_fields(case, value):
     # a NaN rate made synth_audio loop for ever; other NaNs wrote zero captures
-    # or silent WAVs with exit 0.  A reflector range outside (0, extent] was
-    # already rejected, with its own message.
-    with pytest.raises(ValueError, match="must be finite|reflector range outside"):
+    # or silent WAVs with exit 0.  An integer too large for a float raised
+    # OverflowError where a field was converted or multiplied.
+    with pytest.raises(ValueError, match="must be finite"):
         NON_FINITE_CASES[case](value)
     # None leaves an optional field out
     MotionSpec(0.5, 15.0, heart_rate_bpm=None, heart_amplitude_m=None)
     scene_with(snr_db=None)
     BreathAudioSpec(15.0, noise_db=None)
+
+
+SEEDED_SPECS = {
+    "scene": lambda seed: scene_with(seed=seed),
+    "scene.from_dict": lambda seed: SceneSpec.from_dict({**scene_with().to_dict(), "seed": seed}),
+    "breath": lambda seed: BreathAudioSpec(15.0, seed=seed),
+}
+
+
+@pytest.mark.parametrize("spec", list(SEEDED_SPECS))
+def test_seed_is_a_nonnegative_integer(spec):
+    # a scene seed of 7.9 was simulated as seed 7
+    for seed in (7.9, -1, -1.0, 0.5):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SEEDED_SPECS[spec](seed)
+    for seed in (7, 7.0, np.int64(7)):
+        kept = SEEDED_SPECS[spec](seed).seed
+        assert kept == 7 and type(kept) is int
 
 
 # --- cube synthesis ---------------------------------------------------------------
