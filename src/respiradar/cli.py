@@ -31,7 +31,7 @@ from pathlib import Path
 
 import click
 
-from .config import RadarConfig, reject_unknown
+from .config import JsonDocument, RadarConfig, json_object
 from .errors import RespiradarError
 
 EXIT_INPUT_ERROR = 2
@@ -43,7 +43,7 @@ _INPUT_EXCEPTIONS = (OSError, ValueError, KeyError, TypeError)
 
 
 @dataclass
-class RunManifest:
+class RunManifest(JsonDocument, kind="manifest"):
     """Everything needed to replay one CLI run."""
 
     command: str
@@ -59,25 +59,15 @@ class RunManifest:
     def __post_init__(self) -> None:
         if self.command not in RUNNERS:
             raise ValueError(f"manifest for unknown command {self.command!r}")
+        json_object("manifest inputs", self.inputs, INPUT_NAMES[self.command])
         if self.variant is not None and self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
     def save(self, directory: Path) -> None:
         path = directory / MANIFEST_NAME
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        reject_unknown("manifest", raw, cls.__dataclass_fields__)
-        manifest = cls(**raw)
-        for name, ref in manifest.inputs.items():
-            if not Path(ref).exists():
-                raise ValueError(f"manifest input {name!r} does not exist: {ref}")
-        return manifest
 
 
 def _fail(code: int, message: str) -> None:
@@ -143,7 +133,7 @@ def _run_simulate_audio(m: RunManifest) -> str:
     from .simulate import BreathAudioSpec, synth_audio
     from .spectral import _write_csv_10g
 
-    spec = BreathAudioSpec(**m.options["spec"])
+    spec = BreathAudioSpec.from_dict(m.options["spec"])
     duration_s = _duration_s(m)
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
@@ -160,7 +150,7 @@ def _run_process_radar(m: RunManifest) -> str:
     from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
     from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
 
-    stft_params = StftParams(**m.stft)
+    stft_params = StftParams.from_dict(m.stft)
     # a window off the grid of the capture's frame rate fails on the header alone
     stft_params.samples(_read_input(capture_config, m.inputs["capture"], "capture").frame_rate_hz)
     cube = _read_input(load_capture, m.inputs["capture"], "capture")
@@ -184,14 +174,17 @@ def _run_process_radar(m: RunManifest) -> str:
 
 
 def _run_process_audio(m: RunManifest) -> str:
-    from .audio_dsp import envelope_to_csv, load_wav
+    from .audio_dsp import FRAME_RATE_HZ, envelope_to_csv, load_wav
     from .pipeline import process_audio
     from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
 
+    stft_params = StftParams.from_dict(m.stft)
+    # the STFT runs at the envelope's rate: a bad window fails before the WAV is read
+    stft_params.samples(FRAME_RATE_HZ)
     audio = _read_input(load_wav, m.inputs["wav"], "WAV")
     result = process_audio(
         audio,
-        stft_params=StftParams(**m.stft),
+        stft_params=stft_params,
         band_bpm=tuple(m.band_bpm),
         multistage=m.options["multistage"],
         square=m.options["square"],
@@ -220,6 +213,15 @@ RUNNERS = {
     "process-radar": _run_process_radar,
     "process-audio": _run_process_audio,
     "compare": _run_compare,
+}
+
+# the input files each command records in its manifest
+INPUT_NAMES = {
+    "simulate": ("scene",),
+    "simulate-audio": ("audio_spec",),
+    "process-radar": ("capture",),
+    "process-audio": ("wav",),
+    "compare": ("rates_a", "rates_b"),
 }
 
 
@@ -322,7 +324,7 @@ def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
         inputs={"audio_spec": _resolved(audio_json)},
         output_dir=_resolved(out_dir),
         seed=spec.seed,
-        options={"duration_s": duration_s, "spec": dataclasses.asdict(spec)},
+        options={"duration_s": duration_s, "spec": spec.to_dict()},
     )
 
 
@@ -403,7 +405,11 @@ def cmd_compare(rates_a, rates_b, out_dir) -> RunManifest:
               help="Directory for the reproduced outputs.")
 def cmd_rerun(manifest_path, out_dir) -> RunManifest:
     """Replay a recorded run; outputs are bit-identical to the original."""
-    return dataclasses.replace(RunManifest.load(manifest_path), output_dir=_resolved(out_dir))
+    manifest = RunManifest.from_json_file(manifest_path)
+    for name, ref in manifest.inputs.items():
+        if not Path(ref).exists():
+            raise ValueError(f"manifest input {name!r} does not exist: {ref}")
+    return dataclasses.replace(manifest, output_dir=_resolved(out_dir))
 
 
 if __name__ == "__main__":

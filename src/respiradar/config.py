@@ -1,4 +1,5 @@
-"""Radar chirp/frame geometry and the derived range axis."""
+"""Radar chirp/frame geometry and the derived range axis, and the one
+reader and writer of the JSON documents (configs, specs, manifests)."""
 
 from __future__ import annotations
 
@@ -30,15 +31,45 @@ def require_seed(seed) -> int:
     return int(seed)
 
 
-def reject_unknown(kind: str, given, known) -> None:
-    """Raise ValueError naming the fields of given that known lacks."""
+def json_object(kind: str, given, known) -> dict:
+    """given, if it is a JSON object whose fields all lie in known; else
+    ValueError naming what it is or the fields that known lacks."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(given).__name__}")
     unknown = set(given) - set(known)
     if unknown:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
+    return given
+
+
+class JsonDocument:
+    """Base of the dataclasses read from and written to JSON, which name
+    their kind for error messages: ``class C(JsonDocument, kind="scene")``.
+
+    ``from_dict`` takes one JSON object and its dataclass's fields only,
+    ``from_json_file`` reads one such object from a file, and ``to_dict`` is
+    ``dataclasses.asdict``; a subclass's ``__post_init__`` checks the values.
+    """
+
+    def __init_subclass__(cls, kind: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**json_object(cls.kind, d, cls.__dataclass_fields__))
+
+    @classmethod
+    def from_json_file(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class RadarConfig:
+class RadarConfig(JsonDocument, kind="radar config"):
     """Chirp and frame geometry that fixes the range axis and slow-time rate.
 
     Defaults describe a 77 GHz module streaming one 256-sample chirp per
@@ -99,16 +130,3 @@ class RadarConfig:
     @property
     def frame_period_s(self) -> float:
         return 1.0 / self.frame_rate_hz
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadarConfig":
-        reject_unknown("radar config", d, cls.__dataclass_fields__)
-        return cls(**d)
-
-    @classmethod
-    def from_json_file(cls, path) -> "RadarConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

@@ -17,7 +17,7 @@ class PayloadTooLargeError(RespiradarError):
 
 
 class DuplicateSeqError(RespiradarError):
-    """Same sequence number seen twice with differing payloads."""
+    """Same sequence number seen twice with differing byte offsets or payloads."""
 
 
 class NonMonotonicByteCountError(RespiradarError):

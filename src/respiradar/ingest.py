@@ -113,13 +113,13 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
 
     Missing sequence ranges are zero-filled using the cumulative byte
     offsets, so downstream frame indexing stays aligned.  Duplicate
-    packets are tolerated when their payloads agree.
+    packets are tolerated when they are the same datagram: offset and payload.
     """
     by_seq: dict[int, Datagram] = {}
     for dgram in datagrams:
         prev = by_seq.get(dgram.seq)
-        if prev is not None and prev.payload != dgram.payload:
-            raise DuplicateSeqError(f"seq {dgram.seq} received twice with differing payloads")
+        if prev is not None and prev != dgram:
+            raise DuplicateSeqError(f"seq {dgram.seq} received twice with differing contents")
         by_seq[dgram.seq] = dgram
     if not by_seq:
         raise ValueError("no datagrams to reassemble")

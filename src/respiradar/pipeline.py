@@ -98,7 +98,7 @@ def process_audio(
     from .audio_dsp import FRAME_RATE_HZ, decimate_to_frame_rate, envelope
 
     stft_params = stft_params or StftParams()
-    stft_params.samples(FRAME_RATE_HZ)  # a bad window fails before the audio is read
+    stft_params.samples(FRAME_RATE_HZ)  # a bad window fails before the decimation
     env = envelope(decimate_to_frame_rate(audio, multistage=multistage), square=square)
     spectrogram = stft(env.samples, env.rate_hz, stft_params)
     rates = extract_rate(spectrogram, band_bpm)

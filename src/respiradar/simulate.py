@@ -9,13 +9,12 @@ and 16-bit PCM, quantised here and nowhere else.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT_M_S, RadarConfig, reject_unknown, require_finite, require_seed
+from .config import SPEED_OF_LIGHT_M_S, JsonDocument, RadarConfig, require_finite, require_seed
 from .errors import DurationTooShortError
 from .spectral import _FRAME_BLOCK, _map_blocks, cosine_window
 
@@ -30,7 +29,7 @@ _AUDIO_BLOCK = 1 << 18  # samples summed, drawn and quantised at a time, 2 MB of
 
 
 @dataclass(frozen=True)
-class MotionSpec:
+class MotionSpec(JsonDocument, kind="motion"):
     """Chest-motion model: sinusoidal displacement plus optional second
     harmonic and heart component, around a fixed base range."""
 
@@ -56,9 +55,12 @@ class MotionSpec:
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(JsonDocument, kind="scene"):
     """Declarative scene: breathing targets and static reflectors inside the
-    chamber, white noise at snr_db relative to the strongest scatterer."""
+    chamber, white noise at snr_db relative to the strongest scatterer.
+
+    In JSON a target is a [motion object, reflectivity] pair.
+    """
 
     targets: tuple[tuple[MotionSpec, float], ...] = ()
     static_reflectors: tuple[tuple[float, float], ...] = ()
@@ -72,7 +74,10 @@ class SceneSpec:
         for range_m, reflectivity in self.static_reflectors:
             require_finite(reflector_range_m=range_m, reflectivity=reflectivity)
         require_finite(snr_db=self.snr_db, chamber_extent_m=self.chamber_extent_m)
-        object.__setattr__(self, "targets", tuple((m, float(a)) for m, a in self.targets))
+        object.__setattr__(self, "targets", tuple(
+            (m if isinstance(m, MotionSpec) else MotionSpec.from_dict(m), float(a))
+            for m, a in self.targets
+        ))
         object.__setattr__(
             self,
             "static_reflectors",
@@ -87,34 +92,9 @@ class SceneSpec:
             if not 0 < range_m <= self.chamber_extent_m:
                 raise ValueError("reflector range outside the chamber extent")
 
-    def to_dict(self) -> dict:
-        return {
-            "targets": [[asdict(m), a] for m, a in self.targets],
-            "static_reflectors": [list(pair) for pair in self.static_reflectors],
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-            "chamber_extent_m": self.chamber_extent_m,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        reject_unknown("scene", d, cls.__dataclass_fields__)
-        return cls(
-            targets=tuple((MotionSpec(**motion), refl) for motion, refl in d.get("targets", [])),
-            static_reflectors=tuple(tuple(p) for p in d.get("static_reflectors", [])),
-            snr_db=d.get("snr_db"),
-            seed=d.get("seed", 0),
-            chamber_extent_m=d.get("chamber_extent_m", DEFAULT_CHAMBER_EXTENT_M),
-        )
-
-    @classmethod
-    def from_json_file(cls, path) -> "SceneSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
-class BreathAudioSpec:
+class BreathAudioSpec(JsonDocument, kind="breath audio"):
     """Breath-sound model: noise bursts at each exhalation (and inhalation
     unless exhale_only) over optional white background noise."""
 
@@ -136,13 +116,6 @@ class BreathAudioSpec:
             raise ValueError("burst_duration_s must be positive")
         if self.burst_amplitude < 0:
             raise ValueError("burst_amplitude must be nonnegative")
-
-    @classmethod
-    def from_json_file(cls, path) -> "BreathAudioSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-        reject_unknown("breath audio", d, cls.__dataclass_fields__)
-        return cls(**d)
 
 
 def chest_displacement(spec: MotionSpec, t) -> np.ndarray:

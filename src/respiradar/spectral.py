@@ -13,12 +13,13 @@ import functools
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import JsonDocument
 from .errors import EmptyBandError, NoOverlapError, TraceTooShortError
 
 # cosine-sum coefficients of each window shape
@@ -31,7 +32,7 @@ _FRAME_BLOCK = 512  # frames per block of the radar stages (simulate, quantise, 
 
 
 @dataclass(frozen=True)
-class StftParams:
+class StftParams(JsonDocument, kind="stft"):
     """Sliding-window DFT parameters in seconds, for a trace of any rate."""
 
     window_s: float = 60.0
@@ -584,12 +585,4 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
 
 def comparison_to_json(comparison: RateComparison) -> str:
     """Single-line JSON summary of a comparison."""
-    return json.dumps(
-        {
-            "mae_bpm": comparison.mae_bpm,
-            "rmse_bpm": comparison.rmse_bpm,
-            "within_2bpm_fraction": comparison.within_2bpm_fraction,
-            "n_instants": comparison.n_instants,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(asdict(comparison), sort_keys=True)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import breathing_scene
-from respiradar import RadarConfig, ingest
+from respiradar import RadarConfig, audio_dsp, ingest
 from respiradar.cli import main
 from respiradar.ingest import load_capture
 from respiradar.spectral import RateSeries, rate_series_from_csv, rate_series_to_csv
@@ -261,6 +262,21 @@ def test_process_radar_checks_the_window_on_the_capture_header(runner, recording
     assert not out.exists()
 
 
+def test_process_audio_checks_the_window_before_reading_the_wav(runner, recordings, tmp_path,
+                                                                 monkeypatch):
+    # the STFT runs at the envelope's fixed 20 Hz: no sample of the WAV is needed
+    def never_read(*args, **kwargs):
+        raise AssertionError("the WAV was read")
+
+    monkeypatch.setattr(audio_dsp, "load_wav", never_read)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["process-audio", str(recordings["process-audio"]),
+                                  "--window-s", "60.01", "--out", str(out)])
+    assert_input_error(result)
+    assert "error: window_s must span a whole number of samples" in result.output + (result.stderr or "")
+    assert not out.exists()
+
+
 def test_process_radar_missing_capture(runner, tmp_path):
     result = runner.invoke(
         main, ["process-radar", str(tmp_path / "nope.rvsc"), "--out", str(tmp_path / "o")]
@@ -473,6 +489,77 @@ def test_rerun_unknown_command_is_input_error(runner, tmp_path):
     manifest.write_text(json.dumps({"command": "launch", "inputs": {}, "output_dir": "x"}))
     result = runner.invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def manifests(recordings, tmp_path_factory):
+    """The recorded manifests of a simulate, a simulate-audio and a process-radar run."""
+    capture = recordings["process-radar"]
+    out = tmp_path_factory.mktemp("radar")
+    result = CliRunner().invoke(main, ["process-radar", str(capture), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    paths = {"simulate": capture.parent, "simulate-audio": recordings["process-audio"].parent,
+             "process-radar": out}
+    return {command: json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+            for command, path in paths.items()}
+
+
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _rerun_with(command, *keys):
+    """Arguments that replay `command`'s manifest with the document at keys corrupted."""
+
+    def args(tmp_path, manifests, corrupt):
+        holder = {"manifest": json.loads(json.dumps(manifests[command]))}
+        path = ("manifest", *keys)
+        parent = functools.reduce(dict.__getitem__, path[:-1], holder)
+        parent[path[-1]] = corrupt(parent[path[-1]])
+        return ["rerun", _write_json(tmp_path / "manifest.json", holder["manifest"])]
+
+    return args
+
+
+JSON_DOCUMENTS = {
+    "scene": lambda tmp_path, manifests, corrupt: [
+        "simulate", _write_json(tmp_path / "scene.json", corrupt(VALID_SCENE)), "--duration", "5"],
+    "config": lambda tmp_path, manifests, corrupt: [
+        "simulate", _write_json(tmp_path / "scene.json", VALID_SCENE), "--duration", "5",
+        "--config", _write_json(tmp_path / "config.json", corrupt({"frame_rate_hz": 20.0}))],
+    "breath-spec": lambda tmp_path, manifests, corrupt: [
+        "simulate-audio", _write_json(tmp_path / "breath.json", corrupt({"resp_rate_bpm": 15.0})),
+        "--duration", "5"],
+    "manifest": _rerun_with("process-radar"),
+    "manifest-inputs": _rerun_with("process-radar", "inputs"),
+    "manifest-scene": _rerun_with("simulate", "options", "scene"),
+    "manifest-spec": _rerun_with("simulate-audio", "options", "spec"),
+    "manifest-stft": _rerun_with("process-radar", "stft"),
+    "manifest-radar-config": _rerun_with("simulate", "radar_config"),
+}
+
+CORRUPTIONS = {
+    "array": lambda doc: [],
+    "string": lambda doc: json.dumps(doc),
+    "unknown-field": lambda doc: {**doc, "bogus": 1},
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+@pytest.mark.parametrize("document", list(JSON_DOCUMENTS))
+def test_json_document_that_is_not_an_object_of_known_fields_is_input_error(
+        manifests, tmp_path, document, corruption):
+    # a subprocess: a scene file or embedded scene holding an array, or a
+    # manifest whose inputs were one, ended in an AttributeError and exit 1
+    args = JSON_DOCUMENTS[document](tmp_path, manifests, CORRUPTIONS[corruption])
+    out = subprocess.run([sys.executable, "-m", "respiradar.cli", *args, "--out", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert ("unknown" if corruption == "unknown-field" else "must be a JSON object") in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def run_python(code, *, timeout):

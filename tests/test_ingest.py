@@ -169,6 +169,17 @@ def test_reassemble_duplicates():
         reassemble([base, Datagram(seq=0, byte_count=0, payload=b"diff")])
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3)], ids=["offset-8-first", "offset-16-first"])
+def test_reassemble_duplicate_seq_at_another_offset(order):
+    # same seq and payload, another byte offset: whichever copy came last used
+    # to win, so one order raised NonMonotonicByteCountError and the other
+    # returned a 40-byte stream
+    arrivals = [Datagram(0, 0, b"a" * 8), Datagram(1, 8, b"b" * 8),
+                Datagram(1, 16, b"b" * 8), Datagram(3, 32, b"d" * 8)]
+    with pytest.raises(DuplicateSeqError):
+        reassemble([arrivals[i] for i in order])
+
+
 def test_reassemble_rejects_inconsistent_byte_counts():
     with pytest.raises(NonMonotonicByteCountError):
         reassemble(
