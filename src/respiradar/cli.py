@@ -1,13 +1,18 @@
 """Command-line front end tying simulation, both pipelines, rate extraction
 and comparison into reproducible runs that emit CSV/JSON.
 
-Each command only turns its flags into a ``RunManifest``.  ``_execute``
-hands the manifest to the command's entry in the ``RUNNERS`` table, one
-runner per command, which reads every parameter and input from the
-manifest alone; it then maps errors to exit codes and saves the manifest
-beside the outputs as ``manifest.json``.  ``rerun`` loads a saved manifest
-and goes through the same ``_execute``, so a replay runs the code path of
-the original run and reproduces its outputs bit-identically.
+Each command is one row of the ``COMMANDS`` table: the input files, the
+optional manifest fields and the options it records, and its runner.  A
+command only turns its flags into a ``RunManifest``, which checks itself
+against that row; a missing, unknown or stray name is an input error.
+``_command`` hands the manifest to the row's runner, which reads every
+parameter and input from the manifest alone; it then maps errors to exit
+codes and saves the manifest beside the outputs as ``manifest.json``.
+``rerun`` loads a saved manifest and goes through the same path, so a
+replay runs the code of the original run and reproduces its outputs
+bit-identically.  It reads only the files the runner reads: a
+``simulate`` manifest embeds its scene, and replays without the scene
+file.
 
 Exit codes: 0 success, 2 input error (bad flags, configs or manifests, or
 an unreadable capture, WAV or rates file), 3 processing error.
@@ -49,6 +54,7 @@ class RunManifest(JsonDocument, kind="manifest"):
     command: str
     inputs: dict[str, str]
     output_dir: str | None  # None: `compare` without --out writes nothing
+    # the optional fields: each is set if and only if the command's row records it
     radar_config: dict | None = None
     stft: dict | None = None
     band_bpm: list | None = None
@@ -57,9 +63,14 @@ class RunManifest(JsonDocument, kind="manifest"):
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in RUNNERS:
+        if self.command not in COMMANDS:
             raise ValueError(f"manifest for unknown command {self.command!r}")
-        json_object("manifest inputs", self.inputs, INPUT_NAMES[self.command])
+        row = COMMANDS[self.command]
+        json_object("manifest inputs", self.inputs, row.inputs, required=row.inputs)
+        json_object("manifest options", self.options, row.options, required=row.options)
+        recorded = [f.name for f in dataclasses.fields(self)
+                    if f.default is None and getattr(self, f.name) is not None]
+        json_object(f"{self.command} manifest", dict.fromkeys(recorded), row.fields, required=row.fields)
         if self.variant is not None and self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
@@ -96,12 +107,17 @@ def _read_input(load, path: str, what: str):
         raise ValueError(str(exc)) from exc
 
 
-def _duration_s(m: RunManifest) -> float:
-    """A simulate run's --duration; one that is not positive and finite is an input error."""
+def _simulation(m: RunManifest, spec_type, name: str):
+    """A simulate run's embedded scene or breath spec and its --duration.  A
+    spec seed other than the manifest's seed, or a duration that is not
+    positive and finite, is an input error."""
+    spec = spec_type.from_dict(m.options[name])
+    if spec.seed != m.seed:
+        raise ValueError(f"manifest seed {m.seed} differs from its {spec.kind} seed {spec.seed}")
     duration_s = m.options["duration_s"]
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    return duration_s
+    return spec, duration_s
 
 
 # --------------------------------------------------------------------------
@@ -115,9 +131,8 @@ def _run_simulate(m: RunManifest) -> str:
     from .simulate import SceneSpec, scene_truth, synth_cube
     from .spectral import _write_csv_10g
 
-    scene = SceneSpec.from_dict(m.options["scene"])
+    scene, duration_s = _simulation(m, SceneSpec, "scene")
     config = RadarConfig.from_dict(m.radar_config)
-    duration_s = _duration_s(m)
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
     write_capture(cube, out / "capture.rvsc")
@@ -133,8 +148,7 @@ def _run_simulate_audio(m: RunManifest) -> str:
     from .simulate import BreathAudioSpec, synth_audio
     from .spectral import _write_csv_10g
 
-    spec = BreathAudioSpec.from_dict(m.options["spec"])
-    duration_s = _duration_s(m)
+    spec, duration_s = _simulation(m, BreathAudioSpec, "spec")
     trace = synth_audio(spec, duration_s)
     out = _out_dir(m)
     save_wav(out / "breath.wav", trace)
@@ -207,37 +221,27 @@ def _run_compare(m: RunManifest) -> str:
     return summary
 
 
-RUNNERS = {
-    "simulate": _run_simulate,
-    "simulate-audio": _run_simulate_audio,
-    "process-radar": _run_process_radar,
-    "process-audio": _run_process_audio,
-    "compare": _run_compare,
+class Command:
+    """A command's row in ``COMMANDS``: the input files, the optional
+    RunManifest fields and the option names its manifest records, and its
+    runner, RunManifest -> one-line report.  Not a dataclass, which would
+    cost every cold start about a millisecond to build."""
+
+    def __init__(self, inputs, fields, options, run) -> None:
+        self.inputs, self.fields, self.options, self.run = inputs, fields, options, run
+
+
+COMMANDS = {
+    "simulate": Command(("scene",), ("radar_config", "seed"), ("duration_s", "scene"), _run_simulate),
+    "simulate-audio": Command(("audio_spec",), ("seed",), ("duration_s", "spec"), _run_simulate_audio),
+    "process-radar": Command(
+        ("capture",), ("stft", "band_bpm", "variant"),
+        ("min_range_m", "max_range_m", "detrend", "export_range_map", "export_phase"),
+        _run_process_radar,
+    ),
+    "process-audio": Command(("wav",), ("stft", "band_bpm"), ("multistage", "square"), _run_process_audio),
+    "compare": Command(("rates_a", "rates_b"), (), (), _run_compare),
 }
-
-# the input files each command records in its manifest
-INPUT_NAMES = {
-    "simulate": ("scene",),
-    "simulate-audio": ("audio_spec",),
-    "process-radar": ("capture",),
-    "process-audio": ("wav",),
-    "compare": ("rates_a", "rates_b"),
-}
-
-
-def _execute(build) -> None:
-    """Build a run's manifest, run it, save the manifest and print the
-    runner's report; every command and `rerun` ends here."""
-    try:
-        manifest = build()
-        report = RUNNERS[manifest.command](manifest)
-    except _INPUT_EXCEPTIONS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    except RespiradarError as exc:
-        _fail(EXIT_PROCESSING_ERROR, str(exc))
-    if manifest.output_dir is not None:
-        manifest.save(Path(manifest.output_dir))
-    click.echo(report)
 
 
 # --------------------------------------------------------------------------
@@ -250,20 +254,34 @@ def main() -> None:
 
 
 def _command(name: str):
-    """Register a function from flags to a RunManifest as command `name`,
-    run through `_execute`."""
+    """Register a function from flags to a RunManifest as command `name`.
+    Every command and `rerun` ends here: build the manifest, run it through
+    its row's runner, save the manifest and print the runner's report."""
 
     def register(build):
         @functools.wraps(build)
         def command(**flags) -> None:
-            _execute(lambda: build(**flags))
+            try:
+                manifest = build(**flags)
+                report = COMMANDS[manifest.command].run(manifest)
+            except _INPUT_EXCEPTIONS as exc:
+                _fail(EXIT_INPUT_ERROR, str(exc))
+            except RespiradarError as exc:
+                _fail(EXIT_PROCESSING_ERROR, str(exc))
+            if manifest.output_dir is not None:
+                manifest.save(Path(manifest.output_dir))
+            click.echo(report)
 
         return main.command(name)(command)
 
     return register
 
 
-def _stft_flags(fn):
+def _stft_and_band_flags(fn):
+    fn = click.option("--band-low", type=float, default=6.0, show_default=True,
+                      help="Lower edge of the rate search band (bpm).")(fn)
+    fn = click.option("--band-high", type=float, default=60.0, show_default=True,
+                      help="Upper edge of the rate search band (bpm).")(fn)
     fn = click.option("--window-s", type=float, default=60.0, show_default=True,
                       help="STFT window length in seconds.")(fn)
     fn = click.option("--overlap-s", type=float, default=59.95, show_default=True,
@@ -273,12 +291,19 @@ def _stft_flags(fn):
     return fn
 
 
-def _band_flags(fn):
-    fn = click.option("--band-low", type=float, default=6.0, show_default=True,
-                      help="Lower edge of the rate search band (bpm).")(fn)
-    fn = click.option("--band-high", type=float, default=60.0, show_default=True,
-                      help="Upper edge of the rate search band (bpm).")(fn)
-    return fn
+def _manifest(command: str, flags: dict) -> RunManifest:
+    """A processing or compare run's manifest from its flags: --out and the
+    inputs resolved, the STFT and band flags grouped, every other flag an option."""
+    out_dir = flags.pop("out_dir")
+    inputs = {name: _resolved(flags.pop(name)) for name in COMMANDS[command].inputs}
+    recorded = {}
+    if "window_s" in flags:
+        recorded["stft"] = {name: flags.pop(name) for name in ("window_s", "overlap_s", "window_shape")}
+        recorded["band_bpm"] = [flags.pop("band_low"), flags.pop("band_high")]
+    if "variant" in flags:
+        recorded["variant"] = flags.pop("variant").upper()
+    return RunManifest(command, inputs, None if out_dir is None else _resolved(out_dir),
+                       options=flags, **recorded)
 
 
 @_command("simulate")
@@ -297,14 +322,9 @@ def cmd_simulate(scene_json, config_json, duration_s, seed, out_dir) -> RunManif
     if seed is not None:
         scene = dataclasses.replace(scene, seed=seed)
     config = RadarConfig.from_json_file(config_json) if config_json else RadarConfig()
-    return RunManifest(
-        command="simulate",
-        inputs={"scene": _resolved(scene_json)},
-        output_dir=_resolved(out_dir),
-        radar_config=config.to_dict(),
-        seed=scene.seed,
-        options={"duration_s": duration_s, "scene": scene.to_dict()},
-    )
+    return RunManifest("simulate", {"scene": _resolved(scene_json)}, _resolved(out_dir),
+                       radar_config=config.to_dict(), seed=scene.seed,
+                       options={"duration_s": duration_s, "scene": scene.to_dict()})
 
 
 @_command("simulate-audio")
@@ -319,19 +339,13 @@ def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
     spec = BreathAudioSpec.from_json_file(audio_json)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    return RunManifest(
-        command="simulate-audio",
-        inputs={"audio_spec": _resolved(audio_json)},
-        output_dir=_resolved(out_dir),
-        seed=spec.seed,
-        options={"duration_s": duration_s, "spec": spec.to_dict()},
-    )
+    return RunManifest("simulate-audio", {"audio_spec": _resolved(audio_json)}, _resolved(out_dir),
+                       seed=spec.seed, options={"duration_s": duration_s, "spec": spec.to_dict()})
 
 
 @_command("process-radar")
 @click.argument("capture", type=click.Path())
-@_stft_flags
-@_band_flags
+@_stft_and_band_flags
 @click.option("--variant", type=click.Choice(["A", "B"], case_sensitive=False),
               default="A", show_default=True,
               help="A: unwrapped phase; B: complex slow-time signal.")
@@ -342,47 +356,22 @@ def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
 @click.option("--export-range-map", is_flag=True, help="Also write range_map.csv.")
 @click.option("--export-phase", is_flag=True, help="Also write phase.csv (variant A).")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def cmd_process_radar(capture, window_s, overlap_s, window_shape, band_low, band_high,
-                      variant, min_range_m, max_range_m, detrend,
-                      export_range_map, export_phase, out_dir) -> RunManifest:
+def cmd_process_radar(**flags) -> RunManifest:
     """Run the radar chain on a capture and write rate/spectrogram CSVs."""
-    return RunManifest(
-        command="process-radar",
-        inputs={"capture": _resolved(capture)},
-        output_dir=_resolved(out_dir),
-        stft={"window_s": window_s, "overlap_s": overlap_s, "window_shape": window_shape},
-        band_bpm=[band_low, band_high],
-        variant=variant.upper(),
-        options={
-            "min_range_m": min_range_m,
-            "max_range_m": max_range_m,
-            "detrend": detrend,
-            "export_range_map": export_range_map,
-            "export_phase": export_phase,
-        },
-    )
+    return _manifest("process-radar", flags)
 
 
 @_command("process-audio")
 @click.argument("wav", type=click.Path())
-@_stft_flags
-@_band_flags
+@_stft_and_band_flags
 @click.option("--multistage", is_flag=True,
               help="Use the clean multistage decimator instead of the order-20 FIR.")
 @click.option("--square", is_flag=True,
               help="Square instead of rectify before the envelope filter.")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def cmd_process_audio(wav, window_s, overlap_s, window_shape, band_low, band_high,
-                      multistage, square, out_dir) -> RunManifest:
+def cmd_process_audio(**flags) -> RunManifest:
     """Run the audio chain on a WAV file and write rate/envelope CSVs."""
-    return RunManifest(
-        command="process-audio",
-        inputs={"wav": _resolved(wav)},
-        output_dir=_resolved(out_dir),
-        stft={"window_s": window_s, "overlap_s": overlap_s, "window_shape": window_shape},
-        band_bpm=[band_low, band_high],
-        options={"multistage": multistage, "square": square},
-    )
+    return _manifest("process-audio", flags)
 
 
 @_command("compare")
@@ -390,13 +379,9 @@ def cmd_process_audio(wav, window_s, overlap_s, window_shape, band_low, band_hig
 @click.argument("rates_b", type=click.Path())
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Also write comparison.json (and a manifest) here.")
-def cmd_compare(rates_a, rates_b, out_dir) -> RunManifest:
+def cmd_compare(**flags) -> RunManifest:
     """Compare two rate CSVs and print a single-line JSON summary."""
-    return RunManifest(
-        command="compare",
-        inputs={"rates_a": _resolved(rates_a), "rates_b": _resolved(rates_b)},
-        output_dir=None if out_dir is None else _resolved(out_dir),
-    )
+    return _manifest("compare", flags)
 
 
 @_command("rerun")
@@ -406,9 +391,6 @@ def cmd_compare(rates_a, rates_b, out_dir) -> RunManifest:
 def cmd_rerun(manifest_path, out_dir) -> RunManifest:
     """Replay a recorded run; outputs are bit-identical to the original."""
     manifest = RunManifest.from_json_file(manifest_path)
-    for name, ref in manifest.inputs.items():
-        if not Path(ref).exists():
-            raise ValueError(f"manifest input {name!r} does not exist: {ref}")
     return dataclasses.replace(manifest, output_dir=_resolved(out_dir))
 
 

@@ -31,14 +31,18 @@ def require_seed(seed) -> int:
     return int(seed)
 
 
-def json_object(kind: str, given, known) -> dict:
-    """given, if it is a JSON object whose fields all lie in known; else
-    ValueError naming what it is or the fields that known lacks."""
+def json_object(kind: str, given, known, required=()) -> dict:
+    """given, if it is a JSON object whose fields all lie in known and
+    include all of required; else ValueError naming what it is or the
+    fields that are unknown or missing."""
     if not isinstance(given, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(given).__name__}")
     unknown = set(given) - set(known)
     if unknown:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
+    missing = set(required) - set(given)
+    if missing:
+        raise ValueError(f"missing {kind} fields: {sorted(missing)}")
     return given
 
 

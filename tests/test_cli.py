@@ -451,6 +451,24 @@ def test_rerun_simulate_bit_identical(runner, scene_json, tmp_path):
     assert (replay / "truth.csv").read_bytes() == (out / "truth.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "simulate-audio"])
+def test_rerun_of_a_simulation_needs_no_spec_file(runner, scene_json, audio_json, tmp_path, command):
+    # the manifest embeds the scene or breath spec; a replay used to stop at
+    # "manifest input 'scene' does not exist"
+    spec = scene_json if command == "simulate" else audio_json
+    out = tmp_path / "sim"
+    assert runner.invoke(main, [command, str(spec), "--duration", "5", "--out", str(out)]).exit_code == 0
+    spec.unlink()
+    replay = tmp_path / "replay"
+    result = runner.invoke(main, ["rerun", str(out / "manifest.json"), "--out", str(replay)])
+    assert result.exit_code == 0, result.output
+    names = sorted(path.name for path in out.iterdir())
+    assert sorted(path.name for path in replay.iterdir()) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def test_rerun_unreadable_capture_is_input_error(runner, scene_json, tmp_path):
     capture = simulate(runner, scene_json, tmp_path / "sim")
     out = tmp_path / "first"
@@ -533,32 +551,68 @@ JSON_DOCUMENTS = {
         "--duration", "5"],
     "manifest": _rerun_with("process-radar"),
     "manifest-inputs": _rerun_with("process-radar", "inputs"),
+    "manifest-options": _rerun_with("process-radar", "options"),
     "manifest-scene": _rerun_with("simulate", "options", "scene"),
     "manifest-spec": _rerun_with("simulate-audio", "options", "spec"),
     "manifest-stft": _rerun_with("process-radar", "stft"),
     "manifest-radar-config": _rerun_with("simulate", "radar_config"),
 }
 
+# corruption: (what it does to a document, what the error line says)
 CORRUPTIONS = {
-    "array": lambda doc: [],
-    "string": lambda doc: json.dumps(doc),
-    "unknown-field": lambda doc: {**doc, "bogus": 1},
+    "array": (lambda doc: [], "must be a JSON object"),
+    "string": (lambda doc: json.dumps(doc), "must be a JSON object"),
+    "unknown-field": (lambda doc: {**doc, "bogus": 1}, "error: unknown "),
+    # drops the first name: only a manifest's inputs and options must hold every name
+    "missing-field": (lambda doc: dict(list(doc.items())[1:]), "error: missing "),
 }
 
 
-@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
-@pytest.mark.parametrize("document", list(JSON_DOCUMENTS))
+@pytest.mark.parametrize("document, corruption", [
+    *[(document, corruption) for document in JSON_DOCUMENTS for corruption in CORRUPTIONS
+      if corruption != "missing-field"],
+    ("manifest-inputs", "missing-field"),
+    ("manifest-options", "missing-field"),
+])
 def test_json_document_that_is_not_an_object_of_known_fields_is_input_error(
         manifests, tmp_path, document, corruption):
     # a subprocess: a scene file or embedded scene holding an array, or a
-    # manifest whose inputs were one, ended in an AttributeError and exit 1
-    args = JSON_DOCUMENTS[document](tmp_path, manifests, CORRUPTIONS[corruption])
+    # manifest whose inputs were one, ended in an AttributeError and exit 1;
+    # a manifest with an unknown option replayed with exit 0, and one without
+    # its capture input or an option printed only the KeyError text
+    corrupt, message = CORRUPTIONS[corruption]
+    args = JSON_DOCUMENTS[document](tmp_path, manifests, corrupt)
     out = subprocess.run([sys.executable, "-m", "respiradar.cli", *args, "--out", str(tmp_path / "out")],
                          env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
-    assert ("unknown" if corruption == "unknown-field" else "must be a JSON object") in out.stderr
+    assert message in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name, value, message", [
+    ("process-radar", "radar_config", RadarConfig().to_dict(), "unknown process-radar manifest fields"),
+    ("process-radar", "seed", 7, "unknown process-radar manifest fields"),
+    ("simulate", "radar_config", None, "missing simulate manifest fields"),
+], ids=["process-radar-radar_config", "process-radar-seed", "simulate-no-radar_config"])
+def test_stray_or_missing_manifest_field_is_input_error(
+        runner, manifests, tmp_path, command, name, value, message):
+    # a process-radar manifest with a radar_config or a seed replayed with exit 0
+    manifest = _write_json(tmp_path / "manifest.json", {**manifests[command], name: value})
+    result = runner.invoke(main, ["rerun", manifest, "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    assert f"{message}: [{name!r}]" in result.output + (result.stderr or "")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-audio"])
+def test_manifest_seed_other_than_its_spec_seed_is_input_error(runner, manifests, tmp_path, command):
+    # the embedded scene or breath spec's seed used to win silently, with exit 0
+    manifest = _write_json(tmp_path / "manifest.json", {**manifests[command], "seed": 99})
+    result = runner.invoke(main, ["rerun", manifest, "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    assert "manifest seed 99 differs" in result.output + (result.stderr or "")
     assert not (tmp_path / "out").exists()
 
 
