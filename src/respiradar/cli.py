@@ -4,7 +4,8 @@ and comparison into reproducible runs that emit CSV/JSON.
 Each command is one row of the ``COMMANDS`` table: the input files, the
 optional manifest fields and the options it records, and its runner.  A
 command only turns its flags into a ``RunManifest``, which checks itself
-against that row; a missing, unknown or stray name is an input error.
+against that row; a missing, unknown or stray name, or an option value of
+the wrong JSON type, is an input error.
 ``_command`` hands the manifest to the row's runner, which reads every
 parameter and input from the manifest alone; it then maps errors to exit
 codes and saves the manifest beside the outputs as ``manifest.json``.
@@ -68,6 +69,10 @@ class RunManifest(JsonDocument, kind="manifest"):
         row = COMMANDS[self.command]
         json_object("manifest inputs", self.inputs, row.inputs, required=row.inputs)
         json_object("manifest options", self.options, row.options, required=row.options)
+        for name, (json_type, types) in row.options.items():
+            value = self.options[name]
+            if type(value) not in types:
+                raise ValueError(f"manifest option {name} must be {json_type}, got {type(value).__name__}")
         recorded = [f.name for f in dataclasses.fields(self)
                     if f.default is None and getattr(self, f.name) is not None]
         json_object(f"{self.command} manifest", dict.fromkeys(recorded), row.fields, required=row.fields)
@@ -221,26 +226,34 @@ def _run_compare(m: RunManifest) -> str:
     return summary
 
 
+# the JSON type of a manifest option: its name, and the types json.load gives it
+BOOLEAN, NUMBER, OBJECT = ("a boolean", (bool,)), ("a number", (int, float)), ("a JSON object", (dict,))
+
+
 class Command:
     """A command's row in ``COMMANDS``: the input files, the optional
-    RunManifest fields and the option names its manifest records, and its
-    runner, RunManifest -> one-line report.  Not a dataclass, which would
-    cost every cold start about a millisecond to build."""
+    RunManifest fields and the options its manifest records, each with its
+    JSON type, and its runner, RunManifest -> one-line report.  Not a
+    dataclass, which would cost every cold start about a millisecond to build."""
 
     def __init__(self, inputs, fields, options, run) -> None:
         self.inputs, self.fields, self.options, self.run = inputs, fields, options, run
 
 
 COMMANDS = {
-    "simulate": Command(("scene",), ("radar_config", "seed"), ("duration_s", "scene"), _run_simulate),
-    "simulate-audio": Command(("audio_spec",), ("seed",), ("duration_s", "spec"), _run_simulate_audio),
+    "simulate": Command(("scene",), ("radar_config", "seed"),
+                        {"duration_s": NUMBER, "scene": OBJECT}, _run_simulate),
+    "simulate-audio": Command(("audio_spec",), ("seed",),
+                              {"duration_s": NUMBER, "spec": OBJECT}, _run_simulate_audio),
     "process-radar": Command(
         ("capture",), ("stft", "band_bpm", "variant"),
-        ("min_range_m", "max_range_m", "detrend", "export_range_map", "export_phase"),
+        {"min_range_m": NUMBER, "max_range_m": NUMBER, "detrend": BOOLEAN,
+         "export_range_map": BOOLEAN, "export_phase": BOOLEAN},
         _run_process_radar,
     ),
-    "process-audio": Command(("wav",), ("stft", "band_bpm"), ("multistage", "square"), _run_process_audio),
-    "compare": Command(("rates_a", "rates_b"), (), (), _run_compare),
+    "process-audio": Command(("wav",), ("stft", "band_bpm"),
+                             {"multistage": BOOLEAN, "square": BOOLEAN}, _run_process_audio),
+    "compare": Command(("rates_a", "rates_b"), (), {}, _run_compare),
 }
 
 

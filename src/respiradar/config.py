@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -50,9 +50,10 @@ class JsonDocument:
     """Base of the dataclasses read from and written to JSON, which name
     their kind for error messages: ``class C(JsonDocument, kind="scene")``.
 
-    ``from_dict`` takes one JSON object and its dataclass's fields only,
-    ``from_json_file`` reads one such object from a file, and ``to_dict`` is
-    ``dataclasses.asdict``; a subclass's ``__post_init__`` checks the values.
+    ``from_dict`` takes one JSON object of its dataclass's fields only, each
+    field without a default among them, ``from_json_file`` reads one such
+    object from a file, and ``to_dict`` is ``dataclasses.asdict``; a
+    subclass's ``__post_init__`` checks the values.
     """
 
     def __init_subclass__(cls, kind: str, **kwargs) -> None:
@@ -61,7 +62,8 @@ class JsonDocument:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**json_object(cls.kind, d, cls.__dataclass_fields__))
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        return cls(**json_object(cls.kind, d, cls.__dataclass_fields__, required))
 
     @classmethod
     def from_json_file(cls, path):

@@ -328,29 +328,19 @@ def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
 # np.savetxt(fmt="%.8g") formats one cell at a time in Python, about 330 ns a
 # cell.  _write_csv_8g writes the same bytes from array operations.  A finite
 # nonzero cell with decimal exponent e is scaled by an exact power of ten to
-# its 8-digit mantissa m in [1e7, 1e8); the digits of m come from a table of
-# 4-digit ASCII words.  Everything else printf decides (fixed or e+XX form,
-# where the point goes, stripped trailing zeros, the sign, the separator) is a
-# function of the class (e, significant digits, sign, last column), so it is
-# read from per-class tables.  Each cell is assembled in 16 bytes, two
-# little-endian uint64 words: its text from byte 0, then zero bytes.
-#   - a per-class pattern holds the bytes that do not depend on the digits: the
-#     sign, "0." and leading zeros, the point, "e+XX" and "," or "\n";
-#   - the digits before the point are ORed in after the lead;
-#   - the digits after it go one byte further, past the point.
-# No cell with its separator is longer than 16 bytes ("-4.9406565e-324,"), so
-# dropping the zero bytes joins the cells, one run of bytes per cell.  Cells
-# whose correct rounding is not proven here are formatted by Python's '%.8g'.
+# its 8-digit mantissa m in [1e7, 1e8), whose digits come from a table of
+# 4-digit ASCII words.  Every other byte of the cell depends only on its class
+# (e, significant digits, sign, last column) and is taken from Python's own
+# '%.8g' of one number of that class.  A cell is assembled in 16 bytes, two
+# little-endian uint64 words holding its text and then zero bytes (the longest,
+# "-4.9406565e-324,", fits), and dropping the zero bytes joins the cells.
+# Cells whose correct rounding is not proven here are formatted by '%.8g'.
 
 _CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
 _CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
 _G8_EXP_LO, _G8_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
 _G8_CELL_BYTES = 16
-
-
-def _le_word(text: str) -> int:
-    """ASCII text as a little-endian integer: the first character in the low byte."""
-    return int.from_bytes(text.encode(), "little")
+_DIGITS_TO_NUL = str.maketrans("0123456789", "\0" * 10)
 
 
 class _G8Tables(NamedTuple):
@@ -374,55 +364,47 @@ class _G8Tables(NamedTuple):
 @functools.cache
 def _g8_tables() -> _G8Tables:
     """The writer's lookup tables, built on first use so that importing the
-    module (and so every CLI command) does not pay for them."""
+    module (and so every CLI command) does not pay for them.
+
+    Each class's layout is read off '%.8g' of 12345678 cut to the class's
+    significant digits (0 for none), at its exponent: the lead ("0." and
+    zeros), the digit counts before and after the point, and every byte that
+    is not one of those digits.  The sign is a "-" prefix, the separator a
+    "," or "\\n" suffix.  Classes run over exponent, significant digits, sign
+    and last column, the last fastest."""
     n = np.arange(10000)
     quad = sum(((n // 10 ** (3 - i)) % 10 + ord("0")).astype(np.uint64) << np.uint64(8 * i) for i in range(4))
     zeros = (n % 10 == 0).astype(np.intp) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
 
-    exps = np.arange(_G8_EXP_LO, _G8_EXP_HI + 1)
-    lead = np.array([_le_word("0." + "0" * (-x - 1)) if -4 <= x < 0 else 0 for x in exps], np.uint64)
-    tail = np.array([0 if -4 <= x < 8 else _le_word(f"e{x:+03d}") for x in exps], np.uint64)
-    # class axes: exponent, significant digits (0 for zero), sign, last column
-    x = exps[:, None, None, None]
-    sig = np.arange(9)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None]
-    last = np.arange(2)[None, None, None, :]
-    fixed = (-4 <= x) & (x < 8)
-    n_int = np.where(fixed & (x >= 0), x + 1, np.where(fixed, np.maximum(sig, 1), 1))
-    n_frac = np.maximum(sig - n_int, 0)
-    n_lead = neg + np.where(fixed & (x < 0), 1 - x, 0)
+    cells, layout = [], []
+    exps = range(_G8_EXP_LO, _G8_EXP_HI + 1)
+    for e in exps:
+        for sig in range(9):
+            text = "%.8g" % float(f"{'12345678'[:sig] or 0}e{e - sig + 1}")
+            mantissa = text.partition("e")[0]
+            lead = mantissa.find("1") if sig else 0  # the lead ends at the first digit, 1
+            whole, _, fraction = mantissa[lead:].partition(".")
+            pattern = text[:lead] + mantissa[lead:].translate(_DIGITS_TO_NUL) + text[len(mantissa):]
+            cells += [f"{sign}{pattern}{sep}".ljust(_G8_CELL_BYTES, "\0") for sign in ("", "-") for sep in ",\n"]
+            layout.append((lead, len(whole), len(whole) + len(fraction)))
+    patterns = np.frombuffer("".join(cells).encode(), np.uint64).reshape(-1, 2).T.copy()
+    # each pair's layout, for its four sign and last-column classes
+    lead, n_int, n_digits = np.repeat(layout, 4, axis=0).T
     low = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-    lead = lead[:, None, None, None]
-    tail = tail[:, None, None, None]
-    sep = np.where(last == 1, ord("\n"), ord(",")).astype(np.uint64)
-    lead = np.where(neg == 1, (lead << np.uint64(8)) | np.uint64(ord("-")), lead)
-    tail = tail | (sep << np.uint64(32) * (tail > 0))
-
-    def at(word, byte):
-        """word moved up by `byte` bytes, as the low and high uint64 of 16 bytes."""
-        bits = np.uint64(8) * byte.astype(np.uint64)
-        # numpy defines a shift by 64 or more as 0, and bits - 64 wraps around below 64
-        return word << bits, (word >> (np.uint64(64) - bits)) | (word << (bits - np.uint64(64)))
-
-    point_at = n_lead + n_int
-    point_lo, point_hi = at(np.where(n_frac > 0, ord("."), 0).astype(np.uint64), point_at)
-    tail_lo, tail_hi = at(tail, point_at + np.where(n_frac > 0, 1 + n_frac, 0))
-
-    def per_class(values) -> np.ndarray:
-        return np.broadcast_to(np.asarray(values, np.uint64), (exps.size, 9, 2, 2)).ravel()
+    neg = np.tile([0, 0, 1, 1], len(layout))
 
     return _G8Tables(
         quad_lo=quad,
         quad_hi=quad << np.uint64(32),
         sig_lo=4 * np.where(n == 0, 0, 8 - zeros),
         sig_hi=4 * (4 - zeros),
-        pattern_lo=per_class(lead | point_lo | tail_lo),
-        pattern_hi=per_class(point_hi | tail_hi),
-        int_mask=per_class(low[n_int]),
-        frac_mask=per_class(low[n_int + n_frac] ^ low[n_int]),
-        int_shift=per_class(8 * n_lead),
-        pow_mul=np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in exps[::-1]]),
-        pow_div=np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in exps[::-1]]),
+        pattern_lo=patterns[0],
+        pattern_hi=patterns[1],
+        int_mask=low[n_int],
+        frac_mask=low[n_digits] ^ low[n_int],
+        int_shift=(8 * (lead + neg)).astype(np.uint64),
+        pow_mul=np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in reversed(exps)]),
+        pow_div=np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in reversed(exps)]),
     )
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import breathing_scene
 from respiradar import RadarConfig, audio_dsp, ingest
-from respiradar.cli import main
+from respiradar.cli import COMMANDS, main
 from respiradar.ingest import load_capture
 from respiradar.spectral import RateSeries, rate_series_from_csv, rate_series_to_csv
 
@@ -511,13 +512,14 @@ def test_rerun_unknown_command_is_input_error(runner, tmp_path):
 
 @pytest.fixture(scope="module")
 def manifests(recordings, tmp_path_factory):
-    """The recorded manifests of a simulate, a simulate-audio and a process-radar run."""
-    capture = recordings["process-radar"]
-    out = tmp_path_factory.mktemp("radar")
-    result = CliRunner().invoke(main, ["process-radar", str(capture), "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    paths = {"simulate": capture.parent, "simulate-audio": recordings["process-audio"].parent,
-             "process-radar": out}
+    """The recorded manifests of a simulate, a simulate-audio, a process-radar
+    and a process-audio run."""
+    paths = {"simulate": recordings["process-radar"].parent,
+             "simulate-audio": recordings["process-audio"].parent}
+    for command in ("process-radar", "process-audio"):
+        paths[command] = tmp_path_factory.mktemp(command)
+        result = CliRunner().invoke(main, [command, str(recordings[command]), "--out", str(paths[command])])
+        assert result.exit_code == 0, result.output
     return {command: json.loads((path / "manifest.json").read_text(encoding="utf-8"))
             for command, path in paths.items()}
 
@@ -613,6 +615,75 @@ def test_manifest_seed_other_than_its_spec_seed_is_input_error(runner, manifests
     result = runner.invoke(main, ["rerun", manifest, "--out", str(tmp_path / "out")])
     assert_input_error(result)
     assert "manifest seed 99 differs" in result.output + (result.stderr or "")
+    assert not (tmp_path / "out").exists()
+
+
+# values of another JSON type than each option's: a number option must not
+# take true, nor a flag 1
+WRONG_JSON_VALUES = {"a boolean": ["false", 1, None], "a number": [True, "0.1", None],
+                     "a JSON object": [[], "{}", None]}
+
+
+@pytest.mark.parametrize("command, name, value", [
+    (command, name, value)
+    for command, row in COMMANDS.items()
+    for name, (json_type, _) in row.options.items()
+    for value in WRONG_JSON_VALUES[json_type]
+])
+def test_manifest_option_of_the_wrong_json_type_is_input_error(runner, manifests, tmp_path,
+                                                               command, name, value):
+    # a process-radar manifest with "detrend": "false" replayed with exit 0 and
+    # detrended rates: a runner tested the string for truth
+    manifest = manifests[command]
+    path = _write_json(tmp_path / "manifest.json",
+                       {**manifest, "options": {**manifest["options"], name: value}})
+    result = runner.invoke(main, ["rerun", path, "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    json_type = COMMANDS[command].options[name][0]
+    assert (f"error: manifest option {name} must be {json_type}, got {type(value).__name__}\n"
+            in result.output + (result.stderr or ""))
+    assert not (tmp_path / "out").exists()
+
+
+def test_number_option_takes_a_json_integer(runner, manifests, tmp_path):
+    # json.load reads 61 as an int: the replay is the recorded float run
+    manifest = manifests["simulate"]
+    assert manifest["options"]["duration_s"] == 61.0
+    path = _write_json(tmp_path / "manifest.json",
+                       {**manifest, "options": {**manifest["options"], "duration_s": 61}})
+    result = runner.invoke(main, ["rerun", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    recorded = (Path(manifest["output_dir"]) / "capture.rvsc").read_bytes()
+    assert (tmp_path / "out" / "capture.rvsc").read_bytes() == recorded
+
+
+def _without(doc, names):
+    return {k: v for k, v in doc.items() if k not in names}
+
+
+@pytest.mark.parametrize("document, names, message", [
+    ("manifest", ["output_dir"], "missing manifest fields: ['output_dir']"),
+    ("manifest", ["command", "inputs"], "missing manifest fields: ['command', 'inputs']"),
+    ("motion", ["resp_rate_bpm"], "missing motion fields: ['resp_rate_bpm']"),
+    ("motion", ["base_range_m"], "missing motion fields: ['base_range_m']"),
+    ("breath-spec", ["resp_rate_bpm"], "missing breath audio fields: ['resp_rate_bpm']"),
+])
+def test_json_document_missing_a_field_without_default_names_it(runner, manifests, tmp_path,
+                                                                 document, names, message):
+    # these printed the TypeError of the dataclass's __init__, which names
+    # only the positional arguments it lacks
+    if document == "manifest":
+        args = ["rerun", _write_json(tmp_path / "manifest.json", _without(manifests["process-radar"], names))]
+    elif document == "motion":
+        (motion, amplitude), = VALID_SCENE["targets"]
+        scene = {**VALID_SCENE, "targets": [[_without(motion, names), amplitude]]}
+        args = ["simulate", _write_json(tmp_path / "scene.json", scene), "--duration", "5"]
+    else:
+        spec = _without({"resp_rate_bpm": 15.0, "seed": 3}, names)
+        args = ["simulate-audio", _write_json(tmp_path / "breath.json", spec), "--duration", "5"]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    assert f"error: {message}\n" in result.output + (result.stderr or "")
     assert not (tmp_path / "out").exists()
 
 

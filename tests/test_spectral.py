@@ -475,6 +475,37 @@ def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, f
     assert b"-0.00012345678," in expected and b"-1.2345678e+29\n" in expected
 
 
+def every_class_cells():
+    """Two cells of each class the tables hold: every exponent the tables
+    cover with 1-8 significant digits, once with no zero digit and once with
+    zeros inside, of both signs; and both zeros."""
+    cells = []
+    for e in range(spectral._G8_EXP_LO, spectral._G8_EXP_HI + 1):
+        for sig in range(1, 9):
+            for digits in ("97531864"[:sig], ("1" + "0" * (sig - 2) + "3")[-sig:]):
+                cells.append(float(f"{digits}e{e - sig + 1}"))
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells, [0.0, -0.0]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_writer_matches_savetxt_on_every_class(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 256)  # several batches per worker
+    cells = every_class_cells()
+    # (sign, exponent, significant digits) of each nonzero cell, from its d.ddddddde+XX form
+    scientific = [f"{v:.7e}" for v in cells if v]
+    classes = {(text[0] == "-", int(text[-3:]), len(text.lstrip("-")[:9].replace(".", "").rstrip("0")))
+               for text in scientific}
+    assert classes == set(itertools.product(
+        [False, True], range(spectral._G8_EXP_LO, spectral._G8_EXP_HI + 1), range(1, 9)))
+    # the per-cell path formats none of them: every cell is built from the tables
+    monkeypatch.setattr(spectral, "_printf_8g", lambda values: pytest.fail(f"{values} took the per-cell path"))
+    # a second column, the cells rolled by one, puts each cell before both separators
+    table = np.column_stack([cells, np.roll(cells, 1)])
+    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("failing_block", [None, 0, 5, 12], ids=["none", "0", "5", "12"])
 def test_map_blocks_reuses_one_work_object_per_thread_and_sinks_in_order(
