@@ -30,14 +30,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 
-from .config import JsonDocument, RadarConfig, json_object
+from .config import BOOLEAN, NUMBER, OBJECT, STRING, JsonDocument, RadarConfig, json_object, json_value
 from .errors import RespiradarError
 
 EXIT_INPUT_ERROR = 2
@@ -50,7 +49,8 @@ _INPUT_EXCEPTIONS = (OSError, ValueError, KeyError, TypeError)
 
 @dataclass
 class RunManifest(JsonDocument, kind="manifest"):
-    """Everything needed to replay one CLI run."""
+    """Everything needed to replay one CLI run.  Beyond its fields' JSON types,
+    each input is a string, each option has its row's type, band_bpm two numbers."""
 
     command: str
     inputs: dict[str, str]
@@ -64,18 +64,22 @@ class RunManifest(JsonDocument, kind="manifest"):
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.command not in COMMANDS:
             raise ValueError(f"manifest for unknown command {self.command!r}")
         row = COMMANDS[self.command]
-        json_object("manifest inputs", self.inputs, row.inputs, required=row.inputs)
-        json_object("manifest options", self.options, row.options, required=row.options)
-        for name, (json_type, types) in row.options.items():
-            value = self.options[name]
-            if type(value) not in types:
-                raise ValueError(f"manifest option {name} must be {json_type}, got {type(value).__name__}")
+        for kind, given, json_types in (("input", self.inputs, dict.fromkeys(row.inputs, STRING)),
+                                        ("option", self.options, row.options)):
+            json_object(f"manifest {kind}s", given, json_types, required=json_types)
+            for name, json_type in json_types.items():
+                json_value(f"manifest {kind} {name}", given[name], json_type)
         recorded = [f.name for f in dataclasses.fields(self)
                     if f.default is None and getattr(self, f.name) is not None]
         json_object(f"{self.command} manifest", dict.fromkeys(recorded), row.fields, required=row.fields)
+        if self.band_bpm is not None and len(self.band_bpm) != 2:
+            raise ValueError(f"band_bpm must hold two bounds [low, high], got {len(self.band_bpm)}")
+        for bound in self.band_bpm or ():
+            json_value("band_bpm bound", bound, NUMBER)
         if self.variant is not None and self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
@@ -115,13 +119,13 @@ def _read_input(load, path: str, what: str):
 def _simulation(m: RunManifest, spec_type, name: str):
     """A simulate run's embedded scene or breath spec and its --duration.  A
     spec seed other than the manifest's seed, or a duration that is not
-    positive and finite, is an input error."""
+    positive, is an input error."""
     spec = spec_type.from_dict(m.options[name])
     if spec.seed != m.seed:
         raise ValueError(f"manifest seed {m.seed} differs from its {spec.kind} seed {spec.seed}")
     duration_s = m.options["duration_s"]
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    if duration_s <= 0:
+        raise ValueError(f"duration must be positive, got {duration_s}")
     return spec, duration_s
 
 
@@ -138,6 +142,8 @@ def _run_simulate(m: RunManifest) -> str:
 
     scene, duration_s = _simulation(m, SceneSpec, "scene")
     config = RadarConfig.from_dict(m.radar_config)
+    if config.rx_channels != 1:  # a capture container holds one channel
+        raise ValueError(f"simulate writes one channel: rx_channels must be 1, got {config.rx_channels}")
     cube = synth_cube(scene, config, duration_s)
     out = _out_dir(m)
     write_capture(cube, out / "capture.rvsc")
@@ -224,10 +230,6 @@ def _run_compare(m: RunManifest) -> str:
     if m.output_dir is not None:
         (_out_dir(m) / "comparison.json").write_text(summary + "\n", encoding="utf-8")
     return summary
-
-
-# the JSON type of a manifest option: its name, and the types json.load gives it
-BOOLEAN, NUMBER, OBJECT = ("a boolean", (bool,)), ("a number", (int, float)), ("a JSON object", (dict,))
 
 
 class Command:

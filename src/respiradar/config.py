@@ -4,39 +4,44 @@ reader and writer of the JSON documents (configs, specs, manifests)."""
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
-
-def require_finite(**values) -> None:
-    """Raise ValueError for the first named number that is NaN, infinite or
-    an integer too large for a float, TypeError for one that is not a
-    number.  None passes: it is how an optional field is left out."""
-    for name, value in values.items():
-        try:
-            finite = value is None or math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value}")
+# a JSON type: its name in messages, and the Python types that hold it
+BOOLEAN, STRING, OBJECT = ("a boolean", (bool,)), ("a string", (str,)), ("a JSON object", (dict,))
+NUMBER, INTEGER = ("a number", (int, float)), ("a nonnegative integer", (int, float))
+ARRAY = ("a JSON array", (list, tuple))
+# the JSON type of a field, by its annotation without "| None" and any "[...]"
+_ANNOTATED = {"float": NUMBER, "int": INTEGER, "bool": BOOLEAN, "str": STRING,
+              "dict": OBJECT, "tuple": ARRAY, "list": ARRAY}
 
 
-def require_seed(seed) -> int:
-    """A random seed as an int: a nonnegative integer, or a float equal to one."""
-    require_finite(seed=seed)
-    if not (seed >= 0 and seed == int(seed)):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    return int(seed)
+def json_value(name: str, value, json_type):
+    """value as `name` of json_type, an integral float as an int.  ValueError
+    for a value of another JSON type (true is not a number), and for a number
+    that is NaN, infinite or too large for a float, or not a whole number
+    >= 0 where an integer belongs."""
+    what, types = json_type
+    if type(value).__module__ == "numpy":  # a numpy scalar reads as the Python value it holds
+        value = value.item()
+    if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+        raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
+    if float not in types:
+        return value
+    if not abs(value) <= sys.float_info.max:  # false for NaN, and an int too large for a float
+        raise ValueError(f"{name} must be finite, got {value}")
+    if json_type is INTEGER and not (value >= 0 and value == int(value)):
+        raise ValueError(f"{name} must be {what}, got {value}")
+    return int(value) if json_type is INTEGER else value
 
 
 def json_object(kind: str, given, known, required=()) -> dict:
     """given, if it is a JSON object whose fields all lie in known and
     include all of required; else ValueError naming what it is or the
     fields that are unknown or missing."""
-    if not isinstance(given, dict):
-        raise ValueError(f"{kind} must be a JSON object, got {type(given).__name__}")
+    json_value(kind, given, OBJECT)
     unknown = set(given) - set(known)
     if unknown:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
@@ -52,13 +57,22 @@ class JsonDocument:
 
     ``from_dict`` takes one JSON object of its dataclass's fields only, each
     field without a default among them, ``from_json_file`` reads one such
-    object from a file, and ``to_dict`` is ``dataclasses.asdict``; a
-    subclass's ``__post_init__`` checks the values.
+    object from a file, and ``to_dict`` is ``dataclasses.asdict``;
+    ``__post_init__`` checks each field's JSON type, named by its annotation
+    (``_ANNOTATED``; ``| None`` lets null through), and a subclass's calls it
+    first, then checks the values' domain.
     """
 
     def __init_subclass__(cls, kind: str, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.kind = kind
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or not f.type.endswith(" | None"):
+                json_type = _ANNOTATED[f.type.removesuffix(" | None").split("[")[0]]
+                object.__setattr__(self, f.name, json_value(f.name, value, json_type))
 
     @classmethod
     def from_dict(cls, d):
@@ -97,18 +111,10 @@ class RadarConfig(JsonDocument, kind="radar config"):
     rx_channels: int = 1
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
-        for name in (
-            "carrier_hz",
-            "chirp_slope_hz_per_s",
-            "adc_rate_hz",
-            "samples_per_chirp",
-            "chirps_per_frame",
-            "frame_rate_hz",
-            "rx_channels",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        super().__post_init__()
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
         if self.frame_rate_hz * self.active_frame_duration_s > 1.0:
             raise ValueError("frames do not fit their repetition period")
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT_M_S, JsonDocument, RadarConfig, require_finite, require_seed
+from .config import NUMBER, SPEED_OF_LIGHT_M_S, JsonDocument, RadarConfig, json_value
 from .errors import DurationTooShortError
 from .spectral import _FRAME_BLOCK, _map_blocks, cosine_window
 
@@ -41,7 +41,7 @@ class MotionSpec(JsonDocument, kind="motion"):
     heart_amplitude_m: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        super().__post_init__()
         if self.base_range_m <= 0:
             raise ValueError("base_range_m must be positive")
         if self.resp_amplitude_m < 0:
@@ -69,22 +69,14 @@ class SceneSpec(JsonDocument, kind="scene"):
     chamber_extent_m: float = DEFAULT_CHAMBER_EXTENT_M
 
     def __post_init__(self) -> None:
-        for _, reflectivity in self.targets:
-            require_finite(reflectivity=reflectivity)
-        for range_m, reflectivity in self.static_reflectors:
-            require_finite(reflector_range_m=range_m, reflectivity=reflectivity)
-        require_finite(snr_db=self.snr_db, chamber_extent_m=self.chamber_extent_m)
+        super().__post_init__()
         object.__setattr__(self, "targets", tuple(
-            (m if isinstance(m, MotionSpec) else MotionSpec.from_dict(m), float(a))
-            for m, a in self.targets
-        ))
-        object.__setattr__(
-            self,
-            "static_reflectors",
-            tuple((float(r), float(a)) for r, a in self.static_reflectors),
-        )
+            (m if isinstance(m, MotionSpec) else MotionSpec.from_dict(m),
+             float(json_value("reflectivity", a, NUMBER))) for m, a in self.targets))
+        object.__setattr__(self, "static_reflectors", tuple(
+            (float(json_value("reflector_range_m", r, NUMBER)), float(json_value("reflectivity", a, NUMBER)))
+            for r, a in self.static_reflectors))
         object.__setattr__(self, "chamber_extent_m", float(self.chamber_extent_m))
-        object.__setattr__(self, "seed", require_seed(self.seed))
         for motion, _ in self.targets:
             if motion.base_range_m > self.chamber_extent_m:
                 raise ValueError("target range exceeds the chamber extent")
@@ -106,8 +98,7 @@ class BreathAudioSpec(JsonDocument, kind="breath audio"):
     burst_amplitude: float = 0.3
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
-        object.__setattr__(self, "seed", require_seed(self.seed))
+        super().__post_init__()
         if self.resp_rate_bpm <= 0:
             raise ValueError("resp_rate_bpm must be positive")
         if self.burst_duration_s >= 60.0 / self.resp_rate_bpm:

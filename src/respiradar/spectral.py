@@ -40,12 +40,13 @@ class StftParams(JsonDocument, kind="stft"):
     window_shape: str = "blackman"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.window_shape not in _WINDOW_COEFFS:
             raise ValueError(
                 f"window_shape must be one of {sorted(_WINDOW_COEFFS)}, got {self.window_shape!r}"
             )
-        if not 0 < self.window_s < np.inf:
-            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
+        if self.window_s <= 0:
+            raise ValueError(f"window_s must be positive, got {self.window_s}")
         if not 0 <= self.overlap_s < self.window_s:
             raise ValueError("overlap must be nonnegative and below the window length")
 

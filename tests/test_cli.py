@@ -687,6 +687,77 @@ def test_json_document_missing_a_field_without_default_names_it(runner, manifest
     assert not (tmp_path / "out").exists()
 
 
+def _with_motion(field, value):
+    (motion, amplitude), = VALID_SCENE["targets"]
+    return {**VALID_SCENE, "targets": [[{**motion, field: value}, amplitude]]}
+
+
+# a document whose field has another JSON type or shape, and the one error line it gives
+WRONG_FIELDS = {
+    "scene-true-rate": (lambda tmp_path, manifests: [
+        "simulate", _write_json(tmp_path / "scene.json", _with_motion("resp_rate_bpm", True)),
+        "--duration", "5"], "resp_rate_bpm must be a number, got bool"),
+    "scene-true-reflector": (lambda tmp_path, manifests: [
+        "simulate", _write_json(tmp_path / "scene.json", {**VALID_SCENE, "static_reflectors": [[True, 0.5]]}),
+        "--duration", "5"], "reflector_range_m must be a number, got bool"),
+    "breath-exhale-only-0": (lambda tmp_path, manifests: [
+        "simulate-audio", _write_json(tmp_path / "breath.json", {"resp_rate_bpm": 15.0, "exhale_only": 0}),
+        "--duration", "5"], "exhale_only must be a boolean, got int"),
+    "manifest-true-overlap": (lambda tmp_path, manifests: _rerun_with("process-radar", "stft", "overlap_s")(
+        tmp_path, manifests, lambda _: True), "overlap_s must be a number, got bool"),
+    "manifest-true-band": (lambda tmp_path, manifests: _rerun_with("process-radar", "band_bpm")(
+        tmp_path, manifests, lambda _: [True, 60]), "band_bpm bound must be a number, got bool"),
+    "manifest-three-bounds": (lambda tmp_path, manifests: _rerun_with("process-radar", "band_bpm")(
+        tmp_path, manifests, lambda _: [6, 60, 90]), "band_bpm must hold two bounds [low, high], got 3"),
+    "manifest-int-input": (lambda tmp_path, manifests: _rerun_with("process-radar", "inputs", "capture")(
+        tmp_path, manifests, lambda _: 5), "manifest input capture must be a string, got int"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_FIELDS))
+def test_field_of_another_json_type_is_input_error(runner, manifests, tmp_path, case):
+    # each ran with exit 0 as another run (a 1 bpm diver, a reflector at 1 m,
+    # both breath sounds, other STFT or band parameters), or printed a
+    # TypeError or unpacking message that named no field
+    build, message = WRONG_FIELDS[case]
+    result = runner.invoke(main, [*build(tmp_path, manifests), "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    # click's output holds what was written to stderr
+    assert result.output.endswith(f"error: {message}\n") and result.output.count("error:") == 1, result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_multi_channel_config_before_any_work(runner, tmp_path, monkeypatch):
+    # rx_channels 2 synthesised the whole cube, then failed in the capture
+    # writer and left an empty output directory behind
+    from respiradar import simulate as simulate_module
+
+    def never_synthesised(*args, **kwargs):
+        raise AssertionError("the cube was synthesised")
+
+    monkeypatch.setattr(simulate_module, "synth_cube", never_synthesised)
+    result = runner.invoke(main, ["simulate", _write_json(tmp_path / "scene.json", VALID_SCENE),
+                                  "--duration", "5", "--config",
+                                  _write_json(tmp_path / "config.json", {"rx_channels": 2}),
+                                  "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    assert "error: simulate writes one channel: rx_channels must be 1, got 2\n" in result.output + (
+        result.stderr or "")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_integral_floats_simulates_the_default_capture(runner, tmp_path):
+    # "rx_channels": 1.0 ended in a struct.error, "samples_per_chirp": 256.0 in
+    # "'float' object cannot be interpreted as an integer"
+    scene = _write_json(tmp_path / "scene.json", VALID_SCENE)
+    config = _write_json(tmp_path / "config.json", {"samples_per_chirp": 256.0, "rx_channels": 1.0})
+    default = simulate(runner, scene, tmp_path / "default", duration="5")
+    floats = simulate(runner, scene, tmp_path / "floats", duration="5", extra=("--config", config))
+    assert floats.read_bytes() == default.read_bytes()
+    recorded = json.loads((tmp_path / "floats" / "manifest.json").read_text(encoding="utf-8"))
+    assert recorded["radar_config"] == RadarConfig().to_dict()
+
+
 def run_python(code, *, timeout):
     """Standard output of `code` run by a fresh interpreter on this checkout's sources."""
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_PATH),
