@@ -13,6 +13,7 @@ import os
 import struct
 import wave
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,7 @@ _WAVE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 class AudioTrace:
-    """Mono microphone recording at rate_hz: ``data`` holds its int16 PCM
+    """Mono microphone recording at AUDIO_RATE_HZ: ``data`` holds its int16 PCM
     counts, each the sample times 32768; any other dtype is a ValueError.
 
     The counts are kept as given, neither converted nor range-checked
@@ -47,14 +48,15 @@ class AudioTrace:
     samples it uses.
     """
 
-    def __init__(self, samples: np.ndarray, rate_hz: int = AUDIO_RATE_HZ) -> None:
+    rate_hz = AUDIO_RATE_HZ
+
+    def __init__(self, samples: np.ndarray) -> None:
         if not (isinstance(samples, np.ndarray) and samples.dtype.type is np.int16):
             got = getattr(samples, "dtype", type(samples).__name__)
             raise ValueError(f"audio must be an array of int16 PCM counts, got {got}")
         if samples.ndim != 1:
             raise ValueError("audio must be a mono 1-D array")
         self.data = samples
-        self.rate_hz = rate_hz
 
     @property
     def samples(self) -> np.ndarray:
@@ -67,7 +69,7 @@ class EnvelopeTrace:
     """Nonnegative breathing-power surrogate at the radar frame rate."""
 
     samples: np.ndarray
-    rate_hz: float = FRAME_RATE_HZ
+    rate_hz: ClassVar[float] = FRAME_RATE_HZ
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -155,8 +157,6 @@ def decimate_to_frame_rate(audio: AudioTrace, *, multistage: bool = False) -> np
     of filtering the float samples: the filters are linear, and scaling by
     a power of two commutes with every rounding.
     """
-    if audio.rate_hz != AUDIO_RATE_HZ:
-        raise UnsupportedWavError(f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.rate_hz}")
     x = audio.data
     if x.size < ANTIALIAS_ORDER + 1:
         raise AudioTooShortError(

@@ -15,8 +15,10 @@ bit-identically.  It reads only the files the runner reads: a
 ``simulate`` manifest embeds its scene, and replays without the scene
 file.
 
-Exit codes: 0 success, 2 input error (bad flags, configs or manifests, or
-an unreadable capture, WAV or rates file), 3 processing error.
+Exit codes follow the error's class: 2 for an ``OSError`` or a ``ValueError``,
+which every ``errors.InputError`` is (the input is at fault), 3 for any other
+``RespiradarError`` (the inputs give no reading); any other exception is a bug
+and ends in a traceback with exit 1.
 
 Only click, the standard library, ``config`` and ``errors`` are imported
 at the top.  Each runner, and each command that reads a spec file, imports
@@ -43,9 +45,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_PROCESSING_ERROR = 3
 
 MANIFEST_NAME = "manifest.json"
-
-_INPUT_EXCEPTIONS = (OSError, ValueError, KeyError, TypeError)
-
 
 @dataclass
 class RunManifest(JsonDocument, kind="manifest"):
@@ -105,28 +104,14 @@ def _out_dir(manifest: RunManifest) -> Path:
     return path
 
 
-def _read_input(load, path: str, what: str):
-    """Read a recorded input file; a missing or malformed file is an input
-    error, whichever exception its reader raises."""
-    if not Path(path).is_file():
-        raise ValueError(f"{what} file not found: {path}")
-    try:
-        return load(path)
-    except RespiradarError as exc:
-        raise ValueError(str(exc)) from exc
-
-
 def _simulation(m: RunManifest, spec_type, name: str):
     """A simulate run's embedded scene or breath spec and its --duration.  A
-    spec seed other than the manifest's seed, or a duration that is not
-    positive, is an input error."""
+    spec seed other than the manifest's seed is an input error; the simulator
+    rejects a duration too short to synthesise, before any output is made."""
     spec = spec_type.from_dict(m.options[name])
     if spec.seed != m.seed:
         raise ValueError(f"manifest seed {m.seed} differs from its {spec.kind} seed {spec.seed}")
-    duration_s = m.options["duration_s"]
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    return spec, duration_s
+    return spec, m.options["duration_s"]
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +162,8 @@ def _run_process_radar(m: RunManifest) -> str:
 
     stft_params = StftParams.from_dict(m.stft)
     # a window off the grid of the capture's frame rate fails on the header alone
-    stft_params.samples(_read_input(capture_config, m.inputs["capture"], "capture").frame_rate_hz)
-    cube = _read_input(load_capture, m.inputs["capture"], "capture")
+    stft_params.samples(capture_config(m.inputs["capture"]).frame_rate_hz)
+    cube = load_capture(m.inputs["capture"])
     result = process_radar_cube(
         cube,
         variant=m.variant,
@@ -206,7 +191,7 @@ def _run_process_audio(m: RunManifest) -> str:
     stft_params = StftParams.from_dict(m.stft)
     # the STFT runs at the envelope's rate: a bad window fails before the WAV is read
     stft_params.samples(FRAME_RATE_HZ)
-    audio = _read_input(load_wav, m.inputs["wav"], "WAV")
+    audio = load_wav(m.inputs["wav"])
     result = process_audio(
         audio,
         stft_params=stft_params,
@@ -224,8 +209,7 @@ def _run_process_audio(m: RunManifest) -> str:
 def _run_compare(m: RunManifest) -> str:
     from .spectral import compare_rates, comparison_to_json, rate_series_from_csv
 
-    series_a = _read_input(rate_series_from_csv, m.inputs["rates_a"], "rates")
-    series_b = _read_input(rate_series_from_csv, m.inputs["rates_b"], "rates")
+    series_a, series_b = (rate_series_from_csv(m.inputs[name]) for name in ("rates_a", "rates_b"))
     summary = comparison_to_json(compare_rates(series_a, series_b))
     if m.output_dir is not None:
         (_out_dir(m) / "comparison.json").write_text(summary + "\n", encoding="utf-8")
@@ -279,7 +263,7 @@ def _command(name: str):
             try:
                 manifest = build(**flags)
                 report = COMMANDS[manifest.command].run(manifest)
-            except _INPUT_EXCEPTIONS as exc:
+            except (OSError, ValueError) as exc:
                 _fail(EXIT_INPUT_ERROR, str(exc))
             except RespiradarError as exc:
                 _fail(EXIT_PROCESSING_ERROR, str(exc))

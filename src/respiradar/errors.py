@@ -1,46 +1,52 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.  An ``InputError`` (a
+``ValueError`` too) means the input is at fault; any other
+``RespiradarError`` means the inputs are valid but give no reading."""
 
 
 class RespiradarError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(RespiradarError, ValueError):
+    """A file or stream not in its format, or a parameter that cannot apply."""
+
+
 # wire format / capture container
 
 
-class DatagramTooShortError(RespiradarError):
+class DatagramTooShortError(InputError):
     """Raw datagram shorter than header plus one payload byte."""
 
 
-class PayloadTooLargeError(RespiradarError):
+class PayloadTooLargeError(InputError):
     """Datagram payload exceeds the 1456-byte wire limit."""
 
 
-class DuplicateSeqError(RespiradarError):
+class DuplicateSeqError(InputError):
     """Same sequence number seen twice with differing byte offsets or payloads."""
 
 
-class NonMonotonicByteCountError(RespiradarError):
+class NonMonotonicByteCountError(InputError):
     """Cumulative byte offsets inconsistent with sequence order."""
 
 
-class LengthMismatchError(RespiradarError):
+class LengthMismatchError(InputError):
     """Sample stream not aligned to whole int16 I/Q pairs."""
 
 
-class TruncatedFrameError(RespiradarError):
+class TruncatedFrameError(InputError):
     """Sample stream ends inside a frame."""
 
 
-class BadMagicError(RespiradarError):
+class BadMagicError(InputError):
     """Capture file does not start with the container magic."""
 
 
-class UnsupportedVersionError(RespiradarError):
+class UnsupportedVersionError(InputError):
     """Capture container version not understood by this reader."""
 
 
-class HeaderCubeMismatchError(RespiradarError):
+class HeaderCubeMismatchError(InputError):
     """Capture header disagrees with the stored sample stream."""
 
 
@@ -55,7 +61,7 @@ class TooFewFramesError(RespiradarError):
     """Statistics over time need at least two frames."""
 
 
-class WindowEmptyError(RespiradarError):
+class WindowEmptyError(InputError):
     """No range-bin centre falls inside the selection window."""
 
 
@@ -70,7 +76,7 @@ class AudioTooShortError(RespiradarError):
     """Recording shorter than the decimation filter."""
 
 
-class UnsupportedWavError(RespiradarError):
+class UnsupportedWavError(InputError):
     """WAV file is not 16-bit PCM mono at 44.1 kHz."""
 
 
@@ -81,7 +87,7 @@ class TraceTooShortError(RespiradarError):
     """Trace shorter than one analysis window."""
 
 
-class EmptyBandError(RespiradarError):
+class EmptyBandError(InputError):
     """Search band does not intersect the frequency axis."""
 
 
@@ -92,5 +98,5 @@ class NoOverlapError(RespiradarError):
 # simulator
 
 
-class DurationTooShortError(RespiradarError):
+class DurationTooShortError(InputError):
     """Requested duration too short to synthesise anything."""

@@ -70,6 +70,10 @@ class SceneSpec(JsonDocument, kind="scene"):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for name in ("targets", "static_reflectors"):
+            for pair in getattr(self, name):
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                    raise ValueError(f"each entry of {name} must be a pair, got {pair!r}")
         object.__setattr__(self, "targets", tuple(
             (m if isinstance(m, MotionSpec) else MotionSpec.from_dict(m),
              float(json_value("reflectivity", a, NUMBER))) for m, a in self.targets))
@@ -109,6 +113,17 @@ class BreathAudioSpec(JsonDocument, kind="breath audio"):
             raise ValueError("burst_amplitude must be nonnegative")
 
 
+def _finite(compute, message: str) -> float:
+    """compute(), a float; ValueError(message) where it is NaN or overflows."""
+    try:
+        value = compute()
+    except OverflowError:  # a float's ** overflows with this error, its * to inf
+        value = np.inf
+    if not abs(value) < np.inf:
+        raise ValueError(message)
+    return value
+
+
 def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
     """Chest displacement in metres at time(s) t (seconds, >= 0)."""
     t = np.asarray(t, dtype=np.float64)
@@ -139,7 +154,9 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
     is drawn first, then each block of frames is summed on the worker pool,
     and its peak taken while it is fresh.
     """
-    n_frames = int(round(duration_s * config.frame_rate_hz))
+    n_frames = int(round(_finite(lambda: duration_s * config.frame_rate_hz,
+                                 f"duration_s {duration_s} s at {config.frame_rate_hz} Hz "
+                                 "gives no finite frame count")))
     if n_frames < 1:
         raise DurationTooShortError("duration covers no complete frame")
 
@@ -160,7 +177,9 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
         if not scatterers:
             raise ValueError("snr_db is relative to the strongest scatterer; scene is empty")
         strongest = max(abs(a) for _, a in scatterers)
-        noise_power = strongest**2 * 10.0 ** (-scene.snr_db / 10.0)
+        noise_power = _finite(lambda: strongest**2 * 10.0 ** (-scene.snr_db / 10.0),
+                              f"snr_db {scene.snr_db} below reflectivity {strongest} "
+                              "gives no finite noise power")
         rng = np.random.default_rng(scene.seed)
         sigma = np.sqrt(noise_power / 2.0)
         # drawn whole and first: the real parts of every frame, then the imaginary parts
@@ -260,7 +279,8 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     if duration_s < period_s:
         raise DurationTooShortError("duration covers less than one breath period")
 
-    n = int(round(duration_s * AUDIO_RATE_HZ))
+    n = int(round(_finite(lambda: duration_s * AUDIO_RATE_HZ,
+                          f"duration_s {duration_s} s at {AUDIO_RATE_HZ} Hz gives no finite sample count")))
     rng = np.random.default_rng(spec.seed)
 
     bursts = []  # (first sample, samples), in time order: both starts and ends ascend
@@ -290,7 +310,9 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
 
     background_std = 0.0
     if spec.noise_db is not None:
-        background_std = spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0)
+        background_std = _finite(lambda: spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0),
+                                 f"noise_db {spec.noise_db} over burst_amplitude {spec.burst_amplitude} "
+                                 "gives no finite noise level")
     counts = np.empty(n, np.int16)
     x = np.empty(min(n, _AUDIO_BLOCK))
     first = 0  # the first burst that ends inside or after the current block

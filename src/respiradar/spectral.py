@@ -55,6 +55,8 @@ class StftParams(JsonDocument, kind="stft"):
         if not 0 < rate_hz < np.inf:
             raise ValueError(f"sample rate must be positive and finite, got {rate_hz}")
         exact = self.window_s * rate_hz
+        if not exact < np.inf:
+            raise ValueError(f"window_s {self.window_s} s at {rate_hz} Hz gives no finite sample count")
         if abs(exact - round(exact)) > 1e-6:
             raise ValueError("window_s must span a whole number of samples")
         hop = int(round((self.window_s - self.overlap_s) * rate_hz))

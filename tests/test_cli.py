@@ -727,6 +727,123 @@ def test_field_of_another_json_type_is_input_error(runner, manifests, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+# the errors whose inputs are valid but whose recording gives no reading: exit 3
+PROCESSING_ERRORS = {"EmptyCubeError", "TooFewFramesError", "ZeroMagnitudeError", "AudioTooShortError",
+                     "TraceTooShortError", "NoOverlapError"}
+
+
+def test_every_error_class_says_whether_the_input_is_at_fault():
+    # a new error class must be classified: an InputError (exit 2) or one of these
+    from respiradar import errors
+
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.RespiradarError)}
+    assert issubclass(errors.InputError, ValueError)
+    processing = {name for name, cls in classes.items() if not issubclass(cls, errors.InputError)}
+    assert processing == PROCESSING_ERRORS | {"RespiradarError"}
+
+
+def _simulate_scene(tmp_path, duration="5", **fields):
+    return ["simulate", _write_json(tmp_path / "scene.json", {**VALID_SCENE, **fields}), "--duration", duration]
+
+
+def _simulate_breath(tmp_path, duration="5", **fields):
+    return ["simulate-audio", _write_json(tmp_path / "breath.json", {"resp_rate_bpm": 15.0, **fields}),
+            "--duration", duration]
+
+
+def _process(command, *flags):
+    return lambda tmp_path, recordings: [command, str(recordings[command]), *flags]
+
+
+def _inputs(command, make):
+    """command on input files that make(path) leaves missing or makes directories."""
+    names = {"process-radar": ["capture.rvsc"], "process-audio": ["breath.wav"], "compare": ["a.csv", "b.csv"]}
+
+    def args(tmp_path, recordings):
+        paths = [tmp_path / name for name in names[command]]
+        for path in paths:
+            make(path)
+        return [command, *map(str, paths)]
+
+    return args
+
+
+# a flag, spec or file at fault, and its one error line: the band, range-window and
+# short-duration cases exited 3 as processing errors, the malformed pairs printed an
+# unpacking message or a TypeError, and the finite numbers whose arithmetic overflows
+# ended in an OverflowError traceback with exit 1
+INPUT_FAULTS = {
+    "radar-band-above-nyquist": (_process("process-radar", "--band-low", "700", "--band-high", "800"),
+                                 "band [700.0, 800.0] bpm misses the frequency axis"),
+    "audio-band-above-nyquist": (_process("process-audio", "--band-low", "700", "--band-high", "800"),
+                                 "band [700.0, 800.0] bpm misses the frequency axis"),
+    "radar-range-window-empty": (_process("process-radar", "--min-range-m", "20", "--max-range-m", "30"),
+                                 "no bin centre falls inside [20.0, 30.0] m"),
+    "simulate-duration-0.01": (lambda tmp_path, _: _simulate_scene(tmp_path, "0.01"),
+                               "duration covers no complete frame"),
+    "simulate-duration-0": (lambda tmp_path, _: _simulate_scene(tmp_path, "0"), "duration covers no complete frame"),
+    "simulate-duration-negative": (lambda tmp_path, _: _simulate_scene(tmp_path, "-1"),
+                                   "duration covers no complete frame"),
+    "simulate-audio-duration-2": (lambda tmp_path, _: _simulate_breath(tmp_path, "2"),
+                                  "duration covers less than one breath period"),
+    "simulate-audio-duration-negative": (lambda tmp_path, _: _simulate_breath(tmp_path, "-1"),
+                                         "duration covers less than one breath period"),
+    "scene-reflector-single": (lambda tmp_path, _: _simulate_scene(tmp_path, static_reflectors=[[3.0]]),
+                               "each entry of static_reflectors must be a pair, got [3.0]"),
+    "scene-reflector-triple": (lambda tmp_path, _: _simulate_scene(tmp_path, static_reflectors=[[3.0, 1.0, 2.0]]),
+                               "each entry of static_reflectors must be a pair, got [3.0, 1.0, 2.0]"),
+    "scene-target-number": (lambda tmp_path, _: _simulate_scene(tmp_path, targets=[5]),
+                            "each entry of targets must be a pair, got 5"),
+    "simulate-duration-1e308": (lambda tmp_path, _: _simulate_scene(tmp_path, "1e308"),
+                                "duration_s 1e+308 s at 20.0 Hz gives no finite frame count"),
+    "simulate-duration--1e308": (lambda tmp_path, _: _simulate_scene(tmp_path, "-1e308"),
+                                 "duration_s -1e+308 s at 20.0 Hz gives no finite frame count"),
+    "simulate-audio-duration-1e308": (lambda tmp_path, _: _simulate_breath(tmp_path, "1e308"),
+                                      "duration_s 1e+308 s at 44100 Hz gives no finite sample count"),
+    "radar-window-1e308": (_process("process-radar", "--window-s", "1e308"),
+                           "window_s 1e+308 s at 20.0 Hz gives no finite sample count"),
+    "audio-window-1e308": (_process("process-audio", "--window-s", "1e308"),
+                           "window_s 1e+308 s at 20.0 Hz gives no finite sample count"),
+    "scene-snr--4000": (lambda tmp_path, _: _simulate_scene(tmp_path, snr_db=-4000),
+                        "snr_db -4000 below reflectivity 1.0 gives no finite noise power"),
+    "scene-reflectivity-1e308": (
+        lambda tmp_path, _: _simulate_scene(tmp_path, targets=[[VALID_SCENE["targets"][0][0], 1e308]]),
+        "snr_db 30.0 below reflectivity 1e+308 gives no finite noise power"),
+    "breath-noise-1e300": (lambda tmp_path, _: _simulate_breath(tmp_path, noise_db=1e300),
+                           "noise_db 1e+300 over burst_amplitude 0.3 gives no finite noise level"),
+    **{f"{command}-missing": (_inputs(command, lambda path: None), "[Errno 2] No such file or directory: ")
+       for command in ("process-radar", "process-audio", "compare")},
+    **{f"{command}-directory": (_inputs(command, Path.mkdir), "Is a directory: ")
+       for command in ("process-radar", "process-audio", "compare")},
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_FAULTS))
+def test_input_at_fault_exits_2_with_one_error_line(runner, recordings, tmp_path, case):
+    build, message = INPUT_FAULTS[case]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*build(tmp_path, recordings), "--out", str(out)])
+    assert_input_error(result)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], result.output
+    assert not out.exists()
+
+
+def test_a_bug_in_a_runner_is_no_input_error(runner, recordings, tmp_path, monkeypatch):
+    # any TypeError counted as bad input, so a bug printed as one line with exit 2
+    from respiradar import pipeline
+
+    def bug(*args, **kwargs):
+        raise TypeError("a bug in the radar chain")
+
+    monkeypatch.setattr(pipeline, "process_radar_cube", bug)
+    result = runner.invoke(main, ["process-radar", str(recordings["process-radar"]),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, TypeError) and str(result.exception) == "a bug in the radar chain"
+
+
 def test_simulate_rejects_a_multi_channel_config_before_any_work(runner, tmp_path, monkeypatch):
     # rx_channels 2 synthesised the whole cube, then failed in the capture
     # writer and left an empty output directory behind

@@ -134,6 +134,56 @@ def test_seed_is_a_nonnegative_integer(spec):
         assert kept == 7 and type(kept) is int
 
 
+# each field of a motion, scene, radar config and breath spec at +-1e308, each pair
+# member too, and malformed pairs: a document either simulates 2 s or is a ValueError
+HOSTILE_MOTION = {"base_range_m": 0.5, "resp_rate_bpm": 15.0, "heart_rate_bpm": 70.0, "heart_amplitude_m": 1e-4}
+HOSTILE_SCENE = {"targets": [[HOSTILE_MOTION, 1.0]], "static_reflectors": [[3.0, 2.0]], "snr_db": 30.0, "seed": 7}
+HOSTILE_BREATH = {"resp_rate_bpm": 60.0, "exhale_only": False, "noise_db": -20.0, "seed": 7}
+
+
+def _hostile_documents():
+    """(id, kind, document) for the sweep, the valid documents first."""
+    yield "valid-scene", "scene", HOSTILE_SCENE
+    yield "valid-breath", "breath", HOSTILE_BREATH
+    for value in (1e308, -1e308):
+        for name in MotionSpec.__dataclass_fields__:
+            motion = {**HOSTILE_MOTION, name: value}
+            yield f"motion.{name}={value}", "scene", {**HOSTILE_SCENE, "targets": [[motion, 1.0]]}
+        for name in SceneSpec.__dataclass_fields__:
+            yield f"scene.{name}={value}", "scene", {**HOSTILE_SCENE, name: value}
+        yield f"scene.reflectivity={value}", "scene", {**HOSTILE_SCENE, "targets": [[HOSTILE_MOTION, value]]}
+        yield f"scene.reflector_range_m={value}", "scene", {**HOSTILE_SCENE, "static_reflectors": [[value, 2.0]]}
+        yield f"scene.reflector_reflectivity={value}", "scene", {**HOSTILE_SCENE, "static_reflectors": [[3.0, value]]}
+        for name in RadarConfig.__dataclass_fields__:
+            yield f"config.{name}={value}", "config", {name: value}
+        for name in BreathAudioSpec.__dataclass_fields__:
+            yield f"breath.{name}={value}", "breath", {**HOSTILE_BREATH, name: value}
+    yield "scene.snr_db=-4000", "scene", {**HOSTILE_SCENE, "snr_db": -4000}
+    yield "breath.noise_db=1e300", "breath", {**HOSTILE_BREATH, "noise_db": 1e300}
+    for name, first in (("targets", HOSTILE_MOTION), ("static_reflectors", 3.0)):
+        for entry in ([first], [first, 1.0, 2.0], 5):
+            yield f"scene.{name}=[{entry!r}]", "scene", {**HOSTILE_SCENE, name: [entry]}
+
+
+HOSTILE_DOCUMENTS = list(_hostile_documents())
+
+
+# an amplitude of 1e308 overflows to inf as it is summed, and simulates with a RuntimeWarning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, doc", [pytest.param(kind, doc, id=case) for case, kind, doc in HOSTILE_DOCUMENTS])
+def test_hostile_value_simulates_or_is_value_error(kind, doc):
+    # an OverflowError once snr_db, noise_db or a reflectivity met a float's **,
+    # and a TypeError for a target that is a number, not a pair
+    try:
+        if kind == "breath":
+            synth_audio(BreathAudioSpec.from_dict(doc), 2.0)
+        else:
+            scene = SceneSpec.from_dict(doc if kind == "scene" else HOSTILE_SCENE)
+            synth_cube(scene, RadarConfig.from_dict(doc if kind == "config" else {}), 2.0)
+    except ValueError:
+        assert doc not in (HOSTILE_SCENE, HOSTILE_BREATH)  # the valid documents simulate
+
+
 # --- cube synthesis ---------------------------------------------------------------
 
 
