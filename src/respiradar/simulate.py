@@ -124,6 +124,18 @@ def _finite(compute, message: str) -> float:
     return value
 
 
+def _sample_count(duration_s: float, rate_hz: float, item_bytes: int, unit: str) -> int:
+    """round(duration_s * rate_hz): the length of an array of item_bytes-byte
+    items; ValueError naming duration_s where it is not finite or too long
+    for any array."""
+    count = int(round(_finite(lambda: duration_s * rate_hz,
+                              f"duration_s {duration_s} s at {rate_hz} Hz gives no finite {unit} count")))
+    if count > np.iinfo(np.intp).max // item_bytes:
+        raise ValueError(f"duration_s {duration_s} s at {rate_hz} Hz gives {count:.3g} {unit}s, "
+                         "more than an array can hold")
+    return count
+
+
 def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
     """Chest displacement in metres at time(s) t (seconds, >= 0)."""
     t = np.asarray(t, dtype=np.float64)
@@ -154,29 +166,44 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
     is drawn first, then each block of frames is summed on the worker pool,
     and its peak taken while it is fresh.
     """
-    n_frames = int(round(_finite(lambda: duration_s * config.frame_rate_hz,
-                                 f"duration_s {duration_s} s at {config.frame_rate_hz} Hz "
-                                 "gives no finite frame count")))
+    n_fast = config.samples_per_chirp
+    n_frames = _sample_count(duration_s, config.frame_rate_hz, 16 * config.chirps_per_frame * n_fast, "frame")
     if n_frames < 1:
         raise DurationTooShortError("duration covers no complete frame")
 
     frame_times = np.arange(n_frames) / config.frame_rate_hz
-    n_fast = config.samples_per_chirp
     fast_index = np.arange(n_fast) - (n_fast - 1) / 2.0  # chirp-centre reference
     shape = (n_frames, config.chirps_per_frame, n_fast)
+    wavelength = config.wavelength_m
 
-    scatterers: list[tuple[np.ndarray, float]] = []
-    for motion, reflectivity in scene.targets:
-        ranges = motion.base_range_m + chest_displacement(motion, frame_times)
-        scatterers.append((ranges, reflectivity))
-    for range_m, reflectivity in scene.static_reflectors:
-        scatterers.append((np.full(n_frames, range_m), reflectivity))
+    def tones(ranges: np.ndarray, reflectivity: float, phase: np.ndarray, wave: np.ndarray) -> np.ndarray:
+        """The fast-time row of a scatterer at each of the ranges, in wave."""
+        beat_hz = 2.0 * config.chirp_slope_hz_per_s * ranges / SPEED_OF_LIGHT_M_S
+        slow_phase = 4.0 * np.pi * ranges / wavelength
+        np.multiply(2.0 * np.pi * beat_hz[:, None], fast_index, out=phase)
+        phase /= config.adc_rate_hz
+        phase += slow_phase[:, None]
+        np.multiply(1j, phase, out=wave)
+        np.exp(wave, out=wave)
+        wave *= reflectivity
+        return wave
+
+    targets = [(motion.base_range_m + chest_displacement(motion, frame_times), reflectivity)
+               for motion, reflectivity in scene.targets]
+    far = max([ranges.max() for ranges, _ in targets] + [r for r, _ in scene.static_reflectors], default=0.0)
+    _finite(lambda: 2.0 * config.chirp_slope_hz_per_s * far / SPEED_OF_LIGHT_M_S,
+            f"chirp_slope_hz_per_s {config.chirp_slope_hz_per_s} gives no finite beat frequency at {far} m")
+    # a static reflector's row is the same in every frame: it is made once
+    rows = [tones(np.array([range_m]), reflectivity, np.empty((1, n_fast)),
+                  np.empty((1, n_fast), np.complex128))[0]
+            for range_m, reflectivity in scene.static_reflectors]
 
     noise = None
     if scene.snr_db is not None:
-        if not scatterers:
+        reflectivities = [abs(a) for _, a in (*scene.targets, *scene.static_reflectors)]
+        if not reflectivities:
             raise ValueError("snr_db is relative to the strongest scatterer; scene is empty")
-        strongest = max(abs(a) for _, a in scatterers)
+        strongest = max(reflectivities)
         noise_power = _finite(lambda: strongest**2 * 10.0 ** (-scene.snr_db / 10.0),
                               f"snr_db {scene.snr_db} below reflectivity {strongest} "
                               "gives no finite noise power")
@@ -185,23 +212,17 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
         # drawn whole and first: the real parts of every frame, then the imaginary parts
         noise = rng.normal(scale=sigma, size=shape), rng.normal(scale=sigma, size=shape)
 
-    wavelength = config.wavelength_m
     data = np.empty(shape, dtype=np.complex128)
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the peak, checked below
     def synth(frames: slice, work: tuple[np.ndarray, np.ndarray]) -> float:
         block = data[frames]
         block[...] = 0
         phase, wave = (w[: len(block)] for w in work)
-        for ranges, reflectivity in scatterers:
-            beat_hz = 2.0 * config.chirp_slope_hz_per_s * ranges[frames] / SPEED_OF_LIGHT_M_S
-            slow_phase = 4.0 * np.pi * ranges[frames] / wavelength
-            np.multiply(2.0 * np.pi * beat_hz[:, None], fast_index, out=phase)
-            phase /= config.adc_rate_hz
-            phase += slow_phase[:, None]
-            np.multiply(1j, phase, out=wave)
-            np.exp(wave, out=wave)
-            wave *= reflectivity
-            block += wave[:, None, :]
+        for ranges, reflectivity in targets:
+            block += tones(ranges[frames], reflectivity, phase, wave)[:, None, :]
+        for row in rows:
+            block += row
         if noise is not None:
             block.real += noise[0][frames]
             block.imag += noise[1][frames]
@@ -212,7 +233,11 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
     _map_blocks(synth, n_frames, _FRAME_BLOCK, sink=peaks.append,
                 work=lambda: (np.empty((_FRAME_BLOCK, n_fast)),
                               np.empty((_FRAME_BLOCK, n_fast), np.complex128)))
-    return data, float(np.max(peaks))  # np.max: a NaN peak stays NaN
+    peak = float(np.max(peaks))  # np.max: a NaN peak stays NaN
+    if not peak < np.inf:
+        raise ValueError(f"the beat signal peaks at {peak}, not a finite value: carrier_hz "
+                         f"{config.carrier_hz} at {far} m or a reflectivity is too large")
+    return data, peak
 
 
 def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> RadarCube:
@@ -279,8 +304,9 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     if duration_s < period_s:
         raise DurationTooShortError("duration covers less than one breath period")
 
-    n = int(round(_finite(lambda: duration_s * AUDIO_RATE_HZ,
-                          f"duration_s {duration_s} s at {AUDIO_RATE_HZ} Hz gives no finite sample count")))
+    n = _sample_count(duration_s, AUDIO_RATE_HZ, 2, "sample")
+    # made before the bursts: a duration too long for memory fails here, not after a breath loop as long
+    counts = np.empty(n, np.int16)
     rng = np.random.default_rng(spec.seed)
 
     bursts = []  # (first sample, samples), in time order: both starts and ends ascend
@@ -313,7 +339,6 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
         background_std = _finite(lambda: spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0),
                                  f"noise_db {spec.noise_db} over burst_amplitude {spec.burst_amplitude} "
                                  "gives no finite noise level")
-    counts = np.empty(n, np.int16)
     x = np.empty(min(n, _AUDIO_BLOCK))
     first = 0  # the first burst that ends inside or after the current block
     for lo in range(0, n, _AUDIO_BLOCK):

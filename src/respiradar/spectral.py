@@ -29,6 +29,9 @@ DEFAULT_BAND_BPM = (6.0, 60.0)
 
 _FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays in cache
 _FRAME_BLOCK = 512  # frames per block of the radar stages (simulate, quantise, range FFT)
+_COMB_BLOCK = 512  # instants per block of the signed rate readout
+_COMB_HARMONICS = 4  # harmonics h*f scored for each candidate rate f
+_COMB_FLOOR = 4.0  # a candidate's line must exceed this many band medians
 
 
 @dataclass(frozen=True)
@@ -234,11 +237,14 @@ def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) ->
 def extract_rate(
     spectrogram: Spectrogram, band_bpm: tuple[float, float] = DEFAULT_BAND_BPM
 ) -> RateSeries:
-    """Argmax rate per time instant within a bpm search band.
+    """Rate per time instant within a bpm search band.
 
-    For signed (complex-input) spectrograms the band applies to |frequency|
-    and the reported rate is the magnitude of the winning bin.  Ties break
-    toward the lower bpm, which plays conservatively against harmonics.
+    A real spectrogram reads the argmax bin in the band.  A signed
+    (complex-input) one reads the harmonic comb of its folded spectrum
+    (see _comb_rates): the band applies to |frequency|, the rate is the
+    winning |bin| and the magnitude the larger of its two signed bins.
+    Either way ties break toward the lower bpm, which plays conservatively
+    against harmonics.
     """
     low, high = band_bpm
     if not low <= high:
@@ -247,6 +253,8 @@ def extract_rate(
     in_band = (abs_bpm >= low) & (abs_bpm <= high)
     if not in_band.any():
         raise EmptyBandError(f"band [{low}, {high}] bpm misses the frequency axis")
+    if spectrogram.is_signed:
+        return _comb_rates(spectrogram, in_band)
     candidates = np.nonzero(in_band)[0]
     # scan order: |bpm| ascending, so the first argmax hit is the lowest rate
     order = np.lexsort((spectrogram.freq_axis_bpm[candidates], abs_bpm[candidates]))
@@ -260,6 +268,92 @@ def extract_rate(
         rates_bpm=abs_bpm[candidates][best],
         magnitudes=sub[rows, best],
     )
+
+
+def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
+    """Subharmonic summation (Hermes, JASA 1988) over a signed spectrogram.
+
+    Chest motion of A metres phase-modulates the complex return by
+    beta = 4*pi*A/lambda, so its spectrum holds Bessel lines |J_h(beta)| at
+    every multiple h*f, and from beta of about 2.6 rad the line at 2f
+    outgrows the one at f.  The readout therefore scores whole combs:
+
+    - F(k) = |S(+k)| + |S(-k)| folds bin k, from 0 to the Nyquist end
+      n // 2 of n columns; at k = 0, and at n / 2 for even n, +k and -k are
+      one column, counted twice.  F is 0 beyond the Nyquist end;
+    - candidate bin c scores the sum over h = 1.._COMB_HARMONICS of F(h*c)
+      less the level midway to the previous harmonic, F((h - 1/2) * c),
+      which for odd c is the mean of the two bins around it;
+    - c is admissible only if F(c) is a local peak, no lower than its
+      neighbours (bin 0 and the Nyquist end have one), and exceeds
+      _COMB_FLOOR times the median F over the band's bins;
+    - the best admissible score wins, ties to the lower rate; an instant
+      with no admissible candidate reads the band's argmax of F instead.
+
+    The midway levels keep 2f, whose midway points are the odd harmonics
+    of f, from winning on the lines of f.  The peak test keeps f/2, whose
+    comb holds every line of f, from winning when its own bin is noise.
+    The work is done in blocks of instants, so its memory stays small and
+    its result does not depend on the worker count.
+    """
+    axis = spectrogram.freq_axis_bpm
+    n = axis.size
+    nyquist = n // 2
+    step = -axis[0] / nyquist if nyquist else 0.0
+    if not (step > 0 and np.allclose(axis, (np.arange(n) - nyquist) * step, rtol=0, atol=1e-9 * step)):
+        raise ValueError("a signed spectrogram needs the fftshift-ordered axis of a DFT")
+    bins = np.abs(np.flatnonzero(in_band) - nyquist)  # the in-band |bin| numbers, a contiguous run
+    lo, hi = int(bins.min()), int(bins.max())
+    span = max(_COMB_HARMONICS * hi, hi + 1) + 1  # bins of F that the comb and the peak test read
+    kept = min(span, nyquist + 1)  # of those, the bins up to the Nyquist end
+    on_axis = min(kept, n - nyquist)  # of those, the bins +k with a column of their own, nyquist + k
+    middle = [(hi - lo) // 2, (hi - lo + 1) // 2]  # the band's middle bin, or its two middle bins
+    m = spectrogram.magnitudes
+    rates = np.empty(spectrogram.n_frames)
+    magnitudes = np.empty(spectrogram.n_frames)
+
+    def read(instants: slice, work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        block = m[instants]
+        by_instant, padded, half = work[0][: len(block)], work[1][:, : len(block)], work[2][:, : len(block)]
+        minus = block[:, nyquist - kept + 1 : nyquist + 1][:, ::-1]  # column k is bin -k
+        np.add(minus[:, :on_axis], block[:, nyquist : nyquist + on_axis], out=by_instant[:, :on_axis])
+        np.add(minus[:, on_axis:], block[:, : kept - on_axis], out=by_instant[:, on_axis:])  # +n/2 is -n/2's column
+        # from here bins run down the rows and instants along them, so that
+        # every level the comb reads is one contiguous row
+        # padded[1 + k] is F(k); padded[0] is F(-1) = F(1), bin 0's other neighbour
+        folded = padded[1:]
+        folded[:kept] = by_instant.T
+        folded[kept:] = 0.0
+        padded[0] = folded[1]
+        # twice F at half bins: half[2k] = 2 F(k), half[2k + 1] = F(k) + F(k + 1)
+        np.add(folded, folded, out=half[0::2])
+        np.add(folded[:-1], folded[1:], out=half[1::2])
+        # twice the score: half[2h*c] is twice F(h*c), half[(2h - 1)*c] twice its midway level
+        score = np.zeros((hi - lo + 1, len(block)))
+        for t in range(1, 2 * _COMB_HARMONICS + 1):
+            view = half[t * lo : t * hi + 1 : t]
+            if t % 2:
+                score -= view
+            else:
+                score += view
+        line = folded[lo : hi + 1]
+        # the median along each instant's row, where a partition is fastest
+        floor = np.partition(by_instant[:, lo : hi + 1], middle, axis=1)[:, middle].sum(axis=1)
+        floor *= _COMB_FLOOR / 2
+        admissible = (line > floor) & (line >= padded[lo : hi + 1]) & (line >= padded[lo + 2 : hi + 3])
+        np.copyto(score, -np.inf, where=~admissible)
+        best = np.argmax(score, axis=0)
+        none = np.flatnonzero(~admissible.any(axis=0))
+        best[none] = np.argmax(line[:, none], axis=0)
+        best += lo
+        at = np.arange(len(block))
+        rates[instants] = np.abs(axis[nyquist - best])
+        magnitudes[instants] = np.maximum(block[at, (nyquist + best) % n], block[at, nyquist - best])
+
+    _map_blocks(read, spectrogram.n_frames, _COMB_BLOCK,
+                work=lambda: (np.empty((_COMB_BLOCK, kept)), np.empty((span + 1, _COMB_BLOCK)),
+                              np.empty((2 * span - 1, _COMB_BLOCK))))
+    return RateSeries(times_s=spectrogram.time_axis_s.copy(), rates_bpm=rates, magnitudes=magnitudes)
 
 
 def compare_rates(

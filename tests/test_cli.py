@@ -129,6 +129,20 @@ def test_non_finite_spec_or_config_value_is_input_error(tmp_path, command, spec,
     assert not (tmp_path / "x" / written).exists()
 
 
+def test_simulate_audio_duration_too_long_for_any_array_is_input_error(tmp_path):
+    # a subprocess with a timeout: synth_audio appended one burst centre per breath
+    # of the 1e300 s recording and never returned
+    args = ["simulate-audio", _write_json(tmp_path / "breath.json", {"resp_rate_bpm": 15.0}),
+            "--duration", "1e300", "--out", str(tmp_path / "x")]
+    out = subprocess.run([sys.executable, "-m", "respiradar.cli", *args],
+                         env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == ("error: duration_s 1e+300 s at 44100 Hz gives 4.41e+304 samples, "
+                          "more than an array can hold\n")
+    assert not (tmp_path / "x" / "breath.wav").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "simulate-audio"])
 def test_fractional_seed_is_input_error(runner, scene_json, audio_json, tmp_path, command):
     # a scene seed of 7.9 was simulated as seed 7, with exit 0
@@ -812,6 +826,19 @@ INPUT_FAULTS = {
         "snr_db 30.0 below reflectivity 1e+308 gives no finite noise power"),
     "breath-noise-1e300": (lambda tmp_path, _: _simulate_breath(tmp_path, noise_db=1e300),
                            "noise_db 1e+300 over burst_amplitude 0.3 gives no finite noise level"),
+    # numpy's own "Maximum allowed size exceeded" named no field
+    "simulate-duration-1e300": (lambda tmp_path, _: _simulate_scene(tmp_path, "1e300"),
+                                "duration_s 1e+300 s at 20.0 Hz gives 2e+301 frames, more than an array can hold"),
+    # the beat frequency overflowed to inf, and the NaN beat signal was written as an
+    # all-zero capture with exit 0
+    "config-chirp-slope-1e308": (
+        lambda tmp_path, _: [*_simulate_scene(tmp_path), "--config",
+                             _write_json(tmp_path / "config.json", {"chirp_slope_hz_per_s": 1e308})],
+        "chirp_slope_hz_per_s 1e+308 gives no finite beat frequency at 0.501 m"),
+    "scene-reflectivities-overflow": (
+        lambda tmp_path, _: _simulate_scene(tmp_path, snr_db=None, targets=[[VALID_SCENE["targets"][0][0], 1e308]],
+                                            static_reflectors=[[3.0, 1e308]]),
+        "the beat signal peaks at inf, not a finite value"),
     **{f"{command}-missing": (_inputs(command, lambda path: None), "[Errno 2] No such file or directory: ")
        for command in ("process-radar", "process-audio", "compare")},
     **{f"{command}-directory": (_inputs(command, Path.mkdir), "Is a directory: ")

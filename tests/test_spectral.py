@@ -283,6 +283,164 @@ def test_extract_rate_complex_band_on_magnitude():
     assert np.all(rates.rates_bpm == 15.0)
 
 
+# --- the signed readout: harmonic comb of the folded spectrum ------------------------
+
+
+def signed_axis(n, rate_hz=20.0):
+    """stft's bpm axis for an n-sample complex window: 1 bpm bins for 1200 at 20 Hz."""
+    return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / rate_hz)) * 60.0
+
+
+def signed_spectrogram(plus, minus=None, n=1200, instants=3, base=0.0):
+    """|S| at each signed bin: plus[k] at +k, minus[k] at -k (plus again if
+    None), base elsewhere, the same at every instant."""
+    row = np.full(n, base)
+    for levels, sign in ((plus, 1), (plus if minus is None else minus, -1)):
+        for k, level in levels.items():
+            row[(n // 2 + sign * k) % n] = level
+    return Spectrogram(np.tile(row, (instants, 1)), signed_axis(n), np.arange(float(instants)))
+
+
+def comb_reference(spec, band):
+    """The signed readout as its docstring states it, one instant and one
+    candidate at a time, with its sums formed in the same order."""
+    axis = spec.freq_axis_bpm
+    n = axis.size
+    ny = n // 2
+    candidates = sorted({abs(i - ny) for i in range(n) if band[0] <= abs(axis[i]) <= band[1]})
+    rates, magnitudes = [], []
+    for row in spec.magnitudes:
+        def fold(k):
+            k = abs(k)
+            return 0.0 if k > ny else row[ny - k] + row[(ny + k) % n]
+
+        median = np.median([fold(c) for c in candidates])
+        best, best_score = None, -np.inf
+        for c in candidates:
+            score = 0.0
+            for h in range(1, spectral._COMB_HARMONICS + 1):
+                mid = (2 * h - 1) * c
+                score -= fold(mid // 2) + fold((mid + 1) // 2)
+                score += fold(h * c) + fold(h * c)
+            level = fold(c)
+            if level >= fold(c - 1) and level >= fold(c + 1) and level > spectral._COMB_FLOOR * median:
+                if score > best_score:
+                    best, best_score = c, score
+        if best is None:
+            best = max(candidates, key=lambda c: (fold(c), -c))
+        rates.append(abs(axis[ny - best]))
+        magnitudes.append(max(row[(ny + best) % n], row[ny - best]))
+    return np.array(rates), np.array(magnitudes)
+
+
+@pytest.mark.parametrize("n, band_bins", [
+    (n, band) for n in (8, 9, 16, 17, 64, 1200) for band in ((0, 3), (1, 2), (2, 4), (3, 8), (6, 60))
+    if band[0] <= n // 2  # the band starts on the axis
+])
+def test_signed_readout_matches_its_definition(n, band_bins):
+    # small integer levels: every sum is exact, and ties and flat runs are common
+    band = tuple(float(b) * signed_axis(n)[n // 2 + 1] for b in band_bins)
+    rng = np.random.default_rng(n * 100 + band_bins[0])
+    levels = rng.integers(0, 4, size=(200, n)).astype(float)
+    levels[rng.random((200, n)) < 0.2] *= 10  # lines that clear the floor
+    spec = Spectrogram(levels, signed_axis(n), np.arange(200.0))
+    rates = extract_rate(spec, band)
+    expected_rates, expected_magnitudes = comb_reference(spec, band)
+    assert np.array_equal(rates.rates_bpm, expected_rates)
+    assert np.array_equal(rates.magnitudes, expected_magnitudes)
+
+
+def test_signed_readout_reads_the_fundamental_of_a_bessel_comb():
+    # the README B instant: e^{j beta sin} at 1 mm holds lines at f, 2f, 3f and 4f
+    # of 0.52, 1, 0.72 and 0.34 of the peak, and the argmax read 2f
+    plus = {15: 0.52, 30: 1.0, 45: 0.72, 60: 0.34}
+    spec = signed_spectrogram(plus, minus={**plus, 15: 0.4}, base=1e-3)
+    assert np.all(np.argmax(spec.magnitudes[:, 600:], axis=1) == 30)
+    rates = extract_rate(spec)
+    assert np.all(rates.rates_bpm == 15.0)
+    assert np.all(rates.magnitudes == 0.52)  # the larger of the bins at +-15 bpm
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_signed_readout_never_reads_half_the_rate_off_noise(seed):
+    # a comb at 30 bpm whose 15 bpm bin holds noise only, a local peak of it
+    # at some instants: the floor keeps 15 bpm out, though its comb holds
+    # the lines at 30 and 60 bpm
+    rng = np.random.default_rng(seed)
+    spec = signed_spectrogram({30: 1.0, 60: 0.8}, instants=400)
+    spec.magnitudes += rng.uniform(0.0, 0.05, spec.magnitudes.shape)
+    rates = extract_rate(spec)
+    assert np.all(rates.rates_bpm == 30.0)
+
+
+def test_flat_signed_spectrum_reads_the_band_low_edge():
+    spec = Spectrogram(np.ones((4, 1200)), signed_axis(1200), np.arange(4.0))
+    assert np.all(extract_rate(spec, (6.0, 60.0)).rates_bpm == 6.0)
+    assert np.all(extract_rate(spec, (11.0, 20.0)).rates_bpm == 11.0)
+
+
+def test_signed_readout_without_a_peak_over_the_floor_reads_the_argmax():
+    spec = signed_spectrogram({20: 1.5}, base=1.0)  # 1.5 of a median of 1: under the floor
+    assert np.all(extract_rate(spec).rates_bpm == 20.0)
+
+
+def test_band_edge_is_no_peak_under_a_higher_neighbour_outside_the_band():
+    # 15 bpm falls off the line at 14 bpm, outside the band; the weaker line at
+    # 30 bpm is the band's only local peak
+    spec = signed_spectrogram({14: 1.0, 15: 0.9, 16: 0.5, 30: 0.3}, base=1e-3)
+    assert np.all(extract_rate(spec, (15.0, 40.0)).rates_bpm == 30.0)
+
+
+def test_bin_0_is_one_column_counted_twice():
+    # F(0) = 2 |S(0)| = 2 is a peak over F(1) = 1.5 + 0: the band from 0 bpm reads 0
+    spec = signed_spectrogram({0: 1.0, 1: 1.5}, minus={0: 1.0})
+    rates = extract_rate(spec, (0.0, 3.0))
+    assert np.all(rates.rates_bpm == 0.0)
+    assert np.all(rates.magnitudes == 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_nyquist_end_reads_its_bin_and_has_no_harmonics(n):
+    # the end bin's only neighbour is below it, and its harmonics lie beyond the
+    # axis; for even n the end is the one column of -n/2 bins, counted twice
+    end = n // 2
+    spec = signed_spectrogram({end: 1.0, end - 1: 0.5}, minus={}, n=n)
+    step = signed_axis(n)[end + 1]
+    rates = extract_rate(spec, (4 * step, 60.0 * n))
+    assert np.all(rates.rates_bpm == end * step)
+    assert np.all(rates.magnitudes == 1.0)
+
+
+@pytest.mark.parametrize("penalty_bin, expected", [(None, 15.0), (22, 16.0), (23, 16.0)])
+def test_odd_candidate_midway_level_is_the_mean_of_the_two_bins_around_it(penalty_bin, expected):
+    # equal combs at 15 and 16 bpm tie, and the tie reads the lower rate; a
+    # level at 22 or at 23 bpm, either side of 15's midway point 22.5, costs
+    # 15 half that level and leaves 16's midway points (8, 24, 40, 56) alone
+    lines = {c * h: 1.0 for c in (15, 16) for h in range(1, 5)}
+    if penalty_bin is not None:
+        lines[penalty_bin] = 1.0
+    assert np.all(extract_rate(signed_spectrogram(lines)).rates_bpm == expected)
+
+
+def test_signed_readout_needs_a_dft_axis():
+    spec = Spectrogram(np.ones((2, 5)), np.array([-2.0, -1.0, 0.0, 1.0, 3.0]), np.arange(2.0))
+    with pytest.raises(ValueError, match="fftshift-ordered axis"):
+        extract_rate(spec, (1.0, 3.0))
+
+
+@pytest.mark.parametrize("workers, block", [(1, 7), (3, 7), (2, spectral._COMB_BLOCK)])
+def test_signed_readout_does_not_depend_on_workers_or_blocks(monkeypatch, fast_thread_switching,
+                                                             workers, block):
+    rng = np.random.default_rng(5)
+    spec = stft(rng.standard_normal(2000) + 1j * rng.standard_normal(2000), 20.0)
+    expected = extract_rate(spec)
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    monkeypatch.setattr(spectral, "_COMB_BLOCK", block)
+    rates = extract_rate(spec)
+    assert np.array_equal(rates.rates_bpm, expected.rates_bpm)
+    assert np.array_equal(rates.magnitudes, expected.magnitudes)
+
+
 # --- compare_rates -----------------------------------------------------------------
 
 
