@@ -295,9 +295,19 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     burst amplitude.  Each sample is clipped to [-1, 1] and rounded from
     sample * 32767.  Deterministic under the spec seed.
 
-    Every burst is drawn first, then the recording is summed, noise drawn
-    and quantised one block at a time, so no float copy of it is held.
+    The seed's stream is drawn in one order on the calling thread: every
+    burst's raw noise in time order, a burst that starts before the
+    recording included, then the background noise one block at a time.
+    One helper thread shapes the bursts meanwhile, in time order and in
+    place: band-pass, normalise, window, amplitude.  Each block is summed
+    once the bursts that overlap it are shaped, bursts first and then its
+    noise, and quantised, so no float copy of the recording is held.  The
+    helper has ended when this returns or raises, and an exception it
+    meets is raised here.
     """
+    # imported here, as in _map_blocks: a caller that only reads a spec loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     from .audio_dsp import AUDIO_RATE_HZ, AudioTrace
 
     period_s = 60.0 / spec.resp_rate_bpm
@@ -309,13 +319,12 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
     counts = np.empty(n, np.int16)
     rng = np.random.default_rng(spec.seed)
 
-    bursts = []  # (first sample, samples), in time order: both starts and ends ascend
+    centres = []
     burst_len = int(round(spec.burst_duration_s * AUDIO_RATE_HZ))
     if burst_len >= 1 and spec.burst_amplitude > 0:
         band_pass = _burst_filter(burst_len)
         burst_window = cosine_window("hann", burst_len, periodic=False)
 
-        centres = []
         k = 0
         while True:
             exhale = (k + 0.75) * period_s
@@ -325,39 +334,59 @@ def synth_audio(spec: BreathAudioSpec, duration_s: float) -> AudioTrace:
             if not spec.exhale_only:
                 centres.append((k + 0.25) * period_s)
             k += 1
-        for centre_s in sorted(centres):
-            shaped = band_pass(rng.standard_normal(burst_len))
-            shaped /= max(shaped.std(), 1e-300)
-            start = int(round(centre_s * AUDIO_RATE_HZ - burst_len / 2))
-            stop = min(start + burst_len, n)
-            if start < 0 or stop <= start:
-                continue
-            bursts.append((start, spec.burst_amplitude * (burst_window * shaped)[: stop - start]))
+    # the same numbers as one standard_normal(burst_len) per burst in time order
+    raw = rng.standard_normal((len(centres), burst_len))
 
     background_std = 0.0
     if spec.noise_db is not None:
         background_std = _finite(lambda: spec.burst_amplitude * 10.0 ** (spec.noise_db / 20.0),
                                  f"noise_db {spec.noise_db} over burst_amplitude {spec.burst_amplitude} "
                                  "gives no finite noise level")
-    x = np.empty(min(n, _AUDIO_BLOCK))
-    first = 0  # the first burst that ends inside or after the current block
-    for lo in range(0, n, _AUDIO_BLOCK):
-        hi = min(lo + _AUDIO_BLOCK, n)
-        block = x[: hi - lo]
-        block[...] = 0
-        while first < len(bursts) and bursts[first][0] + len(bursts[first][1]) <= lo:
-            first += 1
-        for start, burst in bursts[first:]:
-            if start >= hi:
-                break
-            a = max(start, lo)
-            block[a - lo : start + len(burst) - lo] += burst[a - start : hi - start]
-        if background_std > 0:
-            # the same numbers as one draw of n after the bursts
-            block += rng.normal(scale=background_std, size=hi - lo)
-        np.clip(block, -1.0, 1.0, out=block)
-        block *= 32767.0
-        counts[lo:hi] = np.rint(block, out=block)
+
+    def shape(row: np.ndarray) -> None:
+        shaped = band_pass(row)
+        shaped /= max(shaped.std(), 1e-300)
+        np.multiply(burst_window, shaped, out=row)
+        row *= spec.burst_amplitude
+
+    helper = ThreadPoolExecutor(1)
+    try:
+        # (first sample, samples, its shaping's future), in time order: both starts and ends
+        # ascend; the helper shapes them in the order they are submitted
+        bursts = []
+        for row, centre_s in zip(raw, sorted(centres)):
+            start = int(round(centre_s * AUDIO_RATE_HZ - burst_len / 2))
+            stop = min(start + burst_len, n)
+            if start >= 0 and stop > start:
+                bursts.append((start, row[: stop - start], helper.submit(shape, row)))
+
+        x = np.empty(min(n, _AUDIO_BLOCK))
+        z = np.empty_like(x)
+        first = 0  # the first burst that ends inside or after the current block
+        for lo in range(0, n, _AUDIO_BLOCK):
+            hi = min(lo + _AUDIO_BLOCK, n)
+            if background_std > 0:
+                # drawn while the helper shapes: rng.normal(scale=background_std) over one draw
+                # of n after the bursts, but for the sign of a zero, which the sum below drops
+                noise = rng.standard_normal(out=z[: hi - lo])
+                noise *= background_std
+            block = x[: hi - lo]
+            block[...] = 0
+            while first < len(bursts) and bursts[first][0] + len(bursts[first][1]) <= lo:
+                first += 1
+            for start, burst, shaping in bursts[first:]:
+                if start >= hi:
+                    break
+                shaping.result()
+                a = max(start, lo)
+                block[a - lo : start + len(burst) - lo] += burst[a - start : hi - start]
+            if background_std > 0:
+                block += noise
+            np.clip(block, -1.0, 1.0, out=block)
+            block *= 32767.0
+            counts[lo:hi] = np.rint(block, out=block)
+    finally:
+        helper.shutdown(cancel_futures=True)
     return AudioTrace(counts)
 
 

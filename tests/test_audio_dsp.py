@@ -3,6 +3,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from respiradar.audio_dsp import (
     design_stage_taps,
     _decimate_stage,
 )
+from respiradar import simulate
 from respiradar.errors import AudioTooShortError, UnsupportedWavError
 from respiradar.pipeline import process_audio
 from respiradar.spectral import StftParams, extract_rate, stft
@@ -380,7 +383,8 @@ def test_process_audio_peaks_below_a_float_copy_of_its_wav(tmp_path, multistage)
     assert peak < n * 8  # 42 MB
 
 
-@pytest.mark.parametrize("duration_s, spec, sha256", [
+# (duration_s, spec, sha256 of its WAV)
+BREATH_WAV_PINS = [
     (20.0, dict(resp_rate_bpm=15.0, exhale_only=False, burst_duration_s=0.5, noise_db=-20.0, seed=7),
      "077a16d5634d841be946670708d6dd3c02130451a03cdd21d91d47a01db13d84"),
     (13.0, dict(resp_rate_bpm=12.0, exhale_only=True, noise_db=-6.0, seed=3),
@@ -388,13 +392,107 @@ def test_process_audio_peaks_below_a_float_copy_of_its_wav(tmp_path, multistage)
     # loud enough that about a quarter of the samples clip
     (10.0, dict(resp_rate_bpm=20.0, exhale_only=False, burst_amplitude=0.8, noise_db=0.0, seed=11),
      "08a314ef04308fafcb6f441d233fa8f8a46532a420b5c96eaccb0dc4f7102088"),
-])
-def test_breath_wav_bytes_are_pinned(tmp_path, duration_s, spec, sha256):
-    # the noise is drawn and the WAV quantised in blocks; these are the bytes of one
-    # full-length draw and one full-length quantisation
+    # the first inhale starts at sample -1575: it is left out, but its draw is still consumed
+    (12.0, dict(resp_rate_bpm=70.0, exhale_only=False, burst_duration_s=0.5, noise_db=-20.0, seed=5),
+     "72a441ada4bf529a35577b8e97528d866d63ee03a0917a2481adec720c22101c"),
+    # no background noise, and a burst straddles the first block boundary
+    (14.0, dict(resp_rate_bpm=15.0, exhale_only=False, burst_duration_s=0.5, noise_db=None, seed=2),
+     "16258507c50519b3119e03bd269c10b7831015a11c136be28046d407408c8409"),
+]
+NOISY_BREATH_WAV_PINS = [pin for pin in BREATH_WAV_PINS if pin[1]["noise_db"] is not None]
+
+
+def breath_wav_sha256(tmp_path, duration_s, spec) -> str:
     path = tmp_path / "breath.wav"
     save_wav(path, synth_audio(BreathAudioSpec(**spec), duration_s))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("duration_s, spec, sha256", BREATH_WAV_PINS)
+def test_breath_wav_bytes_are_pinned(tmp_path, duration_s, spec, sha256):
+    # the noise is drawn and the WAV quantised in blocks, the bursts shaped on a
+    # helper thread; these are the bytes of one full-length draw and one
+    # full-length quantisation, all on one thread
+    assert breath_wav_sha256(tmp_path, duration_s, spec) == sha256
+
+
+def slow_burst_filter(monkeypatch, before_each):
+    """Patch simulate._burst_filter so that each burst runs before_each() first."""
+    burst_filter = simulate._burst_filter
+
+    def slow(burst_len):
+        band_pass = burst_filter(burst_len)
+
+        def run(x):
+            before_each()
+            return band_pass(x)
+        return run
+
+    monkeypatch.setattr(simulate, "_burst_filter", slow)
+
+
+@pytest.mark.parametrize("duration_s, spec, sha256", BREATH_WAV_PINS)
+def test_breath_wav_bytes_do_not_depend_on_thread_switching(tmp_path, fast_thread_switching,
+                                                             duration_s, spec, sha256):
+    assert breath_wav_sha256(tmp_path, duration_s, spec) == sha256
+
+
+@pytest.mark.parametrize("duration_s, spec, sha256", BREATH_WAV_PINS)
+def test_breath_wav_bytes_hold_while_the_calling_thread_waits_on_each_burst(
+        tmp_path, monkeypatch, duration_s, spec, sha256):
+    slow_burst_filter(monkeypatch, lambda: time.sleep(0.005))
+    assert breath_wav_sha256(tmp_path, duration_s, spec) == sha256
+
+
+@pytest.mark.parametrize("duration_s, spec, sha256", NOISY_BREATH_WAV_PINS)
+def test_breath_wav_bytes_hold_when_noise_is_drawn_before_any_burst_is_shaped(
+        tmp_path, monkeypatch, duration_s, spec, sha256):
+    # the first burst waits until the calling thread has drawn a block's noise, the
+    # seed's second draw after every burst's raw noise
+    drawn = threading.Event()
+    seen = []
+    default_rng = np.random.default_rng
+
+    class SignallingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            self.draws = 0
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                numbers = getattr(self.rng, name)(*args, **kwargs)
+                self.draws += 1
+                if self.draws == 2:
+                    drawn.set()
+                return numbers
+            return draw
+
+    def wait_for_noise():
+        seen.append(drawn.wait(timeout=10))
+        drawn.set()  # a failure waits once, not once per burst
+
+    monkeypatch.setattr(np.random, "default_rng", SignallingGenerator)
+    slow_burst_filter(monkeypatch, wait_for_noise)
+    assert breath_wav_sha256(tmp_path, duration_s, spec) == sha256
+    assert seen and all(seen)
+
+
+def test_a_burst_filter_error_is_raised_after_the_helper_has_ended(monkeypatch, fast_thread_switching):
+    raised = []
+
+    def third_burst_fails():
+        if len(raised) == 2:
+            raised.append(RuntimeError("the third burst"))
+            raise raised[-1]
+        raised.append(None)
+
+    slow_burst_filter(monkeypatch, third_burst_fails)
+    threads = threading.active_count()
+    spec = BreathAudioSpec(resp_rate_bpm=15.0, exhale_only=False, noise_db=-20.0, seed=7)
+    with pytest.raises(RuntimeError) as info:
+        synth_audio(spec, 60.0)
+    assert info.value is raised[2]
+    assert threading.active_count() == threads
 
 
 def test_synth_and_save_peak_near_one_float_copy(tmp_path):
