@@ -35,7 +35,8 @@ class LengthMismatchError(InputError):
 
 
 class TruncatedFrameError(InputError):
-    """Sample stream ends inside a frame."""
+    """Sample stream ends inside a frame where whole frames are required.
+    decode_cube does not raise it: a cut stream decodes to its whole frames."""
 
 
 class BadMagicError(InputError):

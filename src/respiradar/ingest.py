@@ -36,7 +36,6 @@ from .errors import (
     LengthMismatchError,
     NonMonotonicByteCountError,
     PayloadTooLargeError,
-    TruncatedFrameError,
     UnsupportedVersionError,
 )
 
@@ -219,28 +218,29 @@ def frame_stream_bytes(config: RadarConfig) -> int:
 
 
 def decode_cube(stream, config: RadarConfig, frame_timestamps=None) -> RadarCube:
-    """Decode a raw sample stream (any bytes-like object) into a cube of rx channel 0.
+    """Decode the whole frames of a raw sample stream (any bytes-like object)
+    into a cube of rx channel 0.
 
     The cube holds rx 0's int16 I/Q counts as a read-only IQ_COUNTS view of
     the stream: nothing is converted, and the other rx blocks are never
     read.  A writable stream (a bytearray, a writable memoryview) is not
     aliased: rx 0's counts are copied out of it.
 
-    Raises LengthMismatchError when the stream is not aligned to whole
-    I/Q pairs, TruncatedFrameError when it ends inside a frame.
+    A stream cut inside a frame, as a lost last datagram leaves it, gives
+    its n_frames = len(stream) // frame_stream_bytes(config) whole frames;
+    the cut tail, len(stream) - n_frames * frame_stream_bytes(config)
+    bytes, is not decoded.  Raises LengthMismatchError when the stream is
+    not aligned to whole I/Q pairs.
     """
     if len(stream) % BYTES_PER_SAMPLE:
         raise LengthMismatchError(
             f"stream of {len(stream)} bytes is not a whole number of I/Q pairs"
         )
     frame_bytes = frame_stream_bytes(config)
-    if len(stream) % frame_bytes:
-        raise TruncatedFrameError(
-            f"stream of {len(stream)} bytes is not a whole number of {frame_bytes}-byte frames"
-        )
     n_frames = len(stream) // frame_bytes
 
-    counts = np.frombuffer(stream, dtype=IQ_COUNTS).reshape(
+    whole_frames = np.frombuffer(stream, dtype=IQ_COUNTS)[: n_frames * frame_bytes // BYTES_PER_SAMPLE]
+    counts = whole_frames.reshape(
         n_frames, config.chirps_per_frame, config.rx_channels, config.samples_per_chirp
     )[:, :, 0]
     if counts.flags.writeable:

@@ -181,11 +181,9 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
     """Export per-frame bin powers in dB (columns: frame_time_s, then bins).
 
     A zero-magnitude cell reads -300 dB.  The dB values are computed in
-    place in the one table that is written.
+    place in one (frames, bins) array.
     """
-    table = np.empty((rmap.n_frames, 1 + rmap.n_bins))
-    table[:, 0] = rmap.frame_times_s
-    power_db = np.abs(rmap.values, out=table[:, 1:])
+    power_db = np.abs(rmap.values)
     nonzero = power_db > 0
     np.log10(power_db, out=power_db, where=nonzero)
     power_db *= 20.0
@@ -193,7 +191,7 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
     header = "frame_time_s," + ",".join(
         f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m()
     )
-    _write_csv_8g(path, header, table)
+    _write_csv_8g(path, header, power_db, first_column=rmap.frame_times_s)
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

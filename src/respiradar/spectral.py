@@ -239,12 +239,12 @@ def extract_rate(
 ) -> RateSeries:
     """Rate per time instant within a bpm search band.
 
-    A real spectrogram reads the argmax bin in the band.  A signed
-    (complex-input) one reads the harmonic comb of its folded spectrum
-    (see _comb_rates): the band applies to |frequency|, the rate is the
-    winning |bin| and the magnitude the larger of its two signed bins.
-    Either way ties break toward the lower bpm, which plays conservatively
-    against harmonics.
+    A real spectrogram, whose axis must ascend, reads the argmax bin in the
+    band.  A signed (complex-input) one reads the harmonic comb of its
+    folded spectrum (see _comb_rates): the band applies to |frequency|, the
+    rate is the winning |bin| and the magnitude the larger of its two signed
+    bins.  Either way ties break toward the lower bpm, which plays
+    conservatively against harmonics.
     """
     low, high = band_bpm
     if not low <= high:
@@ -255,17 +255,15 @@ def extract_rate(
         raise EmptyBandError(f"band [{low}, {high}] bpm misses the frequency axis")
     if spectrogram.is_signed:
         return _comb_rates(spectrogram, in_band)
-    candidates = np.nonzero(in_band)[0]
-    # scan order: |bpm| ascending, so the first argmax hit is the lowest rate
-    order = np.lexsort((spectrogram.freq_axis_bpm[candidates], abs_bpm[candidates]))
-    candidates = candidates[order]
-
-    sub = spectrogram.magnitudes[:, candidates]
-    best = np.argmax(sub, axis=1)
+    if not np.all(np.diff(spectrogram.freq_axis_bpm) > 0):
+        raise ValueError("a real spectrogram needs an ascending frequency axis")
+    lo, hi = np.flatnonzero(in_band)[[0, -1]]
+    sub = spectrogram.magnitudes[:, lo : hi + 1]
+    best = np.argmax(sub, axis=1)  # the first hit, the lowest rate
     rows = np.arange(sub.shape[0])
     return RateSeries(
         times_s=spectrogram.time_axis_s.copy(),
-        rates_bpm=abs_bpm[candidates][best],
+        rates_bpm=abs_bpm[lo + best],
         magnitudes=sub[rows, best],
     )
 
@@ -302,57 +300,39 @@ def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
     step = -axis[0] / nyquist if nyquist else 0.0
     if not (step > 0 and np.allclose(axis, (np.arange(n) - nyquist) * step, rtol=0, atol=1e-9 * step)):
         raise ValueError("a signed spectrogram needs the fftshift-ordered axis of a DFT")
-    bins = np.abs(np.flatnonzero(in_band) - nyquist)  # the in-band |bin| numbers, a contiguous run
-    lo, hi = int(bins.min()), int(bins.max())
-    span = max(_COMB_HARMONICS * hi, hi + 1) + 1  # bins of F that the comb and the peak test read
-    kept = min(span, nyquist + 1)  # of those, the bins up to the Nyquist end
-    on_axis = min(kept, n - nyquist)  # of those, the bins +k with a column of their own, nyquist + k
+    candidates = np.unique(np.abs(np.flatnonzero(in_band) - nyquist))  # in-band |bin|s, one unbroken run
+    lo, hi = int(candidates[0]), int(candidates[-1])
+    # the bins of F read by the comb (to _COMB_HARMONICS * hi) and the peak test (to hi + 1)
+    k = np.arange(min(_COMB_HARMONICS * hi + 1, nyquist) + 1)  # those up to the Nyquist end
     middle = [(hi - lo) // 2, (hi - lo + 1) // 2]  # the band's middle bin, or its two middle bins
-    m = spectrogram.magnitudes
-    rates = np.empty(spectrogram.n_frames)
-    magnitudes = np.empty(spectrogram.n_frames)
+    rates, magnitudes = np.empty((2, spectrogram.n_frames))
 
-    def read(instants: slice, work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        block = m[instants]
-        by_instant, padded, half = work[0][: len(block)], work[1][:, : len(block)], work[2][:, : len(block)]
-        minus = block[:, nyquist - kept + 1 : nyquist + 1][:, ::-1]  # column k is bin -k
-        np.add(minus[:, :on_axis], block[:, nyquist : nyquist + on_axis], out=by_instant[:, :on_axis])
-        np.add(minus[:, on_axis:], block[:, : kept - on_axis], out=by_instant[:, on_axis:])  # +n/2 is -n/2's column
-        # from here bins run down the rows and instants along them, so that
-        # every level the comb reads is one contiguous row
-        # padded[1 + k] is F(k); padded[0] is F(-1) = F(1), bin 0's other neighbour
-        folded = padded[1:]
-        folded[:kept] = by_instant.T
-        folded[kept:] = 0.0
-        padded[0] = folded[1]
-        # twice F at half bins: half[2k] = 2 F(k), half[2k + 1] = F(k) + F(k + 1)
-        np.add(folded, folded, out=half[0::2])
-        np.add(folded[:-1], folded[1:], out=half[1::2])
-        # twice the score: half[2h*c] is twice F(h*c), half[(2h - 1)*c] twice its midway level
-        score = np.zeros((hi - lo + 1, len(block)))
-        for t in range(1, 2 * _COMB_HARMONICS + 1):
-            view = half[t * lo : t * hi + 1 : t]
-            if t % 2:
-                score -= view
-            else:
-                score += view
-        line = folded[lo : hi + 1]
+    def read(instants: slice, _) -> None:
+        block = spectrogram.magnitudes[instants]
+        fold = block[:, nyquist - k] + block[:, (nyquist + k) % n]
         # the median along each instant's row, where a partition is fastest
-        floor = np.partition(by_instant[:, lo : hi + 1], middle, axis=1)[:, middle].sum(axis=1)
+        floor = np.partition(fold[:, lo : hi + 1], middle, axis=1)[:, middle].sum(axis=1)
         floor *= _COMB_FLOOR / 2
-        admissible = (line > floor) & (line >= padded[lo : hi + 1]) & (line >= padded[lo + 2 : hi + 3])
+        folded = np.zeros((_COMB_HARMONICS * hi + 2, len(block)))  # F(k) in row k
+        folded[: k.size] = fold.T
+        # twice the score: twice F(h*c), less twice its midway level F((h - 1/2) * c)
+        score = np.zeros((candidates.size, len(block)))
+        for h in range(1, _COMB_HARMONICS + 1):
+            mid = (2 * h - 1) * candidates  # twice the midway point
+            score -= folded[mid // 2] + folded[(mid + 1) // 2]
+            score += 2 * folded[h * candidates]
+        line = folded[candidates]
+        # a local peak is no lower than F(c - 1) and F(c + 1); F(-1) is F(1)
+        peak = (line >= folded[np.abs(candidates - 1)]) & (line >= folded[candidates + 1])
+        admissible = peak & (line > floor)
         np.copyto(score, -np.inf, where=~admissible)
-        best = np.argmax(score, axis=0)
-        none = np.flatnonzero(~admissible.any(axis=0))
-        best[none] = np.argmax(line[:, none], axis=0)
-        best += lo
+        np.copyto(score, line, where=~admissible.any(axis=0))  # no admissible candidate: F's argmax
+        best = lo + np.argmax(score, axis=0)
         at = np.arange(len(block))
         rates[instants] = np.abs(axis[nyquist - best])
         magnitudes[instants] = np.maximum(block[at, (nyquist + best) % n], block[at, nyquist - best])
 
-    _map_blocks(read, spectrogram.n_frames, _COMB_BLOCK,
-                work=lambda: (np.empty((_COMB_BLOCK, kept)), np.empty((span + 1, _COMB_BLOCK)),
-                              np.empty((2 * span - 1, _COMB_BLOCK))))
+    _map_blocks(read, spectrogram.n_frames, _COMB_BLOCK)
     return RateSeries(times_s=spectrogram.time_axis_s.copy(), rates_bpm=rates, magnitudes=magnitudes)
 
 
@@ -633,14 +613,12 @@ def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray | None = None) -> None:
-    """Write a one-line header and a 2-D table as comma-separated '%.8g'
-    cells, byte for byte what np.savetxt(path, table, delimiter=",",
-    header=header, comments="", fmt="%.8g") writes.  A first_column is
-    written before the table's columns, joined to it one batch at a time."""
-    table = np.asarray(table, dtype=np.float64)
-    n_rows, n_cols = table.shape
-    n_cols += first_column is not None
+def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray) -> None:
+    """Write a one-line header, then first_column and the 2-D table's columns
+    as comma-separated '%.8g' cells, byte for byte what np.savetxt(path,
+    np.column_stack([first_column, table]), delimiter=",", header=header,
+    comments="", fmt="%.8g") writes; the column is joined one batch at a time."""
+    n_cols = table.shape[1] + 1
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
@@ -648,17 +626,14 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
     def format_rows(batch: slice, w: tuple[_G8Work, np.ndarray]) -> bytes:
         g8, joined = w
         block = table[batch]
-        if first_column is not None:
-            joined = joined[: len(block)]
-            joined[:, 0] = first_column[batch]
-            joined[:, 1:] = block
-            block = joined
-        return _format_8g(block.reshape(-1), last[: block.size], g8)
+        joined = joined[: len(block)]
+        joined[:, 0] = first_column[batch]
+        joined[:, 1:] = block
+        return _format_8g(joined.reshape(-1), last[: joined.size], g8)
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        # the joined block is left untouched, and so costs no memory, without a first_column
-        _map_blocks(format_rows, n_rows, rows, sink=fh.write,
+        _map_blocks(format_rows, table.shape[0], rows, sink=fh.write,
                     work=lambda: (_G8Work(rows * n_cols), np.empty((rows, n_cols))))
 
 

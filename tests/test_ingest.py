@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_iq_counts
+from conftest import breathing_scene, random_iq_counts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,9 +17,11 @@ from respiradar import (
     encode_cube,
     load_capture,
     parse_datagram,
+    process_radar_cube,
     reassemble,
     receive_datagrams,
     serialize_datagram,
+    synth_cube,
     write_capture,
 )
 from respiradar.errors import (
@@ -30,10 +32,15 @@ from respiradar.errors import (
     LengthMismatchError,
     NonMonotonicByteCountError,
     PayloadTooLargeError,
-    TruncatedFrameError,
     UnsupportedVersionError,
 )
-from respiradar.ingest import IQ_COUNTS, MAX_PAYLOAD_BYTES, frame_stream_bytes, stream_to_datagrams
+from respiradar.ingest import (
+    BYTES_PER_SAMPLE,
+    IQ_COUNTS,
+    MAX_PAYLOAD_BYTES,
+    frame_stream_bytes,
+    stream_to_datagrams,
+)
 
 
 def make_raw(seq, byte_count, payload):
@@ -342,8 +349,27 @@ def test_decode_constant_iq(config):
 def test_decode_alignment_errors(config):
     with pytest.raises(LengthMismatchError):
         decode_cube(b"\x00" * 6, config)
-    with pytest.raises(TruncatedFrameError):
-        decode_cube(b"\x00" * 8, config)
+
+
+def test_a_stream_cut_inside_a_frame_decodes_to_its_whole_frames(config):
+    # a lost last datagram is invisible to reassembly: the stream ends with
+    # the datagram before it, inside a frame, and its whole frames are decoded
+    cube = synth_cube(breathing_scene(), config, 70.0)
+    stream = encode_cube(cube)
+    frame_bytes = frame_stream_bytes(config)
+    received, report = reassemble(stream_to_datagrams(stream)[:-1])
+    assert not report.gaps and len(received) % frame_bytes  # no gap seen, a frame cut
+    n_frames = len(received) // frame_bytes
+    whole = stream[: n_frames * frame_bytes]
+    cut = decode_cube(received, config)
+    assert cut.n_frames == n_frames == cube.n_frames - 1
+    assert cut.data.tobytes() == whole
+    # a cut at any I/Q pair of the last frame leaves the frames before it
+    for end in range(n_frames * frame_bytes, len(stream), BYTES_PER_SAMPLE):
+        assert decode_cube(memoryview(stream)[:end], config).data.tobytes() == whole
+    for variant in ("A", "B"):
+        rates = process_radar_cube(cut, variant=variant).rates.rates_bpm
+        assert np.all(np.abs(rates - 15.0) <= 1.0), variant
 
 
 def test_decode_selects_channel_zero():

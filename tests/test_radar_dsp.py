@@ -194,16 +194,17 @@ def test_range_map_csv_matches_savetxt(tmp_path):
 
 
 def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
-    # the export fills the table it writes in place: up to the moment the
-    # writer gets the table, at most 1.3x that table is allocated
+    # the export computes its dB values in place: up to the moment the writer
+    # gets them, at most 1.3x their (frames, bins) table is allocated
     rng = np.random.default_rng(3)
     values = rng.standard_normal((7200, 256)) + 1j * rng.standard_normal((7200, 256))
     rmap = RangeTimeMap(values, 0.05, 20.0, np.arange(7200) / 20.0)
     seen = {}
 
-    def writer(path, header, table):
+    def writer(path, header, table, first_column):
         seen["peak"] = tracemalloc.get_traced_memory()[1]
         seen["table"] = table
+        seen["first_column"] = first_column
 
     monkeypatch.setattr(radar_dsp, "_write_csv_8g", writer)
     tracemalloc.start()
@@ -211,7 +212,8 @@ def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
         range_time_map_to_csv(rmap, tmp_path / "range_map.csv")
     finally:
         tracemalloc.stop()
-    assert seen["table"].shape == (7200, 257)
+    assert seen["table"].shape == (7200, 256)
+    assert seen["first_column"] is rmap.frame_times_s
     assert seen["peak"] <= 1.3 * seen["table"].nbytes
 
 

@@ -336,7 +336,11 @@ def comb_reference(spec, band):
 @pytest.mark.parametrize("n, band_bins", [
     (n, band) for n in (8, 9, 16, 17, 64, 1200) for band in ((0, 3), (1, 2), (2, 4), (3, 8), (6, 60))
     if band[0] <= n // 2  # the band starts on the axis
-])
+] + [
+    # the shortest axes and an odd one as long as the README's; then one-bin bands
+    (n, band) for n in (3, 4, 1201) for band in ((0, 3), (1, 2), (2, 4), (3, 8), (6, 60))
+    if band[0] <= n // 2
+] + [(n, band) for n in (3, 4, 8, 9, 1200, 1201) for band in sorted({(0, 0), (1, 1), (n // 2, n // 2)})])
 def test_signed_readout_matches_its_definition(n, band_bins):
     # small integer levels: every sum is exact, and ties and flat runs are common
     band = tuple(float(b) * signed_axis(n)[n // 2 + 1] for b in band_bins)
@@ -420,6 +424,14 @@ def test_odd_candidate_midway_level_is_the_mean_of_the_two_bins_around_it(penalt
     if penalty_bin is not None:
         lines[penalty_bin] = 1.0
     assert np.all(extract_rate(signed_spectrogram(lines)).rates_bpm == expected)
+
+
+@pytest.mark.parametrize("axis", [[0.0, 2.0, 1.0, 3.0], [3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 2.0],
+                                  [0.0, np.nan, 2.0, 3.0]], ids=["unsorted", "descending", "repeated", "nan"])
+def test_real_readout_needs_an_ascending_axis(axis):
+    spec = Spectrogram(np.ones((2, 4)), np.array(axis), np.arange(2.0))
+    with pytest.raises(ValueError, match="ascending frequency axis"):
+        extract_rate(spec, (0.0, 3.0))
 
 
 def test_signed_readout_needs_a_dft_axis():
@@ -522,7 +534,8 @@ def savetxt_8g(path, header, table):
 
 
 def write_8g(path, header, table):
-    spectral._write_csv_8g(path, header, table)
+    """The writer with the table's first column as its first_column."""
+    spectral._write_csv_8g(path, header, table[:, 1:], first_column=table[:, 0])
     return path.read_bytes()
 
 
@@ -622,13 +635,10 @@ def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, f
     cells = edge_cells()
     # each row rotates the cells by one, so every cell lands in every column, the last one too
     table = np.array([np.roll(cells, k) for k in range(cells.size)] * 3)
-    path = tmp_path / "g8.csv"
-    if first_column:
-        spectral._write_csv_8g(path, "a,b", table[:, 1:], first_column=table[:, 0])
-    else:
-        spectral._write_csv_8g(path, "a,b", table)
+    if not first_column:  # the edge cells in the table only, after a column of times
+        table = np.column_stack([np.arange(len(table)) * 0.05 + 29.975, table])
     expected = savetxt_8g(tmp_path / "ref.csv", "a,b", table)
-    assert path.read_bytes() == expected
+    assert write_8g(tmp_path / "g8.csv", "a,b", table) == expected
     assert b"-4.9406565e-324," in expected and b"-1.7976931e+308\n" in expected
     assert b"-0.00012345678," in expected and b"-1.2345678e+29\n" in expected
 
@@ -717,7 +727,7 @@ def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monk
     monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 64)  # 13 batches of 8 rows
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="batch failed"):
-        spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 8)))
+        spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 7)), first_column=np.ones(100))
     assert threading.active_count() == threads
 
 
