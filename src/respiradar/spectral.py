@@ -389,7 +389,10 @@ def rate_series_from_csv(path) -> RateSeries:
         if header != RATE_CSV_HEADER:
             raise ValueError(f"rate CSV must start with the header {RATE_CSV_HEADER}, "
                              f"got {header[:80]!r}")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.partition("#")[0].strip()]  # the lines loadtxt reads
+    if not rows:  # loadtxt would warn on stderr, then read one empty column
+        raise ValueError(f"rate CSV {path} holds no rates, only its header")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
     if table.shape[1] != 3:
         raise ValueError(f"rate CSV must have columns {RATE_CSV_HEADER}")
     return RateSeries(times_s=table[:, 0], rates_bpm=table[:, 1], magnitudes=table[:, 2])
@@ -403,9 +406,10 @@ def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
 # --- printf %.8g CSV writer ------------------------------------------------
 #
 # np.savetxt(fmt="%.8g") formats one cell at a time in Python, about 330 ns a
-# cell.  _write_csv_8g writes the same bytes from array operations.  A finite
-# nonzero cell with decimal exponent e is scaled by an exact power of ten to
-# its 8-digit mantissa m in [1e7, 1e8), whose digits come from a table of
+# cell.  _write_csv_8g writes the same bytes from array operations, one batch
+# of _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.  A
+# finite nonzero cell with decimal exponent e is scaled by an exact power of ten
+# to its 8-digit mantissa m in [1e7, 1e8), whose digits come from a table of
 # 4-digit ASCII words.  Every other byte of the cell depends only on its class
 # (e, significant digits, sign, last column) and is taken from Python's own
 # '%.8g' of one number of that class.  A cell is assembled in 16 bytes, two
@@ -490,112 +494,71 @@ def _printf_8g(values: np.ndarray) -> list[bytes]:
     return [b"%.8g" % v for v in values.tolist()]
 
 
-class _G8Work:
-    """_format_8g's work arrays for up to `size` cells, one set per worker
-    thread of _write_csv_8g."""
-
-    def __init__(self, size: int) -> None:
-        self.a, self.y, self.g, self.m = np.empty((4, size))
-        self.e, self.i, self.lo, self.cls = np.empty((4, size), np.intp)
-        self.digits, self.integer, self.shift, self.tmp = np.empty((4, size), np.uint64)
-        self.fast, self.tie, self.flag, self.flag2 = np.empty((4, size), bool)
-        self.words = np.empty((size, 2), np.uint64)
-        self.nonzero = np.empty(size * _G8_CELL_BYTES, bool)
-
-
-def _g8_mantissa(t: _G8Tables, a: np.ndarray, e: np.ndarray,
-                 w: _G8Work) -> tuple[np.ndarray, np.ndarray]:
-    """round(a * 10**(7 - e)) and whether that rounding is not proven, in w.m and w.tie.
+def _g8_mantissa(t: _G8Tables, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """round(a * 10**(7 - e)) and whether that rounding is not proven.
 
     y is the double nearest the exact product (one of the two factors is
     1.0), and every n + 0.5 below 2**52 is a double, so y can land on the
     midpoint between two mantissas but never cross it.  A y exactly on it
     may have been rounded there, so only those cells are in doubt.
     """
-    k = a.size
-    # every index is in range: "clip" only spares take the buffered copy "raise" makes
-    i = np.subtract(_G8_EXP_HI, e, out=w.i[:k])
-    y = np.multiply(a, t.pow_mul.take(i, out=w.g[:k], mode="clip"), out=w.y[:k])
-    y /= t.pow_div.take(i, out=w.g[:k], mode="clip")
-    m = np.rint(y, out=w.m[:k])
-    y -= m
-    return m, np.equal(np.abs(y, out=y), 0.5, out=w.tie[:k])
+    i = _G8_EXP_HI - e
+    y = a * t.pow_mul.take(i) / t.pow_div.take(i)
+    m = np.rint(y)
+    return m, np.abs(y - m) == 0.5
 
 
-def _format_8g(x: np.ndarray, last: np.ndarray, w: _G8Work) -> np.ndarray:
-    """Bytes of '%.8g' of each cell of x, each followed by "\\n" where last
-    is 1 and by "," elsewhere.  Every temporary is one of the work arrays
-    w; only the returned bytes are allocated."""
-    t = _g8_tables()
-    n = x.size
-    a = np.abs(x, out=w.a[:n])
-    fast = np.greater_equal(a, 10.0**_G8_EXP_LO, out=w.fast[:n])
-    fast &= np.less(a, 10.0 ** (_G8_EXP_HI + 1), out=w.flag[:n])  # false for 0, nan, inf
-    np.copyto(a, 1.0, where=np.logical_not(fast, out=w.flag[:n]))
-    y = np.log10(a, out=w.y[:n])
-    np.clip(np.floor(y, out=y), _G8_EXP_LO, _G8_EXP_HI, out=y)
-    e = w.e[:n]
-    np.copyto(e, y, casting="unsafe")
-    m, tie = _g8_mantissa(t, a, e, w)
+def _g8_classes(t: _G8Tables, x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 8-digit mantissa m of each cell of x, as a word of ASCII digits,
+    its class, and the indices of the cells left to '%.8g'.  Zeros and
+    those cells get m = 0 and e = 0, which print as "0"."""
+    a = np.abs(x)
+    fast = (a >= 10.0**_G8_EXP_LO) & (a < 10.0 ** (_G8_EXP_HI + 1))  # false for 0, nan, inf
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), _G8_EXP_LO, _G8_EXP_HI).astype(np.intp)
+    m, tie = _g8_mantissa(t, a, e)
     # log10 can miss by one next to a power of ten, and rounding can carry
     # into a ninth digit: move e by one and scale again.  The new mantissa
     # then lies within 0.05 of 1e7 or 1e8, so never on a midpoint.
-    off = np.less(m, 1e7, out=w.flag[:n])
-    off |= np.greater_equal(m, 1e8, out=w.flag2[:n])
-    off = np.flatnonzero(off)
+    off = np.flatnonzero((m < 1e7) | (m >= 1e8))
     if off.size:
         e[off] += np.where(m[off] >= 1e8, 1, -1)
         fast[off] &= (e[off] >= _G8_EXP_LO) & (e[off] <= _G8_EXP_HI)
         e[off[~fast[off]]] = 0
-        m[off] = _g8_mantissa(t, a[off], e[off], _G8Work(off.size))[0]
+        m[off] = _g8_mantissa(t, a[off], e[off])[0]
         fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
-    not_fast = np.logical_not(fast, out=w.flag2[:n])
-    slow = np.not_equal(x, 0, out=w.flag[:n])
-    slow &= not_fast
-    slow |= tie
-    slow = np.flatnonzero(slow)
-    # zeros (and the slow cells, overwritten below) print as m = 0, e = 0: "0"
-    np.copyto(m, 0.0, where=not_fast)
-    np.copyto(e, 0, where=not_fast)
-
-    hi_float = np.floor(np.divide(m, 1e4, out=w.y[:n]), out=w.y[:n])
-    lo_float = np.subtract(m, np.multiply(hi_float, 1e4, out=w.g[:n]), out=w.g[:n])
-    lo, hi = w.lo[:n], w.i[:n]
-    np.copyto(lo, lo_float, casting="unsafe")
-    np.copyto(hi, hi_float, casting="unsafe")
-    digits = t.quad_lo.take(hi, out=w.digits[:n], mode="clip")
-    digits |= t.quad_hi.take(lo, out=w.tmp[:n], mode="clip")
-    cls = t.sig_lo.take(lo, out=w.cls[:n], mode="clip")
-    np.maximum(cls, t.sig_hi.take(hi, out=lo, mode="clip"), out=cls)
-    e -= _G8_EXP_LO
-    e *= 36
-    cls += e
+    slow = np.flatnonzero(((x != 0) & ~fast) | tie)
+    m = np.where(fast, m, 0.0)
+    hi = np.floor(m / 1e4)
+    lo = (m - hi * 1e4).astype(np.intp)
+    hi = hi.astype(np.intp)
+    digits = t.quad_lo.take(hi) | t.quad_hi.take(lo)
+    cls = np.maximum(t.sig_lo.take(lo), t.sig_hi.take(hi))
+    cls += 36 * (np.where(fast, e, 0) - _G8_EXP_LO)
     cls += last
-    np.add(cls, 2, out=cls, where=np.signbit(x, out=w.flag[:n]))
-    shift = t.int_shift.take(cls, out=w.shift[:n], mode="clip")
-    integer = w.integer[:n]
-    np.bitwise_and(digits, t.int_mask.take(cls, out=integer, mode="clip"), out=integer)
-    fraction = digits
-    fraction &= t.frac_mask.take(cls, out=w.tmp[:n], mode="clip")
-    words = w.words[:n]
-    low_word, high_word = words[:, 0], words[:, 1]
-    # low: pattern_lo | integer << shift | fraction << (shift + 8)
-    np.left_shift(integer, shift, out=low_word)
-    low_word |= t.pattern_lo.take(cls, out=w.tmp[:n], mode="clip")
-    low_word |= np.left_shift(fraction, np.add(shift, np.uint64(8), out=w.tmp[:n]), out=w.tmp[:n])
-    # high: pattern_hi | integer >> (64 - shift) | fraction >> (56 - shift); numpy
-    # defines a shift by 64 as 0: nothing spills when there is no lead
-    np.right_shift(integer, np.subtract(np.uint64(64), shift, out=w.tmp[:n]), out=high_word)
-    high_word |= t.pattern_hi.take(cls, out=integer, mode="clip")
-    high_word |= np.right_shift(fraction, np.subtract(np.uint64(56), shift, out=shift), out=fraction)
-    cells = words.view(np.uint8).reshape(n, _G8_CELL_BYTES)
+    cls += 2 * np.signbit(x)
+    return digits, cls, slow
+
+
+def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Bytes of '%.8g' of each cell of x, each followed by "\\n" where last
+    is 1 and by "," elsewhere."""
+    t = _g8_tables()
+    digits, cls, slow = _g8_classes(t, x, last)
+    shift = t.int_shift.take(cls)
+    integer = digits & t.int_mask.take(cls)
+    fraction = digits & t.frac_mask.take(cls)
+    low = t.pattern_lo.take(cls) | integer << shift | fraction << (shift + np.uint64(8))
+    # numpy defines a shift by 64 as 0: nothing spills when there is no lead
+    high = t.pattern_hi.take(cls) | integer >> (np.uint64(64) - shift) | fraction >> (np.uint64(56) - shift)
+    cells = np.column_stack([low, high]).view(np.uint8)
     if slow.size:
         seps = [b"\n" if end else b"," for end in last[slow].tolist()]
         texts = [(t + s).ljust(_G8_CELL_BYTES, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
         cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, _G8_CELL_BYTES)
     flat = cells.reshape(-1)
     # a boolean mask, not np.compress, whose index array takes 8 bytes per byte kept
-    return flat[np.not_equal(flat, 0, out=w.nonzero[: flat.size])]
+    return flat[flat != 0]
 
 
 def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
@@ -623,18 +586,13 @@ def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray
     last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
     _g8_tables()  # built once here, not raced for by the workers
 
-    def format_rows(batch: slice, w: tuple[_G8Work, np.ndarray]) -> bytes:
-        g8, joined = w
-        block = table[batch]
-        joined = joined[: len(block)]
-        joined[:, 0] = first_column[batch]
-        joined[:, 1:] = block
-        return _format_8g(joined.reshape(-1), last[: joined.size], g8)
+    def format_rows(batch: slice, _) -> np.ndarray:
+        joined = np.column_stack([first_column[batch], table[batch]])
+        return _format_8g(joined.reshape(-1), last[: joined.size])
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        _map_blocks(format_rows, table.shape[0], rows, sink=fh.write,
-                    work=lambda: (_G8Work(rows * n_cols), np.empty((rows, n_cols))))
+        _map_blocks(format_rows, table.shape[0], rows, sink=fh.write)
 
 
 def comparison_to_json(comparison: RateComparison) -> str:

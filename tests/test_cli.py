@@ -433,6 +433,18 @@ def test_compare_rejects_a_file_without_the_rate_header(runner, scene_json, tmp_
     ]
 
 
+def test_compare_of_a_rate_csv_with_only_its_header_prints_one_error_line(tmp_path):
+    # a subprocess, to see all of stderr: numpy's "input contained no data" warning
+    # came before an error that blamed the columns
+    rates = tmp_path / "rates.csv"
+    rates.write_text("time_s,rate_bpm,magnitude\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "respiradar.cli", "compare", str(rates), str(rates)],
+                         env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: rate CSV {rates} holds no rates, only its header\n"
+
+
 def test_process_audio_rejects_bad_wav(runner, tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a wav at all")

@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,16 @@ def test_comparison_json_single_line():
     assert '"mae_bpm"' in text
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\n# a comment\n  \n"], ids=["none", "blank", "comment"])
+def test_rate_csv_with_only_its_header_holds_no_rates(tmp_path, body, recwarn):
+    # loadtxt warned "input contained no data", and the error then blamed the columns
+    path = tmp_path / "rates.csv"
+    path.write_text(spectral.RATE_CSV_HEADER + "\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match="holds no rates, only its header"):
+        rate_series_from_csv(path)
+    assert not recwarn.list
+
+
 def test_rate_series_csv_round_trip(tmp_path):
     a = series(np.arange(10) * 0.05, np.linspace(10, 20, 10))
     path = tmp_path / "rates.csv"
@@ -729,6 +740,29 @@ def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monk
     with pytest.raises(RuntimeError, match="batch failed"):
         spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 7)), first_column=np.ones(100))
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers, bound_mb", [(1, 5.84), (2, 10.3)])
+def test_csv_writer_memory_stays_per_batch(tmp_path, monkeypatch, workers, bound_mb):
+    # each batch allocates its own temporaries; the bounds are the traced peaks on
+    # a table of this shape of the writer that kept a set of work arrays per thread
+    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(9)
+    table = sliding_window_view(rng.random(12002 + 1199), 1200)  # rows a cell apart in one vector
+    times = np.arange(12002) * 0.05
+    spectral._g8_tables()
+    peaks = []
+    for rows in (6001, 12002):
+        tracemalloc.start()
+        try:
+            spectral._write_csv_8g(tmp_path / "g8.csv", "h", table[:rows], first_column=times[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound_mb * 1e6
+    # twice the rows: the peak moves by at most the 16-byte cells of two batches
+    # in flight, where a writer that held its output would add tens of MB
+    assert peaks[1] <= peaks[0] + 2 * spectral._CSV_CHUNK_CELLS * spectral._G8_CELL_BYTES
 
 
 # --- %.10g CSV writer ----------------------------------------------------------
