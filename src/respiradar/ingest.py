@@ -57,11 +57,18 @@ IQ_COUNTS = np.dtype([("i", "<i2"), ("q", "<i2")])
 
 
 class Datagram(NamedTuple):
-    """One wire packet: sequence number, cumulative byte offset, payload."""
+    """One wire packet: sequence number, cumulative byte offset, payload.
+
+    A parsed payload is a read-only memoryview of its packet when the packet
+    is read-only (``bytes``), and ``bytes`` copied out of it when the packet
+    is writable, so a list of parsed datagrams holds no second copy of the
+    stream.  A view compares equal to the bytes it shows, but cannot be
+    pickled: ``bytes(payload)`` can.
+    """
 
     seq: int
     byte_count: int
-    payload: bytes
+    payload: bytes | memoryview
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,15 @@ class LossReport:
     zero_filled_bytes: int
 
 
-def parse_datagram(buf: bytes) -> Datagram:
-    """Parse one raw wire packet; the only place a packet is validated.
+def parse_datagram(buf) -> Datagram:
+    """Parse one raw wire packet (any bytes-like object); the only place a
+    packet is validated.
+
+    The payload is a read-only memoryview of a read-only packet, whose
+    ``obj`` is the packet: nothing is copied.  A writable packet (a
+    bytearray, a writable memoryview) is not aliased: its payload is
+    copied to bytes, so a later write into the packet cannot change the
+    datagram.
 
     Raises DatagramTooShortError below 11 bytes and PayloadTooLargeError
     above header + 1456 bytes; any other byte content is accepted.
@@ -89,7 +103,9 @@ def parse_datagram(buf: bytes) -> Datagram:
             f"payload of {len(buf) - DATAGRAM_HEADER_BYTES} bytes exceeds {MAX_PAYLOAD_BYTES}"
         )
     seq, offset_lo, offset_hi = _DATAGRAM_HEADER.unpack_from(buf)
-    payload = bytes(buf[DATAGRAM_HEADER_BYTES:])
+    payload = memoryview(buf)[DATAGRAM_HEADER_BYTES:]
+    if not payload.readonly:
+        payload = bytes(payload)
     # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
     return tuple.__new__(Datagram, (seq, offset_lo | offset_hi << 32, payload))
 
@@ -99,10 +115,17 @@ def serialize_datagram(dgram: Datagram) -> bytes:
     return _DATAGRAM_HEADER.pack(dgram.seq, offset & 0xFFFFFFFF, offset >> 32) + dgram.payload
 
 
-def stream_to_datagrams(stream: bytes) -> list[Datagram]:
-    """Chunk a byte stream into maximal datagrams with consistent seq/offsets."""
+def stream_to_datagrams(stream) -> list[Datagram]:
+    """Chunk a byte stream into maximal datagrams with consistent seq/offsets.
+
+    By parse_datagram's rule, the payloads are read-only memoryviews of a
+    read-only stream (``bytes``), and of one bytes copy of a writable one.
+    """
+    view = memoryview(stream)
+    if not view.readonly:
+        view = memoryview(bytes(view))
     return [
-        Datagram(seq, offset, bytes(stream[offset : offset + MAX_PAYLOAD_BYTES]))
+        Datagram(seq, offset, view[offset : offset + MAX_PAYLOAD_BYTES])
         for seq, offset in enumerate(range(0, len(stream), MAX_PAYLOAD_BYTES))
     ]
 
@@ -111,8 +134,11 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     """Rebuild the byte stream from datagrams in any arrival order.
 
     Missing sequence ranges are zero-filled using the cumulative byte
-    offsets, so downstream frame indexing stays aligned.  Duplicate
-    packets are tolerated when they are the same datagram: offset and payload.
+    offsets, so downstream frame indexing stays aligned; a gap must hold
+    between 1 and 1456 bytes per missing datagram, or the offsets are
+    inconsistent.  Duplicate packets are tolerated when they are the same
+    datagram: offset and payload.  The payloads, bytes or views, are copied
+    once, into the joined stream.
     """
     by_seq: dict[int, Datagram] = {}
     for dgram in datagrams:
@@ -123,7 +149,7 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     if not by_seq:
         raise ValueError("no datagrams to reassemble")
 
-    parts: list[bytes] = []
+    parts: list = []
     gaps: list[tuple[int, int]] = []
     zero_filled = 0
     next_seq = 0
@@ -144,6 +170,10 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
             if fill < missing:
                 raise NonMonotonicByteCountError(
                     f"{missing} datagrams missing before seq {seq} but only {fill} bytes unaccounted"
+                )
+            if fill > missing * MAX_PAYLOAD_BYTES:
+                raise NonMonotonicByteCountError(
+                    f"{missing} datagrams missing before seq {seq} cannot carry its {fill}-byte gap"
                 )
             gaps.append((next_seq, missing))
             zero_filled += fill

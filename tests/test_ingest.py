@@ -129,6 +129,50 @@ def test_parse_fuzz_is_total():
         assert 0 <= dgram.byte_count < 2**48
 
 
+def test_parse_keeps_a_read_only_view_of_a_bytes_packet():
+    packet = make_raw(3, 4368, bytes(range(200)))
+    dgram = parse_datagram(packet)
+    assert type(dgram.payload) is memoryview
+    assert dgram.payload.obj is packet
+    assert dgram.payload.readonly
+    assert dgram.payload == packet[10:]
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "writable-memoryview"])
+def test_parse_copies_the_payload_out_of_a_writable_packet(wrap):
+    raw = make_raw(3, 4368, bytes(range(200)))
+    packet = wrap(raw)
+    dgram = parse_datagram(packet)
+    packet[:] = bytes(len(raw))
+    assert type(dgram.payload) is bytes
+    assert dgram.payload == raw[10:]
+    assert dgram == (3, 4368, raw[10:])
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview, lambda b: memoryview(bytearray(b))],
+                         ids=["bytes", "bytearray", "read-only-memoryview", "writable-memoryview"])
+def test_serialize_of_a_parsed_packet_is_the_packet(wrap):
+    rng = np.random.default_rng(43)
+    for byte_count, size in [(0, 1), (2**32 - 1, 700), (2**48 - 1, MAX_PAYLOAD_BYTES)]:
+        raw = make_raw(int(rng.integers(0, 2**32)), byte_count, rng.bytes(size))
+        again = serialize_datagram(parse_datagram(wrap(raw)))
+        assert type(again) is bytes
+        assert again == raw
+
+
+def test_stream_to_datagrams_views_a_bytes_stream_and_copies_a_writable_one():
+    source = np.random.default_rng(44).bytes(3 * MAX_PAYLOAD_BYTES + 10)
+    views = stream_to_datagrams(source)
+    assert [len(d.payload) for d in views] == [MAX_PAYLOAD_BYTES] * 3 + [10]
+    assert all(d.payload.obj is source and d.payload.readonly for d in views)
+    writable = bytearray(source)
+    copies = stream_to_datagrams(writable)
+    writable[:] = bytes(len(source))
+    assert copies == views
+    assert b"".join(d.payload for d in copies) == source
+
+
 # --- reassembly -------------------------------------------------------------
 
 
@@ -202,6 +246,57 @@ def test_reassemble_rejects_inconsistent_byte_counts():
                 Datagram(seq=1, byte_count=0, payload=b"bbbb"),
             ]
         )
+
+
+def test_reassemble_accepts_a_duplicate_as_bytes_and_as_a_view():
+    packet = make_raw(1, 4, b"bbbb")
+    view = parse_datagram(packet)
+    copy = Datagram(1, 4, b"bbbb")
+    assert type(view.payload) is memoryview
+    for arrivals in ([Datagram(0, 0, b"aaaa"), view, copy], [copy, Datagram(0, 0, b"aaaa"), view]):
+        stream, report = reassemble(arrivals)
+        assert stream == b"aaaabbbb"
+        assert report.received == 2
+    with pytest.raises(DuplicateSeqError):
+        reassemble([view, Datagram(1, 4, b"bbbc")])
+
+
+def test_reassemble_rejects_a_gap_its_missing_datagrams_cannot_carry():
+    full = b"a" * MAX_PAYLOAD_BYTES
+    # one missing datagram carries at most MAX_PAYLOAD_BYTES
+    stream, report = reassemble([Datagram(0, 0, full), Datagram(2, 2 * MAX_PAYLOAD_BYTES, b"c")])
+    assert len(stream) == 2 * MAX_PAYLOAD_BYTES + 1
+    assert report.zero_filled_bytes == MAX_PAYLOAD_BYTES
+    with pytest.raises(NonMonotonicByteCountError):
+        reassemble([Datagram(0, 0, full), Datagram(2, 2 * MAX_PAYLOAD_BYTES + 1, b"c")])
+    # an offset near the top of the u48 field raises before any zero-fill is allocated
+    tracemalloc.start()
+    try:
+        for arrivals in ([Datagram(0, 0, b"a"), Datagram(2, 2**48 - 1, b"b")],
+                         [Datagram(0, 0, b"a"), Datagram(2, 3 * 10**8, b"b")],
+                         [Datagram(5, 2**48 - 1, b"b")]):
+            with pytest.raises(NonMonotonicByteCountError):
+                reassemble(arrivals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_and_reassemble_hold_the_stream_about_once():
+    # parsed payloads are views of their packets, so beside the packets only
+    # the joined stream and the per-datagram objects are allocated
+    stream = np.random.default_rng(45).bytes(2000 * MAX_PAYLOAD_BYTES)
+    packets = [serialize_datagram(d) for d in stream_to_datagrams(stream)]
+    tracemalloc.start()
+    try:
+        joined, report = reassemble([parse_datagram(p) for p in packets])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joined == stream
+    assert report.received == 2000
+    assert peak <= 1.5 * len(stream)
 
 
 def test_reassemble_leading_gap():
