@@ -156,25 +156,16 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     expected_offset = 0
     for seq in sorted(by_seq):
         _, byte_count, payload = by_seq[seq]
-        if byte_count < expected_offset:
-            raise NonMonotonicByteCountError(
-                f"seq {seq} carries byte offset {byte_count} below {expected_offset}"
-            )
         missing = seq - next_seq
         fill = byte_count - expected_offset
-        if missing == 0 and fill != 0:
+        # 1 to MAX_PAYLOAD_BYTES bytes per missing datagram: none missing leaves no gap,
+        # and an offset that goes back (a negative gap) fails whatever the count
+        if not missing <= fill <= missing * MAX_PAYLOAD_BYTES:
             raise NonMonotonicByteCountError(
-                f"seq {seq} offset skips {fill} bytes with no missing datagrams"
+                f"seq {seq} at byte offset {byte_count} leaves a {fill}-byte gap after byte "
+                f"{expected_offset}, which {missing} missing datagrams cannot carry"
             )
         if missing:
-            if fill < missing:
-                raise NonMonotonicByteCountError(
-                    f"{missing} datagrams missing before seq {seq} but only {fill} bytes unaccounted"
-                )
-            if fill > missing * MAX_PAYLOAD_BYTES:
-                raise NonMonotonicByteCountError(
-                    f"{missing} datagrams missing before seq {seq} cannot carry its {fill}-byte gap"
-                )
             gaps.append((next_seq, missing))
             zero_filled += fill
             parts.append(bytes(fill))

@@ -13,7 +13,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_8g, _write_csv_10g, cosine_window
+from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_7e, _write_csv_10g, cosine_window
 
 
 @dataclass
@@ -191,7 +191,7 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
     header = "frame_time_s," + ",".join(
         f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m()
     )
-    _write_csv_8g(path, header, power_db, first_column=rmap.frame_times_s)
+    _write_csv_7e(path, header, power_db, first_column=rmap.frame_times_s)
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

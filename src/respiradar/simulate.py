@@ -256,15 +256,13 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     counts = np.empty(data.shape, IQ_COUNTS)
     out = counts.view("<i2")
 
-    def quantize(frames: slice, scaled: np.ndarray) -> None:
-        block = parts[frames]
-        scaled = scaled[: len(block)]
-        np.multiply(block, scale, out=scaled)
-        np.rint(scaled, out=scaled)
-        out[frames] = np.clip(scaled, -32768, 32767, out=scaled)
+    def quantize(frames: slice, _) -> None:
+        block = parts[frames]  # the beat signal is not read again: scaled in place
+        np.multiply(block, scale, out=block)
+        np.rint(block, out=block)
+        out[frames] = np.clip(block, -32768, 32767, out=block)
 
-    _map_blocks(quantize, len(parts), _FRAME_BLOCK,
-                work=lambda: np.empty((_FRAME_BLOCK,) + parts.shape[1:]))
+    _map_blocks(quantize, len(parts), _FRAME_BLOCK)
     return RadarCube(config=config, data=counts,
                      frame_timestamps=np.arange(len(counts)) / config.frame_rate_hz)
 

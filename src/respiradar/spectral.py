@@ -14,7 +14,6 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -147,13 +146,13 @@ def _map_blocks(fn, n: int, step: int, work=None, sink=lambda result: None) -> N
     the calling thread.
 
     w is work(), built once per worker thread and reused by each of that
-    thread's blocks (None without work): work memory allocated per block came
-    from fresh pages each time, whose faults cost a quarter to a third of a
-    real STFT's time.  numpy's FFTs, ufuncs, gathers and compress release the
-    GIL, so blocks of array work overlap.  At most two blocks per worker are
-    in flight, so the results waiting for sink stay bounded whatever the
-    block count.  An exception in fn is raised here, after the pool's threads
-    have ended.
+    thread's blocks (None without work); the STFT and the beat-signal sum use
+    it.  Work memory allocated per block came from fresh pages each time,
+    whose faults cost a quarter to a third of a real STFT's time.  numpy's
+    FFTs, ufuncs, gathers and compress release the GIL, so blocks of array
+    work overlap.  At most two blocks per worker are in flight, so the
+    results waiting for sink stay bounded whatever the block count.  An
+    exception in fn is raised here, after the pool's threads have ended.
     """
     # imported here: at module top it would add to every CLI start
     from concurrent.futures import ThreadPoolExecutor
@@ -400,165 +399,81 @@ def rate_series_from_csv(path) -> RateSeries:
 
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
     header = "time_s," + ",".join(f"bpm_{f:g}" for f in spectrogram.freq_axis_bpm)
-    _write_csv_8g(path, header, spectrogram.magnitudes, first_column=spectrogram.time_axis_s)
+    _write_csv_7e(path, header, spectrogram.magnitudes, first_column=spectrogram.time_axis_s)
 
 
-# --- printf %.8g CSV writer ------------------------------------------------
+# --- printf %.7e CSV writer ------------------------------------------------
 #
-# np.savetxt(fmt="%.8g") formats one cell at a time in Python, about 330 ns a
-# cell.  _write_csv_8g writes the same bytes from array operations, one batch
-# of _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.  A
-# finite nonzero cell with decimal exponent e is scaled by an exact power of ten
-# to its 8-digit mantissa m in [1e7, 1e8), whose digits come from a table of
-# 4-digit ASCII words.  Every other byte of the cell depends only on its class
-# (e, significant digits, sign, last column) and is taken from Python's own
-# '%.8g' of one number of that class.  A cell is assembled in 16 bytes, two
-# little-endian uint64 words holding its text and then zero bytes (the longest,
-# "-4.9406565e-324,", fits), and dropping the zero bytes joins the cells.
-# Cells whose correct rounding is not proven here are formatted by '%.8g'.
+# np.savetxt(fmt="%.7e") formats one cell at a time in Python, about 330 ns a
+# cell.  _write_csv_7e writes the same bytes from array operations, one batch
+# of _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.
+# Each cell is built in 16 bytes, whose zero bytes are then dropped.  '%.7e'
+# rounds to the 8 significant digits of '%.8g': a cell reads back the same.
 
 _CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
 _CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
-_G8_EXP_LO, _G8_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
-_G8_CELL_BYTES = 16
-_DIGITS_TO_NUL = str.maketrans("0123456789", "\0" * 10)
-
-
-class _G8Tables(NamedTuple):
-    quad_lo: np.ndarray  # 4-digit ASCII word of n, in the low half of a uint64
-    quad_hi: np.ndarray  # the same word in the high half
-    # m = hi * 10**4 + lo has max(sig_lo[lo], sig_hi[hi]) significant digits,
-    # stored times 4, their stride in the class index
-    sig_lo: np.ndarray
-    sig_hi: np.ndarray
-    pattern_lo: np.ndarray  # per class: bytes 0-7 of the cell without its digits
-    pattern_hi: np.ndarray  # per class: bytes 8-15
-    int_mask: np.ndarray  # per class: keeps the digits before the point
-    frac_mask: np.ndarray  # per class: keeps the digits after it
-    int_shift: np.ndarray  # per class: bit length of the lead
-    # the scale 10**(7 - e) as a factor and a divisor, one of them 1.0;
-    # indexed by _G8_EXP_HI - e
-    pow_mul: np.ndarray
-    pow_div: np.ndarray
+_E7_EXP_LO, _E7_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
+_E7_CELL_BYTES = 16  # the longest text, "-4.9406565e-324", and a separator fit
+_U64 = np.uint64  # every shift and OR operand: numpy 1.x casts uint64 with int64 to float64
 
 
 @functools.cache
-def _g8_tables() -> _G8Tables:
-    """The writer's lookup tables, built on first use so that importing the
-    module (and so every CLI command) does not pay for them.
-
-    Each class's layout is read off '%.8g' of 12345678 cut to the class's
-    significant digits (0 for none), at its exponent: the lead ("0." and
-    zeros), the digit counts before and after the point, and every byte that
-    is not one of those digits.  The sign is a "-" prefix, the separator a
-    "," or "\\n" suffix.  Classes run over exponent, significant digits, sign
-    and last column, the last fastest."""
+def _e7_tables() -> tuple[np.ndarray, ...]:
+    """The writer's tables, built on first use: importing the module costs nothing."""
     n = np.arange(10000)
-    quad = sum(((n // 10 ** (3 - i)) % 10 + ord("0")).astype(np.uint64) << np.uint64(8 * i) for i in range(4))
-    zeros = (n % 10 == 0).astype(np.intp) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
-
-    cells, layout = [], []
-    exps = range(_G8_EXP_LO, _G8_EXP_HI + 1)
-    for e in exps:
-        for sig in range(9):
-            text = "%.8g" % float(f"{'12345678'[:sig] or 0}e{e - sig + 1}")
-            mantissa = text.partition("e")[0]
-            lead = mantissa.find("1") if sig else 0  # the lead ends at the first digit, 1
-            whole, _, fraction = mantissa[lead:].partition(".")
-            pattern = text[:lead] + mantissa[lead:].translate(_DIGITS_TO_NUL) + text[len(mantissa):]
-            cells += [f"{sign}{pattern}{sep}".ljust(_G8_CELL_BYTES, "\0") for sign in ("", "-") for sep in ",\n"]
-            layout.append((lead, len(whole), len(whole) + len(fraction)))
-    patterns = np.frombuffer("".join(cells).encode(), np.uint64).reshape(-1, 2).T.copy()
-    # each pair's layout, for its four sign and last-column classes
-    lead, n_int, n_digits = np.repeat(layout, 4, axis=0).T
-    low = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-    neg = np.tile([0, 0, 1, 1], len(layout))
-
-    return _G8Tables(
-        quad_lo=quad,
-        quad_hi=quad << np.uint64(32),
-        sig_lo=4 * np.where(n == 0, 0, 8 - zeros),
-        sig_hi=4 * (4 - zeros),
-        pattern_lo=patterns[0],
-        pattern_hi=patterns[1],
-        int_mask=low[n_int],
-        frac_mask=low[n_digits] ^ low[n_int],
-        int_shift=(8 * (lead + neg)).astype(np.uint64),
-        pow_mul=np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in reversed(exps)]),
-        pow_div=np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in reversed(exps)]),
+    quad = sum(((n // 10 ** (3 - i)) % 10 + ord("0")).astype(np.uint64) << _U64(8 * i) for i in range(4))
+    exps = range(_E7_EXP_LO, _E7_EXP_HI + 1)
+    return (
+        quad,  # 4-digit ASCII word of n, its first digit in the low byte
+        # the same digits as "d.ddd", at bytes 1-5 of a cell
+        (quad & _U64(0xFF)) << _U64(8) | _U64(ord(".") << 16) | (quad >> _U64(8)) << _U64(24),
+        # "e+XX" of e = _E7_EXP_LO + i, at bytes 10-13 of a cell
+        np.frombuffer("".join(f"\0\0e{e:+03d}\0\0" for e in exps).encode(), np.uint64),
+        # the scale 10**(7 - e) as a factor and a divisor, one of them 1.0, of e = _E7_EXP_HI - i
+        np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in reversed(exps)]),
+        np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in reversed(exps)]),
     )
 
 
-def _printf_8g(values: np.ndarray) -> list[bytes]:
-    """The per-cell path: Python's '%.8g', as np.savetxt applies it."""
-    return [b"%.8g" % v for v in values.tolist()]
+def _printf_7e(values: np.ndarray) -> list[bytes]:
+    """The per-cell path: Python's '%.7e', as np.savetxt applies it."""
+    return [b"%.7e" % v for v in values.tolist()]
 
 
-def _g8_mantissa(t: _G8Tables, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """round(a * 10**(7 - e)) and whether that rounding is not proven.
-
-    y is the double nearest the exact product (one of the two factors is
-    1.0), and every n + 0.5 below 2**52 is a double, so y can land on the
-    midpoint between two mantissas but never cross it.  A y exactly on it
-    may have been rounded there, so only those cells are in doubt.
-    """
-    i = _G8_EXP_HI - e
-    y = a * t.pow_mul.take(i) / t.pow_div.take(i)
-    m = np.rint(y)
-    return m, np.abs(y - m) == 0.5
-
-
-def _g8_classes(t: _G8Tables, x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 8-digit mantissa m of each cell of x, as a word of ASCII digits,
-    its class, and the indices of the cells left to '%.8g'.  Zeros and
-    those cells get m = 0 and e = 0, which print as "0"."""
+def _format_7e(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """Bytes of '%.7e' of each cell of x, each followed by the separator in the
+    top byte of its word in sep.  A cell is scaled by an exact power of ten to
+    its 8-digit mantissa; one whose rounding is not proven here goes to '%.7e'."""
+    quad, lead, exponent, pow_mul, pow_div = _e7_tables()
     a = np.abs(x)
-    fast = (a >= 10.0**_G8_EXP_LO) & (a < 10.0 ** (_G8_EXP_HI + 1))  # false for 0, nan, inf
-    a = np.where(fast, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)), _G8_EXP_LO, _G8_EXP_HI).astype(np.intp)
-    m, tie = _g8_mantissa(t, a, e)
-    # log10 can miss by one next to a power of ten, and rounding can carry
-    # into a ninth digit: move e by one and scale again.  The new mantissa
-    # then lies within 0.05 of 1e7 or 1e8, so never on a midpoint.
+    fast = (a >= 10.0**_E7_EXP_LO) & (a < 10.0 ** (_E7_EXP_HI + 1))  # false for 0, nan, inf
+    a = np.where(fast, a, 1.0)  # these have e = 0
+    e = np.clip(np.floor(np.log10(a)), _E7_EXP_LO, _E7_EXP_HI).astype(np.intp)
+    # y is the double nearest the exact product (one factor is 1.0), and each n + 0.5
+    # below 2**52 is a double: y may land on a midpoint, never cross it, so only a tie is in doubt
+    y = a * pow_mul.take(_E7_EXP_HI - e) / pow_div.take(_E7_EXP_HI - e)
+    m = np.rint(y)
+    tie = np.abs(y - m) == 0.5
+    # log10 can miss by one next to a power of ten, and rounding can carry into a ninth
+    # digit: move e by one and scale again, to an m within 0.05 of 1e7 or 1e8, never a tie
     off = np.flatnonzero((m < 1e7) | (m >= 1e8))
-    if off.size:
-        e[off] += np.where(m[off] >= 1e8, 1, -1)
-        fast[off] &= (e[off] >= _G8_EXP_LO) & (e[off] <= _G8_EXP_HI)
-        e[off[~fast[off]]] = 0
-        m[off] = _g8_mantissa(t, a[off], e[off])[0]
-        fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
+    e[off] += np.where(m[off] >= 1e8, 1, -1)
+    fast[off] &= (e[off] >= _E7_EXP_LO) & (e[off] <= _E7_EXP_HI)
+    e[off[~fast[off]]] = 0
+    m[off] = np.rint(a[off] * pow_mul.take(_E7_EXP_HI - e[off]) / pow_div.take(_E7_EXP_HI - e[off]))
+    fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
     slow = np.flatnonzero(((x != 0) & ~fast) | tie)
-    m = np.where(fast, m, 0.0)
+    m = np.where(fast, m, 0.0)  # zeros print as 0.0000000e+00
     hi = np.floor(m / 1e4)
-    lo = (m - hi * 1e4).astype(np.intp)
-    hi = hi.astype(np.intp)
-    digits = t.quad_lo.take(hi) | t.quad_hi.take(lo)
-    cls = np.maximum(t.sig_lo.take(lo), t.sig_hi.take(hi))
-    cls += 36 * (np.where(fast, e, 0) - _G8_EXP_LO)
-    cls += last
-    cls += 2 * np.signbit(x)
-    return digits, cls, slow
-
-
-def _format_8g(x: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Bytes of '%.8g' of each cell of x, each followed by "\\n" where last
-    is 1 and by "," elsewhere."""
-    t = _g8_tables()
-    digits, cls, slow = _g8_classes(t, x, last)
-    shift = t.int_shift.take(cls)
-    integer = digits & t.int_mask.take(cls)
-    fraction = digits & t.frac_mask.take(cls)
-    low = t.pattern_lo.take(cls) | integer << shift | fraction << (shift + np.uint64(8))
-    # numpy defines a shift by 64 as 0: nothing spills when there is no lead
-    high = t.pattern_hi.take(cls) | integer >> (np.uint64(64) - shift) | fraction >> (np.uint64(56) - shift)
+    lo = quad.take((m - hi * 1e4).astype(np.intp))
+    # sign, "d.ddd" and two digits in bytes 0-7; two digits and "e+XX" in bytes 8-13
+    low = np.signbit(x) * _U64(ord("-")) | lead.take(hi.astype(np.intp)) | lo << _U64(48)
+    high = lo >> _U64(16) | exponent.take(e - _E7_EXP_LO) | sep
     cells = np.column_stack([low, high]).view(np.uint8)
-    if slow.size:
-        seps = [b"\n" if end else b"," for end in last[slow].tolist()]
-        texts = [(t + s).ljust(_G8_CELL_BYTES, b"\0") for t, s in zip(_printf_8g(x[slow]), seps)]
-        cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, _G8_CELL_BYTES)
-    flat = cells.reshape(-1)
-    # a boolean mask, not np.compress, whose index array takes 8 bytes per byte kept
-    return flat[flat != 0]
+    if slow.size:  # each text over the cell's first 15 bytes, before its separator
+        texts = b"".join(text.ljust(_E7_CELL_BYTES - 1, b"\0") for text in _printf_7e(x[slow]))
+        cells[slow, :-1] = np.frombuffer(texts, np.uint8).reshape(slow.size, -1)
+    return cells[cells != 0]  # a mask, not np.compress, whose index array takes 8 bytes a byte
 
 
 def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
@@ -576,19 +491,20 @@ def _write_csv_10g(path, header: str, table: np.ndarray) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_csv_8g(path, header: str, table: np.ndarray, first_column: np.ndarray) -> None:
+def _write_csv_7e(path, header: str, table: np.ndarray, first_column: np.ndarray) -> None:
     """Write a one-line header, then first_column and the 2-D table's columns
-    as comma-separated '%.8g' cells, byte for byte what np.savetxt(path,
+    as comma-separated '%.7e' cells, byte for byte what np.savetxt(path,
     np.column_stack([first_column, table]), delimiter=",", header=header,
-    comments="", fmt="%.8g") writes; the column is joined one batch at a time."""
+    comments="", fmt="%.7e") writes; the column is joined one batch at a time."""
     n_cols = table.shape[1] + 1
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
-    last = np.tile(np.arange(n_cols) == n_cols - 1, rows).astype(np.intp)
-    _g8_tables()  # built once here, not raced for by the workers
+    last = np.arange(rows * n_cols) % n_cols == n_cols - 1
+    sep = np.where(last, _U64(ord("\n") << 56), _U64(ord(",") << 56))
+    _e7_tables()  # built once here, not raced for by the workers
 
     def format_rows(batch: slice, _) -> np.ndarray:
         joined = np.column_stack([first_column[batch], table[batch]])
-        return _format_8g(joined.reshape(-1), last[: joined.size])
+        return _format_7e(joined.reshape(-1), sep[: joined.size])
 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")

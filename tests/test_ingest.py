@@ -248,6 +248,16 @@ def test_reassemble_rejects_inconsistent_byte_counts():
         )
 
 
+def test_reassemble_rejects_a_gap_smaller_than_its_missing_datagrams():
+    # each missing datagram carried at least one byte: two cannot fit in one
+    stream, report = reassemble([Datagram(0, 0, b"aaaa"), Datagram(3, 6, b"d")])
+    assert stream == b"aaaa\0\0d" and report.gaps == ((1, 2),)
+    with pytest.raises(NonMonotonicByteCountError,
+                       match=r"seq 3 at byte offset 5 leaves a 1-byte gap after byte 4, "
+                             r"which 2 missing datagrams cannot carry"):
+        reassemble([Datagram(0, 0, b"aaaa"), Datagram(3, 5, b"d")])
+
+
 def test_reassemble_accepts_a_duplicate_as_bytes_and_as_a_view():
     packet = make_raw(1, 4, b"bbbb")
     view = parse_datagram(packet)

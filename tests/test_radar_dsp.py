@@ -187,10 +187,10 @@ def test_range_map_csv_matches_savetxt(tmp_path):
         power_db = np.where(mags > 0, 20.0 * np.log10(mags), -300.0)
     header = "frame_time_s," + ",".join(f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m())
     table = np.column_stack([rmap.frame_times_s, power_db])
-    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header=header, comments="", fmt="%.8g")
+    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header=header, comments="", fmt="%.7e")
     written = (tmp_path / "range_map.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
-    assert b",-300," in written
+    assert b",-3.0000000e+02," in written
 
 
 def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
@@ -206,7 +206,7 @@ def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
         seen["table"] = table
         seen["first_column"] = first_column
 
-    monkeypatch.setattr(radar_dsp, "_write_csv_8g", writer)
+    monkeypatch.setattr(radar_dsp, "_write_csv_7e", writer)
     tracemalloc.start()
     try:
         range_time_map_to_csv(rmap, tmp_path / "range_map.csv")

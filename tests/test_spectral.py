@@ -535,18 +535,18 @@ def test_rate_series_csv_round_trip(tmp_path):
     assert np.allclose(back.rates_bpm, a.rates_bpm)
 
 
-# --- %.8g CSV writer -----------------------------------------------------------
+# --- %.7e CSV writer -----------------------------------------------------------
 
 
-def savetxt_8g(path, header, table):
+def savetxt_7e(path, header, table):
     """The reference: what the spectrogram and range-map CSVs must hold."""
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.8g")
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.7e")
     return path.read_bytes()
 
 
-def write_8g(path, header, table):
+def write_7e(path, header, table):
     """The writer with the table's first column as its first_column."""
-    spectral._write_csv_8g(path, header, table[:, 1:], first_column=table[:, 0])
+    spectral._write_csv_7e(path, header, table[:, 1:], first_column=table[:, 0])
     return path.read_bytes()
 
 
@@ -560,21 +560,28 @@ def write_8g(path, header, table):
 )
 def test_csv_writer_matches_savetxt_on_any_table(tmp_path_factory, table):
     base = tmp_path_factory.getbasetemp()
-    assert write_8g(base / "g8.csv", "h", table) == savetxt_8g(base / "ref.csv", "h", table)
+    assert write_7e(base / "e7.csv", "h", table) == savetxt_7e(base / "ref.csv", "h", table)
 
 
 def adversarial_cells():
     """Cells next to every decision the writer makes: powers of ten, exact
     and near ties at the 8th digit, carries into a 9th digit, the edges of
-    the exact-scale range, zeros of both signs, subnormals and non-finite."""
+    the exact-scale range, zeros of both signs, subnormals and non-finite;
+    and at every exponent the doubles at and either side of the decimal
+    midpoints of 8-digit mantissas, which a scale that is not exact rounds
+    the wrong way."""
+    mantissas = np.random.default_rng(6).integers(10**7, 10**8, 40)
+    midpoints = np.array([float(f"{m // 10**7}.{m % 10**7:07d}5e{e}") for e in range(-20, 36) for m in mantissas])
     rng = np.random.default_rng(5)
     powers = 10.0 ** np.arange(-30, 31)
     carries = 9.99999995 * powers
     ties = (rng.integers(10**7, 10**8, 5000) * 10 + 5).astype(float)  # 9 digits ending in 5
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
-               1.7976931348623157e308, 1e22, 1e23, 1e-22, 1e-23, 0.5, 0.0001, 99999999.5]
+               1.7976931348623157e308, 1e22, 1e23, 1e-22, 1e-23, 0.5, 0.0001, 99999999.5,
+               1.5e-300]
     cells = np.concatenate([
         *(np.nextafter(v, t) for v in (powers, carries) for t in (0.0, np.inf)),
+        *(np.nextafter(midpoints, t) for t in (0.0, np.inf)), midpoints,
         powers, carries, *(ties * 2.0**-k for k in range(4)), special,
         rng.standard_normal(20000) * 10.0 ** rng.uniform(-20, 35, 20000),
         np.round(rng.random(5000), 4),
@@ -586,21 +593,51 @@ def adversarial_cells():
 def test_csv_writer_matches_savetxt_on_adversarial_cells(tmp_path, n_cols):
     cells = adversarial_cells()
     table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
-    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+    assert write_7e(tmp_path / "e7.csv", "a,b", table) == savetxt_7e(tmp_path / "ref.csv", "a,b", table)
+
+
+def readme_shaped_spectrogram(signed):
+    """A breathing spectrogram with the README's axes: a 20 Hz trace and the
+    default 60 s window, so 601 real (or 1200 signed) bins, over 80 s."""
+    rng = np.random.default_rng(8)
+    t = np.arange(1600) / 20.0
+    trace = 1e-3 * np.sin(2 * np.pi * 0.25 * t) + 1e-5 * rng.standard_normal(t.size)
+    return stft(np.exp(1j * 40.0 * trace) if signed else trace, 20.0)
+
+
+@pytest.mark.parametrize("source", ["adversarial", "real", "signed"])
+def test_csv_writer_reads_back_the_floats_of_8g_cells(tmp_path, source):
+    # '%.7e' and '%.8g' round to the same 8 significant digits, so a cell
+    # of either format parses to one double: the format changed, no value did
+    if source == "adversarial":
+        cells = adversarial_cells()
+        table = cells[: cells.size // 7 * 7].reshape(-1, 7)
+        write_7e(tmp_path / "e7.csv", "a,b", table)
+    else:
+        spec = readme_shaped_spectrogram(source == "signed")
+        assert spec.magnitudes.shape[1] == (1200 if source == "signed" else 601)
+        table = np.column_stack([spec.time_axis_s, spec.magnitudes])
+        spectrogram_to_csv(spec, tmp_path / "e7.csv")
+    np.savetxt(tmp_path / "g8.csv", table, delimiter=",", header="a,b", comments="", fmt="%.8g")
+    written = np.loadtxt(tmp_path / "e7.csv", delimiter=",", skiprows=1)
+    as_8g = np.loadtxt(tmp_path / "g8.csv", delimiter=",", skiprows=1)
+    assert written.shape == table.shape
+    assert np.array_equal(written.view(np.uint64), as_8g.view(np.uint64))  # bit for bit, NaN and -0 too
 
 
 def test_zero_spectrogram_csv_never_formats_per_cell(tmp_path, monkeypatch):
     spec = stft(np.zeros(2000), 20.0)
     header = "time_s," + ",".join(f"bpm_{f:g}" for f in spec.freq_axis_bpm)
-    expected = savetxt_8g(tmp_path / "ref.csv", header, np.column_stack([spec.time_axis_s, spec.magnitudes]))
+    expected = savetxt_7e(tmp_path / "ref.csv", header, np.column_stack([spec.time_axis_s, spec.magnitudes]))
 
     def per_cell(values):
         raise AssertionError(f"{values.size} cells took the per-cell path")
 
-    monkeypatch.setattr(spectral, "_printf_8g", per_cell)
+    monkeypatch.setattr(spectral, "_printf_7e", per_cell)
     spectrogram_to_csv(spec, tmp_path / "spectrogram.csv")
     assert (tmp_path / "spectrogram.csv").read_bytes() == expected
-    assert write_8g(tmp_path / "signed.csv", "h", np.array([[0.0, -0.0], [-0.0, 0.0]])) == b"h\n0,-0\n-0,0\n"
+    signed = write_7e(tmp_path / "signed.csv", "h", np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    assert signed == b"h\n0.0000000e+00,-0.0000000e+00\n-0.0000000e+00,0.0000000e+00\n"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -612,7 +649,7 @@ def test_csv_writer_does_not_depend_on_worker_count(tmp_path, monkeypatch, fast_
     cells = adversarial_cells()
     table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
     assert table.shape[0] % max(1, chunk_cells // n_cols) != 0  # a short last batch
-    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+    assert write_7e(tmp_path / "e7.csv", "a,b", table) == savetxt_7e(tmp_path / "ref.csv", "a,b", table)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -623,17 +660,18 @@ def test_csv_writer_joins_a_first_column_per_batch(tmp_path, monkeypatch, worker
     cells = adversarial_cells()
     table = cells[: cells.size // n_cols * n_cols].reshape(-1, n_cols)
     first = np.arange(table.shape[0]) * 0.05 + 29.975
-    path = tmp_path / "g8.csv"
-    spectral._write_csv_8g(path, "a,b", table, first_column=first)
-    expected = savetxt_8g(tmp_path / "ref.csv", "a,b", np.column_stack([first, table]))
+    path = tmp_path / "e7.csv"
+    spectral._write_csv_7e(path, "a,b", table, first_column=first)
+    expected = savetxt_7e(tmp_path / "ref.csv", "a,b", np.column_stack([first, table]))
     assert path.read_bytes() == expected
 
 
 def edge_cells():
-    """The longest cells of each form, and the cells printf treats apart."""
+    """The longest cells, those at the ends of the exponent range the tables
+    cover, and the cells printf treats apart."""
     longest = [-4.9406564584124654e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
                1.7976931348623157e308, -1.2345678e29, -1.2345678e-15, -0.00012345678,
-               -0.00098765432, -1234567.8, -99999999.0, 0.00012345678]
+               -0.00098765432, -1234567.8, -99999999.0, 0.00012345678, -9.9999999e29, 1e-16]
     special = [5e-324, 1e-310, -0.0, 0.0, np.nan, np.inf, -np.inf]
     return np.array(longest + special)
 
@@ -648,22 +686,19 @@ def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, f
     table = np.array([np.roll(cells, k) for k in range(cells.size)] * 3)
     if not first_column:  # the edge cells in the table only, after a column of times
         table = np.column_stack([np.arange(len(table)) * 0.05 + 29.975, table])
-    expected = savetxt_8g(tmp_path / "ref.csv", "a,b", table)
-    assert write_8g(tmp_path / "g8.csv", "a,b", table) == expected
+    expected = savetxt_7e(tmp_path / "ref.csv", "a,b", table)
+    assert write_7e(tmp_path / "e7.csv", "a,b", table) == expected
     assert b"-4.9406565e-324," in expected and b"-1.7976931e+308\n" in expected
-    assert b"-0.00012345678," in expected and b"-1.2345678e+29\n" in expected
+    assert b"-1.2345678e-04," in expected and b"-1.2345678e+29\n" in expected
+    assert b"-9.9999999e+29," in expected and b"1.0000000e-16\n" in expected
 
 
 def every_class_cells():
-    """Two cells of each class the tables hold: every exponent the tables
-    cover with 1-8 significant digits, once with no zero digit and once with
-    zeros inside, of both signs; and both zeros."""
-    cells = []
-    for e in range(spectral._G8_EXP_LO, spectral._G8_EXP_HI + 1):
-        for sig in range(1, 9):
-            for digits in ("97531864"[:sig], ("1" + "0" * (sig - 2) + "3")[-sig:]):
-                cells.append(float(f"{digits}e{e - sig + 1}"))
-    cells = np.array(cells)
+    """Cells at every exponent the tables cover, of both signs: one with no
+    zero digit, one with zeros inside and one with 7 trailing zeros; and
+    both zeros."""
+    cells = np.array([float(f"{digits}e{e}") for e in range(spectral._E7_EXP_LO, spectral._E7_EXP_HI + 1)
+                      for digits in ("9.7531864", "1.0000003", "1")])
     return np.concatenate([cells, -cells, [0.0, -0.0]])
 
 
@@ -672,17 +707,14 @@ def test_csv_writer_matches_savetxt_on_every_class(tmp_path, monkeypatch, worker
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 256)  # several batches per worker
     cells = every_class_cells()
-    # (sign, exponent, significant digits) of each nonzero cell, from its d.ddddddde+XX form
-    scientific = [f"{v:.7e}" for v in cells if v]
-    classes = {(text[0] == "-", int(text[-3:]), len(text.lstrip("-")[:9].replace(".", "").rstrip("0")))
-               for text in scientific}
-    assert classes == set(itertools.product(
-        [False, True], range(spectral._G8_EXP_LO, spectral._G8_EXP_HI + 1), range(1, 9)))
+    # (sign, exponent) of each nonzero cell, from its d.ddddddde+XX form
+    classes = {(text[0] == "-", int(text[-3:])) for text in (f"{v:.7e}" for v in cells if v)}
+    assert classes == set(itertools.product([False, True], range(spectral._E7_EXP_LO, spectral._E7_EXP_HI + 1)))
     # the per-cell path formats none of them: every cell is built from the tables
-    monkeypatch.setattr(spectral, "_printf_8g", lambda values: pytest.fail(f"{values} took the per-cell path"))
+    monkeypatch.setattr(spectral, "_printf_7e", lambda values: pytest.fail(f"{values} took the per-cell path"))
     # a second column, the cells rolled by one, puts each cell before both separators
     table = np.column_stack([cells, np.roll(cells, 1)])
-    assert write_8g(tmp_path / "g8.csv", "a,b", table) == savetxt_8g(tmp_path / "ref.csv", "a,b", table)
+    assert write_7e(tmp_path / "e7.csv", "a,b", table) == savetxt_7e(tmp_path / "ref.csv", "a,b", table)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -726,19 +758,19 @@ def test_map_blocks_reuses_one_work_object_per_thread_and_sinks_in_order(
 def test_csv_writer_batch_failure_propagates_and_ends_its_threads(tmp_path, monkeypatch,
                                                                   failing_batch):
     calls = itertools.count()
-    format_8g = spectral._format_8g
+    format_7e = spectral._format_7e
 
     def format_or_fail(*args):
         if next(calls) == failing_batch:
             raise RuntimeError("batch failed")
-        return format_8g(*args)
+        return format_7e(*args)
 
-    monkeypatch.setattr(spectral, "_format_8g", format_or_fail)
+    monkeypatch.setattr(spectral, "_format_7e", format_or_fail)
     monkeypatch.setattr(spectral, "_worker_count", lambda: 3)
     monkeypatch.setattr(spectral, "_CSV_CHUNK_CELLS", 64)  # 13 batches of 8 rows
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="batch failed"):
-        spectral._write_csv_8g(tmp_path / "g8.csv", "h", np.ones((100, 7)), first_column=np.ones(100))
+        spectral._write_csv_7e(tmp_path / "e7.csv", "h", np.ones((100, 7)), first_column=np.ones(100))
     assert threading.active_count() == threads
 
 
@@ -750,19 +782,19 @@ def test_csv_writer_memory_stays_per_batch(tmp_path, monkeypatch, workers, bound
     rng = np.random.default_rng(9)
     table = sliding_window_view(rng.random(12002 + 1199), 1200)  # rows a cell apart in one vector
     times = np.arange(12002) * 0.05
-    spectral._g8_tables()
+    spectral._e7_tables()
     peaks = []
     for rows in (6001, 12002):
         tracemalloc.start()
         try:
-            spectral._write_csv_8g(tmp_path / "g8.csv", "h", table[:rows], first_column=times[:rows])
+            spectral._write_csv_7e(tmp_path / "e7.csv", "h", table[:rows], first_column=times[:rows])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[0] <= bound_mb * 1e6
     # twice the rows: the peak moves by at most the 16-byte cells of two batches
     # in flight, where a writer that held its output would add tens of MB
-    assert peaks[1] <= peaks[0] + 2 * spectral._CSV_CHUNK_CELLS * spectral._G8_CELL_BYTES
+    assert peaks[1] <= peaks[0] + 2 * spectral._CSV_CHUNK_CELLS * spectral._E7_CELL_BYTES
 
 
 # --- %.10g CSV writer ----------------------------------------------------------
