@@ -407,8 +407,10 @@ def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
 # np.savetxt(fmt="%.7e") formats one cell at a time in Python, about 330 ns a
 # cell.  _write_csv_7e writes the same bytes from array operations, one batch
 # of _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.
-# Each cell is built in 16 bytes, whose zero bytes are then dropped.  '%.7e'
-# rounds to the 8 significant digits of '%.8g': a cell reads back the same.
+# Each cell is built in 16 bytes: a sign at byte 0, then its text and separator
+# (a per-cell text from byte 0).  A batch with neither a sign nor a per-cell
+# text is one strided slice, 14 bytes a cell; any other drops its zero bytes.
+# '%.7e' rounds to the 8 significant digits of '%.8g': a cell reads back the same.
 
 _CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
 _CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
@@ -427,8 +429,8 @@ def _e7_tables() -> tuple[np.ndarray, ...]:
         quad,  # 4-digit ASCII word of n, its first digit in the low byte
         # the same digits as "d.ddd", at bytes 1-5 of a cell
         (quad & _U64(0xFF)) << _U64(8) | _U64(ord(".") << 16) | (quad >> _U64(8)) << _U64(24),
-        # "e+XX" of e = _E7_EXP_LO + i, at bytes 10-13 of a cell
-        np.frombuffer("".join(f"\0\0e{e:+03d}\0\0" for e in exps).encode(), np.uint64),
+        # "e+XX" of e = _E7_EXP_HI - i, at bytes 10-13 of a cell
+        np.frombuffer("".join(f"\0\0e{e:+03d}\0\0" for e in reversed(exps)).encode(), np.uint64),
         # the scale 10**(7 - e) as a factor and a divisor, one of them 1.0, of e = _E7_EXP_HI - i
         np.array([10.0 ** (7 - e) if e < 7 else 1.0 for e in reversed(exps)]),
         np.array([10.0 ** (e - 7) if e > 7 else 1.0 for e in reversed(exps)]),
@@ -441,38 +443,46 @@ def _printf_7e(values: np.ndarray) -> list[bytes]:
 
 
 def _format_7e(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
-    """Bytes of '%.7e' of each cell of x, each followed by the separator in the
-    top byte of its word in sep.  A cell is scaled by an exact power of ten to
+    """Bytes of '%.7e' of each cell of x, each followed by the separator in
+    bits 48-55 of its word in sep.  A cell is scaled by an exact power of ten to
     its 8-digit mantissa; one whose rounding is not proven here goes to '%.7e'."""
     quad, lead, exponent, pow_mul, pow_div = _e7_tables()
     a = np.abs(x)
     fast = (a >= 10.0**_E7_EXP_LO) & (a < 10.0 ** (_E7_EXP_HI + 1))  # false for 0, nan, inf
     a = np.where(fast, a, 1.0)  # these have e = 0
-    e = np.clip(np.floor(np.log10(a)), _E7_EXP_LO, _E7_EXP_HI).astype(np.intp)
+    k = _E7_EXP_HI - np.clip(np.floor(np.log10(a)), _E7_EXP_LO, _E7_EXP_HI).astype(np.intp)  # e's index
     # y is the double nearest the exact product (one factor is 1.0), and each n + 0.5
     # below 2**52 is a double: y may land on a midpoint, never cross it, so only a tie is in doubt
-    y = a * pow_mul.take(_E7_EXP_HI - e) / pow_div.take(_E7_EXP_HI - e)
+    y = a * pow_mul.take(k) / pow_div.take(k)
     m = np.rint(y)
     tie = np.abs(y - m) == 0.5
     # log10 can miss by one next to a power of ten, and rounding can carry into a ninth
     # digit: move e by one and scale again, to an m within 0.05 of 1e7 or 1e8, never a tie
     off = np.flatnonzero((m < 1e7) | (m >= 1e8))
-    e[off] += np.where(m[off] >= 1e8, 1, -1)
-    fast[off] &= (e[off] >= _E7_EXP_LO) & (e[off] <= _E7_EXP_HI)
-    e[off[~fast[off]]] = 0
-    m[off] = np.rint(a[off] * pow_mul.take(_E7_EXP_HI - e[off]) / pow_div.take(_E7_EXP_HI - e[off]))
-    fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
+    if off.size:
+        k[off] -= np.where(m[off] >= 1e8, 1, -1)
+        fast[off] &= (k[off] >= 0) & (k[off] <= _E7_EXP_HI - _E7_EXP_LO)
+        k[off[~fast[off]]] = _E7_EXP_HI
+        m[off] = np.rint(a[off] * pow_mul.take(k[off]) / pow_div.take(k[off]))
+        fast[off] &= (m[off] >= 1e7) & (m[off] < 1e8)
     slow = np.flatnonzero(((x != 0) & ~fast) | tie)
     m = np.where(fast, m, 0.0)  # zeros print as 0.0000000e+00
     hi = np.floor(m / 1e4)
     lo = quad.take((m - hi * 1e4).astype(np.intp))
-    # sign, "d.ddd" and two digits in bytes 0-7; two digits and "e+XX" in bytes 8-13
-    low = np.signbit(x) * _U64(ord("-")) | lead.take(hi.astype(np.intp)) | lo << _U64(48)
-    high = lo >> _U64(16) | exponent.take(e - _E7_EXP_LO) | sep
-    cells = np.column_stack([low, high]).view(np.uint8)
-    if slow.size:  # each text over the cell's first 15 bytes, before its separator
-        texts = b"".join(text.ljust(_E7_CELL_BYTES - 1, b"\0") for text in _printf_7e(x[slow]))
-        cells[slow, :-1] = np.frombuffer(texts, np.uint8).reshape(slow.size, -1)
+    # the sign, "d.ddd" and two digits in bytes 0-7; two digits, "e+XX" and the separator in bytes 8-14
+    words = np.empty((x.size, 2), np.uint64)
+    np.bitwise_or(lead.take(hi.astype(np.intp)), lo << _U64(48), out=words[:, 0])
+    np.bitwise_or(lo >> _U64(16) | sep, exponent.take(k), out=words[:, 1])
+    signed = np.signbit(x)
+    if negative := signed.any():
+        words[:, 0] |= signed * _U64(ord("-"))
+    cells = words.view(np.uint8)
+    if not (negative or slow.size):  # every cell is "d.ddddddde+XX" and its separator
+        return np.ascontiguousarray(cells[:, 1:15])
+    if slow.size:  # each text and its separator over the cell's 16 bytes
+        texts = zip(_printf_7e(x[slow]), cells[slow, 14].tolist())
+        joined = b"".join((text + bytes([end])).ljust(_E7_CELL_BYTES, b"\0") for text, end in texts)
+        cells[slow] = np.frombuffer(joined, np.uint8).reshape(slow.size, -1)
     return cells[cells != 0]  # a mask, not np.compress, whose index array takes 8 bytes a byte
 
 
@@ -499,7 +509,7 @@ def _write_csv_7e(path, header: str, table: np.ndarray, first_column: np.ndarray
     n_cols = table.shape[1] + 1
     rows = max(1, _CSV_CHUNK_CELLS // n_cols)
     last = np.arange(rows * n_cols) % n_cols == n_cols - 1
-    sep = np.where(last, _U64(ord("\n") << 56), _U64(ord(",") << 56))
+    sep = np.where(last, _U64(ord("\n") << 48), _U64(ord(",") << 48))
     _e7_tables()  # built once here, not raced for by the workers
 
     def format_rows(batch: slice, _) -> np.ndarray:

@@ -691,6 +691,30 @@ def test_csv_writer_edge_cells_in_every_column(tmp_path, monkeypatch, workers, f
     assert b"-4.9406565e-324," in expected and b"-1.7976931e+308\n" in expected
     assert b"-1.2345678e-04," in expected and b"-1.2345678e+29\n" in expected
     assert b"-9.9999999e+29," in expected and b"1.0000000e-16\n" in expected
+    # 8 columns make 8-row batches, which alternate: nonnegative cells only (one strided
+    # slice), then cells that hold one sign or per-cell text (the mask), in each cell column
+    rng = np.random.default_rng(3)
+    batches = []
+    for i, cell in enumerate([-1.5, -0.0, np.nan, np.inf, 5e-324, 1e30, 123456785.0]):
+        plain, marked = np.round(rng.random((2, 8, 7)) * 10.0 ** rng.integers(-3, 4, (2, 8, 7)), 3)
+        marked[(5 * i) % 8, i] = cell
+        batches += [plain, marked]
+    cells = np.concatenate(batches)
+    times = np.arange(len(cells)) * 0.05 + 29.975
+    mixed = np.column_stack([cells, times] if first_column else [times, cells])
+    assert write_7e(tmp_path / "mixed.csv", "a,b", mixed) == savetxt_7e(tmp_path / "mixed_ref.csv", "a,b", mixed)
+
+
+def test_format_7e_slices_a_batch_with_no_sign_and_no_per_cell_text():
+    cells = np.concatenate([[0.0, 0.0], np.random.default_rng(4).random(98) * 1e3])
+    sep = np.full(cells.size, np.uint64(ord(",") << 48))
+    fast = spectral._format_7e(cells, sep)
+    assert fast.shape == (cells.size, 14) and fast.flags.c_contiguous
+    assert fast.tobytes() == b"".join(b"%.7e," % v for v in cells)
+    cells[17] = -0.0  # a sign takes the batch to the mask: 14 bytes a cell and its "-"
+    masked = spectral._format_7e(cells, sep)
+    assert masked.size == 14 * cells.size + 1
+    assert masked.tobytes() == b"".join(b"%.7e," % v for v in cells)
 
 
 def every_class_cells():
