@@ -157,13 +157,15 @@ def _run_simulate_audio(m: RunManifest) -> str:
 def _run_process_radar(m: RunManifest) -> str:
     from .ingest import capture_config, load_capture
     from .pipeline import process_radar_cube
-    from .radar_dsp import phase_trace_to_csv, range_time_map_to_csv
-    from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
+    from .radar_dsp import phase_trace_to_csv, range_map_csv
+    from .spectral import StftParams, rate_series_to_csv
 
     stft_params = StftParams.from_dict(m.stft)
     # a window off the grid of the capture's frame rate fails on the header alone
     stft_params.samples(capture_config(m.inputs["capture"]).frame_rate_hz)
     cube = load_capture(m.inputs["capture"])
+    # the spectrogram is written as its rates are read; the directory is made
+    # once every input has been checked
     result = process_radar_cube(
         cube,
         variant=m.variant,
@@ -172,12 +174,12 @@ def _run_process_radar(m: RunManifest) -> str:
         min_range_m=m.options["min_range_m"],
         max_range_m=m.options["max_range_m"],
         detrend=m.options["detrend"],
+        spectrogram_csv=Path(m.output_dir) / "spectrogram.csv",
     )
     out = _out_dir(m)
     rate_series_to_csv(result.rates, out / "rates.csv")
-    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
     if m.options["export_range_map"]:
-        range_time_map_to_csv(result.range_map, out / "range_map.csv")
+        range_map_csv(cube, out / "range_map.csv")
     if m.options["export_phase"] and result.phase is not None:
         phase_trace_to_csv(result.phase, out / "phase.csv")
     return f"target bin at {result.target_range_m:.3f} m; wrote {out / 'rates.csv'}"
@@ -186,7 +188,7 @@ def _run_process_radar(m: RunManifest) -> str:
 def _run_process_audio(m: RunManifest) -> str:
     from .audio_dsp import FRAME_RATE_HZ, envelope_to_csv, load_wav
     from .pipeline import process_audio
-    from .spectral import StftParams, rate_series_to_csv, spectrogram_to_csv
+    from .spectral import StftParams, rate_series_to_csv
 
     stft_params = StftParams.from_dict(m.stft)
     # the STFT runs at the envelope's rate: a bad window fails before the WAV is read
@@ -198,10 +200,10 @@ def _run_process_audio(m: RunManifest) -> str:
         band_bpm=tuple(m.band_bpm),
         multistage=m.options["multistage"],
         square=m.options["square"],
+        spectrogram_csv=Path(m.output_dir) / "spectrogram.csv",
     )
     out = _out_dir(m)
     rate_series_to_csv(result.rates, out / "rates.csv")
-    spectrogram_to_csv(result.spectrogram, out / "spectrogram.csv")
     envelope_to_csv(result.envelope, out / "envelope.csv")
     return f"wrote {out / 'rates.csv'}"
 

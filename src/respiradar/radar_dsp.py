@@ -13,7 +13,8 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_7e, _write_csv_10g, cosine_window
+from .spectral import (_FRAME_BLOCK, _map_blocks, _write_blocks_7e, _write_csv_7e, _write_csv_10g,
+                       cosine_window)
 
 
 @dataclass
@@ -80,31 +81,63 @@ def range_fft(cube: RadarCube) -> RangeTimeMap:
     so together with a chirp-centre beat reference the bin phase reads the
     two-way carrier phase 4*pi*R/lambda directly.
     """
-    if cube.n_frames == 0 or cube.data.size == 0:
-        raise EmptyCubeError("cube holds no frames")
-    n = cube.config.samples_per_chirp
-    window = cosine_window("hann", n, periodic=False)
-    centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    values = np.empty((cube.n_frames, n), np.complex128)
-    data = cube.data
-    if data.strides[-1] != data.itemsize:  # an int16 view needs the samples side by side
-        data = data.copy()
-    iq = data.view("<i2")  # [frame][chirp][I, Q of each sample]
-
-    def compress(frames: slice, _) -> None:
-        rows = values[frames]
-        np.add.reduce(iq[frames], axis=1, dtype=np.float64, out=rows.view(np.float64))
-        rows /= cube.config.chirps_per_frame  # coherent average over chirps
-        rows *= window
-        np.multiply(np.fft.fft(rows, axis=1), centre_ref, out=rows)
-
-    _map_blocks(compress, cube.n_frames, _FRAME_BLOCK)
+    compress = _range_compressor(cube)
+    values = np.empty((cube.n_frames, cube.config.samples_per_chirp), np.complex128)
+    _map_blocks(lambda frames, _: compress(frames, values[frames]), cube.n_frames, _FRAME_BLOCK)
     return RangeTimeMap(
         values=values,
         bin_spacing_m=cube.config.range_bin_spacing_m,
         frame_rate_hz=cube.config.frame_rate_hz,
         frame_times_s=cube.frame_timestamps.copy(),
     )
+
+
+def _range_compressor(cube: RadarCube):
+    """range_fft's kernel: compress(frames, rows) writes the range profiles of
+    a slice of frames into the leading rows of rows, a complex128 array of
+    samples_per_chirp columns, and returns those rows."""
+    if cube.n_frames == 0 or cube.data.size == 0:
+        raise EmptyCubeError("cube holds no frames")
+    n = cube.config.samples_per_chirp
+    window = cosine_window("hann", n, periodic=False)
+    centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
+    data = cube.data
+    if data.strides[-1] != data.itemsize:  # an int16 view needs the samples side by side
+        data = data.copy()
+    iq = data.view("<i2")  # [frame][chirp][I, Q of each sample]
+
+    def compress(frames: slice, rows: np.ndarray) -> np.ndarray:
+        counts = iq[frames]
+        rows = rows[: len(counts)]
+        np.add.reduce(counts, axis=1, dtype=np.float64, out=rows.view(np.float64))
+        rows /= cube.config.chirps_per_frame  # coherent average over chirps
+        rows *= window
+        np.multiply(np.fft.fft(rows, axis=1), centre_ref, out=rows)
+        return rows
+
+    return compress
+
+
+def target_series(cube: RadarCube, min_m: float = 0.10, max_m: float = 0.80) -> tuple[int, np.ndarray]:
+    """The bin select_target_bin(range_fft(cube), min_m, max_m) picks, and the
+    slow-time series range_fft gives that bin, bit for bit.
+
+    Each block of frames goes through range_fft's transform, and only the
+    columns of the target window are kept: about 15 of 256 bins, so the
+    memory is a small part of the range map's.
+    """
+    compress = _range_compressor(cube)
+    n = cube.config.samples_per_chirp
+    candidates = _window_bins(np.arange(n) * cube.config.range_bin_spacing_m, min_m, max_m)
+    columns = slice(candidates[0], candidates[-1] + 1)  # the window is one run of bins
+    kept = np.empty((cube.n_frames, candidates.size), np.complex128)
+
+    def keep(frames: slice, rows: np.ndarray) -> None:
+        kept[frames] = compress(frames, rows)[:, columns]
+
+    _map_blocks(keep, cube.n_frames, _FRAME_BLOCK, work=lambda: np.empty((_FRAME_BLOCK, n), np.complex128))
+    target_bin = _strongest(kept, candidates)
+    return target_bin, kept[:, target_bin - candidates[0]]
 
 
 def static_profile(rmap: RangeTimeMap) -> StaticProfile:
@@ -131,14 +164,24 @@ def select_target_bin(rmap: RangeTimeMap, min_m: float = 0.10, max_m: float = 0.
     The window keeps distant multipath out of the selection.  Ties break
     toward the smaller bin index (the nearer, direct-path reflection).
     """
+    candidates = _window_bins(rmap.bin_ranges_m(), min_m, max_m)
+    return _strongest(rmap.values[:, candidates], candidates)
+
+
+def _window_bins(centres: np.ndarray, min_m: float, max_m: float) -> np.ndarray:
+    """The bins whose centres lie in [min_m, max_m], in ascending order."""
     if not min_m <= max_m:
         raise ValueError(f"target window [{min_m}, {max_m}] m needs min <= max")
-    centres = rmap.bin_ranges_m()
     in_window = (centres >= min_m) & (centres <= max_m)
     if not in_window.any():
         raise WindowEmptyError(f"no bin centre falls inside [{min_m}, {max_m}] m")
-    candidates = np.nonzero(in_window)[0]
-    mean_power = np.mean(np.abs(rmap.values[:, candidates]) ** 2, axis=0)
+    return np.nonzero(in_window)[0]
+
+
+def _strongest(columns: np.ndarray, candidates: np.ndarray) -> int:
+    """The candidate whose column of columns, (frames, candidates), has the
+    highest mean power; the first on a tie."""
+    mean_power = np.mean(np.abs(columns) ** 2, axis=0)
     return int(candidates[np.argmax(mean_power)])
 
 
@@ -183,15 +226,38 @@ def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
     A zero-magnitude cell reads -300 dB.  The dB values are computed in
     place in one (frames, bins) array.
     """
-    power_db = np.abs(rmap.values)
+    _write_csv_7e(path, _range_map_header(rmap.bin_ranges_m()), _power_db(rmap.values),
+                  first_column=rmap.frame_times_s)
+
+
+def range_map_csv(cube: RadarCube, path) -> None:
+    """range_time_map_to_csv(range_fft(cube), path), byte for byte, with no
+    range map held: each block of frames is transformed, turned into dB and
+    formatted by one worker, and the blocks are written in order."""
+    compress = _range_compressor(cube)
+    n = cube.config.samples_per_chirp
+    times = cube.frame_timestamps
+
+    def block(frames: slice, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return times[frames], _power_db(compress(frames, rows))
+
+    _write_blocks_7e(path, _range_map_header(np.arange(n) * cube.config.range_bin_spacing_m),
+                     cube.n_frames, _FRAME_BLOCK, block,
+                     work=lambda: np.empty((_FRAME_BLOCK, n), np.complex128))
+
+
+def _range_map_header(centres: np.ndarray) -> str:
+    return "frame_time_s," + ",".join(f"db_at_{r:.4f}m" for r in centres)
+
+
+def _power_db(values: np.ndarray) -> np.ndarray:
+    """20 log10 |values|, a new array; a zero-magnitude cell reads -300 dB."""
+    power_db = np.abs(values)
     nonzero = power_db > 0
     np.log10(power_db, out=power_db, where=nonzero)
     power_db *= 20.0
     power_db[~nonzero] = -300.0
-    header = "frame_time_s," + ",".join(
-        f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m()
-    )
-    _write_csv_7e(path, header, power_db, first_column=rmap.frame_times_s)
+    return power_db
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

@@ -152,7 +152,18 @@ def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
 
 def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tuple[np.ndarray, float]:
     """The complex128 beat signal of a scene, [frame][chirp][sample], as
-    synth_cube quantises it, and its peak I/Q component.
+    synth_cube quantises it, and its peak I/Q component: beat_planes' I and
+    Q planes joined into one complex array."""
+    (i_plane, q_plane), peak = beat_planes(scene, config, duration_s)
+    data = np.empty(i_plane.shape, np.complex128)
+    data.real, data.imag = i_plane, q_plane
+    return data, peak
+
+
+def beat_planes(scene: SceneSpec, config: RadarConfig,
+                duration_s: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The I and Q planes of a scene's beat signal, two float64 arrays
+    [frame][chirp][sample], and its peak I/Q component.
 
     Each scatterer at instantaneous range R contributes a fast-time tone at
     the beat frequency 2 * slope * R / c with slow-time phase 4*pi*R/lambda.
@@ -162,9 +173,13 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
     specified reflectivity, with no range-law decay.
 
     Complex white Gaussian noise is added at snr_db below the strongest
-    scatterer; generation is deterministic under the scene seed.  The noise
-    is drawn first, then each block of frames is summed on the worker pool,
-    and its peak taken while it is fresh.
+    scatterer; generation is deterministic under the scene seed.  The two
+    noise draws, real parts first, are made whole and become the planes.
+    Then each block of frames sums its signal, which is the same in every
+    chirp of a frame, in a one-chirp work array on the worker pool, adds
+    it to the planes and takes its peak while it is fresh.  Each sample is
+    one IEEE addition of signal and noise in either order, so no complex
+    copy of the recording is made.
     """
     n_fast = config.samples_per_chirp
     n_frames = _sample_count(duration_s, config.frame_rate_hz, 16 * config.chirps_per_frame * n_fast, "frame")
@@ -198,8 +213,9 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
                   np.empty((1, n_fast), np.complex128))[0]
             for range_m, reflectivity in scene.static_reflectors]
 
-    noise = None
-    if scene.snr_db is not None:
+    if scene.snr_db is None:
+        planes = np.zeros(shape), np.zeros(shape)
+    else:
         reflectivities = [abs(a) for _, a in (*scene.targets, *scene.static_reflectors)]
         if not reflectivities:
             raise ValueError("snr_db is relative to the strongest scatterer; scene is empty")
@@ -209,39 +225,38 @@ def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tup
                               "gives no finite noise power")
         rng = np.random.default_rng(scene.seed)
         sigma = np.sqrt(noise_power / 2.0)
-        # drawn whole and first: the real parts of every frame, then the imaginary parts
-        noise = rng.normal(scale=sigma, size=shape), rng.normal(scale=sigma, size=shape)
-
-    data = np.empty(shape, dtype=np.complex128)
+        planes = rng.normal(scale=sigma, size=shape), rng.normal(scale=sigma, size=shape)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the peak, checked below
-    def synth(frames: slice, work: tuple[np.ndarray, np.ndarray]) -> float:
-        block = data[frames]
-        block[...] = 0
-        phase, wave = (w[: len(block)] for w in work)
+    def synth(frames: slice, work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+        n = len(planes[0][frames])
+        signal, phase, wave = (w[:n] for w in work)
+        signal[...] = 0
         for ranges, reflectivity in targets:
-            block += tones(ranges[frames], reflectivity, phase, wave)[:, None, :]
+            signal += tones(ranges[frames], reflectivity, phase, wave)
         for row in rows:
-            block += row
-        if noise is not None:
-            block.real += noise[0][frames]
-            block.imag += noise[1][frames]
-        parts = block.view(np.float64)
-        return max(parts.max(), -parts.min())
+            signal += row
+        extremes = []
+        for plane, part in zip(planes, (signal.real, signal.imag)):
+            block = plane[frames]
+            block += part[:, None, :]
+            extremes += [block.max(), -block.min()]
+        return np.max(extremes)  # np.max: a NaN stays NaN
 
     peaks: list[float] = []
     _map_blocks(synth, n_frames, _FRAME_BLOCK, sink=peaks.append,
-                work=lambda: (np.empty((_FRAME_BLOCK, n_fast)),
+                work=lambda: (np.empty((_FRAME_BLOCK, n_fast), np.complex128),
+                              np.empty((_FRAME_BLOCK, n_fast)),
                               np.empty((_FRAME_BLOCK, n_fast), np.complex128)))
     peak = float(np.max(peaks))  # np.max: a NaN peak stays NaN
     if not peak < np.inf:
         raise ValueError(f"the beat signal peaks at {peak}, not a finite value: carrier_hz "
                          f"{config.carrier_hz} at {far} m or a reflectivity is too large")
-    return data, peak
+    return planes, peak
 
 
 def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> RadarCube:
-    """Simulate the cube a radar delivers for a scene: beat_signal's samples
+    """Simulate the cube a radar delivers for a scene: beat_planes' samples
     as int16 I/Q counts.
 
     Full scale is 4x the peak I/Q component, for noise headroom; each
@@ -250,19 +265,18 @@ def synth_cube(scene: SceneSpec, config: RadarConfig, duration_s: float) -> Rada
     """
     from .ingest import IQ_COUNTS, RadarCube
 
-    data, peak = beat_signal(scene, config, duration_s)
-    parts = data.view(np.float64)  # I, Q, I, Q, ... along each chirp
+    planes, peak = beat_planes(scene, config, duration_s)
     scale = 32767.0 / (4.0 * peak if peak > 0 else 1.0)
-    counts = np.empty(data.shape, IQ_COUNTS)
-    out = counts.view("<i2")
+    counts = np.empty(planes[0].shape, IQ_COUNTS)
 
     def quantize(frames: slice, _) -> None:
-        block = parts[frames]  # the beat signal is not read again: scaled in place
-        np.multiply(block, scale, out=block)
-        np.rint(block, out=block)
-        out[frames] = np.clip(block, -32768, 32767, out=block)
+        for plane, part in zip(planes, ("i", "q")):
+            block = plane[frames]  # the planes are not read again: scaled in place
+            np.multiply(block, scale, out=block)
+            np.rint(block, out=block)
+            counts[part][frames] = np.clip(block, -32768, 32767, out=block)
 
-    _map_blocks(quantize, len(parts), _FRAME_BLOCK)
+    _map_blocks(quantize, len(counts), _FRAME_BLOCK)
     return RadarCube(config=config, data=counts,
                      frame_timestamps=np.arange(len(counts)) / config.frame_rate_hz)
 

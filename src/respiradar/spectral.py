@@ -4,6 +4,11 @@ The trace brings its own sample rate; the window and overlap are given in
 seconds.  The default analysis window is 60 s with a 59.95 s overlap,
 which on a 20 Hz trace gives a one-sample hop and exactly 1 bpm of
 frequency resolution.
+
+The processing chains read rates without holding a spectrogram: each block
+of windows is transformed, read out and, when asked, written as CSV text
+by one worker (_stft_rates).  stft, extract_rate and spectrogram_to_csv run
+the same per-block kernels over a whole spectrogram.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,9 +32,10 @@ _WINDOW_COEFFS = {"blackman": (0.42, 0.50, 0.08), "hann": (0.5, 0.5), "rectangul
 
 DEFAULT_BAND_BPM = (6.0, 60.0)
 
-_FFT_CHUNK = 512  # windows in flight over all FFT batches: caps memory, stays in cache
+_FFT_CHUNK = 128  # windows in flight over all FFT batches: a block's spectra, readout and CSV
+# text stay under a few MB, which glibc keeps for the next block instead of trimming it
 _FRAME_BLOCK = 512  # frames per block of the radar stages (simulate, quantise, range FFT)
-_COMB_BLOCK = 512  # instants per block of the signed rate readout
+_COMB_BLOCK = 512  # instants per block of extract_rate's readout
 _COMB_HARMONICS = 4  # harmonics h*f scored for each candidate rate f
 _COMB_FLOOR = 4.0  # a candidate's line must exceed this many band medians
 
@@ -94,11 +101,15 @@ class Spectrogram:
 
     @property
     def is_signed(self) -> bool:
-        return bool(self.freq_axis_bpm.size) and float(self.freq_axis_bpm[0]) < 0.0
+        return _is_signed(self.freq_axis_bpm)
 
     @property
     def n_frames(self) -> int:
         return self.magnitudes.shape[0]
+
+
+def _is_signed(freq_axis_bpm: np.ndarray) -> bool:
+    return bool(freq_axis_bpm.size) and float(freq_axis_bpm[0]) < 0.0
 
 
 @dataclass
@@ -178,6 +189,53 @@ def _map_blocks(fn, n: int, step: int, work=None, sink=lambda result: None) -> N
         pool.shutdown(cancel_futures=True)
 
 
+class _Windows:
+    """The analysis windows of one trace: the STFT's axes, and the magnitudes
+    of one block of windows at a time.  stft and _stft_rates share it."""
+
+    def __init__(self, trace: np.ndarray, rate_hz: float, params: StftParams | None) -> None:
+        if params is None:
+            params = StftParams()
+        x = np.asarray(trace)
+        if x.ndim != 1:
+            raise ValueError("trace must be 1-D")
+        length, hop = params.samples(rate_hz)
+        if x.size < length:
+            raise TraceTooShortError(
+                f"trace of {x.size} samples is shorter than the {length}-sample window"
+            )
+        self.length = length
+        self.complex_input = np.iscomplexobj(x)
+        self.dtype = np.complex128 if self.complex_input else np.float64
+        self.window = cosine_window(params.window_shape, length, periodic=True)
+        starts = np.arange(0, x.size - length + 1, hop)
+        if self.complex_input:
+            self.freq_bpm = np.fft.fftshift(np.fft.fftfreq(length, d=1.0 / rate_hz)) * 60.0
+        else:
+            self.freq_bpm = np.fft.rfftfreq(length, d=1.0 / rate_hz) * 60.0
+        self.times_s = (starts + (length - 1) / 2.0) / rate_hz
+        self.n = starts.size
+        self.segments = sliding_window_view(x, length)[::hop]
+        self.batch = max(1, _FFT_CHUNK // _worker_count())  # windows per block
+
+    def transform(self, windows: slice, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The magnitudes of the windows, in the leading rows of rows, which
+        are returned; block is work memory of at least as many rows."""
+        segment = self.segments[windows]
+        block, rows = block[: len(segment)], rows[: len(segment)]
+        block[...] = segment
+        block -= block.mean(axis=1, keepdims=True)
+        block *= self.window
+        if self.complex_input:
+            shift = self.length // 2  # fftshift moves bin k to column (k + shift) % length
+            spectrum = np.fft.fft(block, axis=1)
+            np.abs(spectrum[:, : self.length - shift], out=rows[:, shift:])
+            np.abs(spectrum[:, self.length - shift :], out=rows[:, :shift])
+        else:
+            np.abs(np.fft.rfft(block, axis=1), out=rows)
+        return rows
+
+
 def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) -> Spectrogram:
     """Sliding-window DFT magnitudes of a real or complex trace sampled at rate_hz.
 
@@ -188,49 +246,11 @@ def stft(trace: np.ndarray, rate_hz: float, params: StftParams | None = None) ->
     Raises TraceTooShortError when the trace does not fill one window;
     callers with short recordings should reduce window_s explicitly.
     """
-    if params is None:
-        params = StftParams()
-    x = np.asarray(trace)
-    if x.ndim != 1:
-        raise ValueError("trace must be 1-D")
-    length, hop = params.samples(rate_hz)
-    if x.size < length:
-        raise TraceTooShortError(
-            f"trace of {x.size} samples is shorter than the {length}-sample window"
-        )
-    complex_input = np.iscomplexobj(x)
-    window = cosine_window(params.window_shape, length, periodic=True)
-
-    starts = np.arange(0, x.size - length + 1, hop)
-    if complex_input:
-        freq_bpm = np.fft.fftshift(np.fft.fftfreq(length, d=1.0 / rate_hz)) * 60.0
-    else:
-        freq_bpm = np.fft.rfftfreq(length, d=1.0 / rate_hz) * 60.0
-    magnitudes = np.empty((starts.size, freq_bpm.size))
-
-    segments = sliding_window_view(x, length)[::hop]
-    shift = length // 2  # fftshift moves bin k to column (k + shift) % length
-    batch = max(1, _FFT_CHUNK // _worker_count())
-    dtype = np.complex128 if complex_input else np.float64
-
-    def transform(windows: slice, block: np.ndarray) -> None:
-        segment = segments[windows]
-        block = block[: len(segment)]
-        block[...] = segment
-        block -= block.mean(axis=1, keepdims=True)
-        block *= window
-        rows = magnitudes[windows]
-        if complex_input:
-            spectrum = np.fft.fft(block, axis=1)
-            np.abs(spectrum[:, : length - shift], out=rows[:, shift:])
-            np.abs(spectrum[:, length - shift :], out=rows[:, :shift])
-        else:
-            np.abs(np.fft.rfft(block, axis=1), out=rows)
-
-    _map_blocks(transform, starts.size, batch, work=lambda: np.empty((batch, length), dtype))
-
-    times = (starts + (length - 1) / 2.0) / rate_hz
-    return Spectrogram(magnitudes=magnitudes, freq_axis_bpm=freq_bpm, time_axis_s=times)
+    windows = _Windows(trace, rate_hz, params)
+    magnitudes = np.empty((windows.n, windows.freq_bpm.size))
+    _map_blocks(lambda block, w: windows.transform(block, w, magnitudes[block]), windows.n, windows.batch,
+                work=lambda: np.empty((windows.batch, windows.length), windows.dtype))
+    return Spectrogram(magnitudes=magnitudes, freq_axis_bpm=windows.freq_bpm, time_axis_s=windows.times_s)
 
 
 def extract_rate(
@@ -240,35 +260,85 @@ def extract_rate(
 
     A real spectrogram, whose axis must ascend, reads the argmax bin in the
     band.  A signed (complex-input) one reads the harmonic comb of its
-    folded spectrum (see _comb_rates): the band applies to |frequency|, the
-    rate is the winning |bin| and the magnitude the larger of its two signed
-    bins.  Either way ties break toward the lower bpm, which plays
-    conservatively against harmonics.
+    folded spectrum (see _comb_readout): the band applies to |frequency|,
+    the rate is the winning |bin| and the magnitude the larger of its two
+    signed bins.  Either way ties break toward the lower bpm, which plays
+    conservatively against harmonics.  The instants are read in blocks, so
+    the memory stays small and the result does not depend on the worker
+    count.
     """
+    read = _readout(spectrogram.freq_axis_bpm, band_bpm)
+    rates, magnitudes = np.empty((2, spectrogram.n_frames))
+
+    def fill(instants: slice, _) -> None:
+        rates[instants], magnitudes[instants] = read(spectrogram.magnitudes[instants])
+
+    _map_blocks(fill, spectrogram.n_frames, _COMB_BLOCK)
+    return RateSeries(times_s=spectrogram.time_axis_s.copy(), rates_bpm=rates, magnitudes=magnitudes)
+
+
+def _stft_rates(trace: np.ndarray, rate_hz: float, params: StftParams | None,
+                band_bpm: tuple[float, float], csv_path=None) -> RateSeries:
+    """extract_rate(stft(trace, rate_hz, params), band_bpm) with no spectrogram
+    held: a worker transforms a block of windows and reads its rates out.
+
+    With csv_path, the same worker also formats the block as
+    spectrogram_to_csv writes it, and the blocks are written in order.
+    Every input is checked before csv_path's directory is made and the file
+    opened, so a run that fails leaves neither behind.
+    """
+    windows = _Windows(trace, rate_hz, params)
+    read = _readout(windows.freq_bpm, band_bpm)
+    rates, magnitudes = np.empty((2, windows.n))
+    n_bins = windows.freq_bpm.size
+    step = windows.batch
+    if csv_path is not None:  # whole CSV batches: a short batch costs as many calls as a full one
+        batch = _batch_rows(n_bins + 1)
+        step = batch * max(1, round(step / batch))
+
+    def block(instants: slice, work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        rows = windows.transform(instants, *work)
+        rates[instants], magnitudes[instants] = read(rows)
+        return windows.times_s[instants], rows
+
+    def work() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((step, windows.length), windows.dtype), np.empty((step, n_bins))
+
+    if csv_path is None:
+        _map_blocks(block, windows.n, step, work=work)
+    else:
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        _write_blocks_7e(csv_path, _spectrogram_header(windows.freq_bpm), windows.n, step, block, work)
+    return RateSeries(times_s=windows.times_s, rates_bpm=rates, magnitudes=magnitudes)
+
+
+def _readout(freq_axis_bpm: np.ndarray, band_bpm: tuple[float, float]):
+    """extract_rate's reading of spectra on this axis: a function from a block
+    of spectra, one a row, to their (rates, magnitudes).  The band and the
+    axis are checked here, before any spectrum is read."""
     low, high = band_bpm
     if not low <= high:
         raise ValueError(f"band [{low}, {high}] bpm needs low <= high")
-    abs_bpm = np.abs(spectrogram.freq_axis_bpm)
+    abs_bpm = np.abs(freq_axis_bpm)
     in_band = (abs_bpm >= low) & (abs_bpm <= high)
     if not in_band.any():
         raise EmptyBandError(f"band [{low}, {high}] bpm misses the frequency axis")
-    if spectrogram.is_signed:
-        return _comb_rates(spectrogram, in_band)
-    if not np.all(np.diff(spectrogram.freq_axis_bpm) > 0):
+    if _is_signed(freq_axis_bpm):
+        return _comb_readout(freq_axis_bpm, in_band)
+    if not np.all(np.diff(freq_axis_bpm) > 0):
         raise ValueError("a real spectrogram needs an ascending frequency axis")
     lo, hi = np.flatnonzero(in_band)[[0, -1]]
-    sub = spectrogram.magnitudes[:, lo : hi + 1]
-    best = np.argmax(sub, axis=1)  # the first hit, the lowest rate
-    rows = np.arange(sub.shape[0])
-    return RateSeries(
-        times_s=spectrogram.time_axis_s.copy(),
-        rates_bpm=abs_bpm[lo + best],
-        magnitudes=sub[rows, best],
-    )
+
+    def read(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sub = block[:, lo : hi + 1]
+        best = np.argmax(sub, axis=1)  # the first hit, the lowest rate
+        return abs_bpm[lo + best], sub[np.arange(len(sub)), best]
+
+    return read
 
 
-def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
-    """Subharmonic summation (Hermes, JASA 1988) over a signed spectrogram.
+def _comb_readout(axis: np.ndarray, in_band: np.ndarray):
+    """Subharmonic summation (Hermes, JASA 1988) over signed spectra.
 
     Chest motion of A metres phase-modulates the complex return by
     beta = 4*pi*A/lambda, so its spectrum holds Bessel lines |J_h(beta)| at
@@ -290,10 +360,8 @@ def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
     The midway levels keep 2f, whose midway points are the odd harmonics
     of f, from winning on the lines of f.  The peak test keeps f/2, whose
     comb holds every line of f, from winning when its own bin is noise.
-    The work is done in blocks of instants, so its memory stays small and
-    its result does not depend on the worker count.
+    Each instant is read from its own spectrum alone.
     """
-    axis = spectrogram.freq_axis_bpm
     n = axis.size
     nyquist = n // 2
     step = -axis[0] / nyquist if nyquist else 0.0
@@ -304,10 +372,8 @@ def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
     # the bins of F read by the comb (to _COMB_HARMONICS * hi) and the peak test (to hi + 1)
     k = np.arange(min(_COMB_HARMONICS * hi + 1, nyquist) + 1)  # those up to the Nyquist end
     middle = [(hi - lo) // 2, (hi - lo + 1) // 2]  # the band's middle bin, or its two middle bins
-    rates, magnitudes = np.empty((2, spectrogram.n_frames))
 
-    def read(instants: slice, _) -> None:
-        block = spectrogram.magnitudes[instants]
+    def read(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fold = block[:, nyquist - k] + block[:, (nyquist + k) % n]
         # the median along each instant's row, where a partition is fastest
         floor = np.partition(fold[:, lo : hi + 1], middle, axis=1)[:, middle].sum(axis=1)
@@ -328,11 +394,10 @@ def _comb_rates(spectrogram: Spectrogram, in_band: np.ndarray) -> RateSeries:
         np.copyto(score, line, where=~admissible.any(axis=0))  # no admissible candidate: F's argmax
         best = lo + np.argmax(score, axis=0)
         at = np.arange(len(block))
-        rates[instants] = np.abs(axis[nyquist - best])
-        magnitudes[instants] = np.maximum(block[at, (nyquist + best) % n], block[at, nyquist - best])
+        magnitudes = np.maximum(block[at, (nyquist + best) % n], block[at, nyquist - best])
+        return np.abs(axis[nyquist - best]), magnitudes
 
-    _map_blocks(read, spectrogram.n_frames, _COMB_BLOCK)
-    return RateSeries(times_s=spectrogram.time_axis_s.copy(), rates_bpm=rates, magnitudes=magnitudes)
+    return read
 
 
 def compare_rates(
@@ -397,22 +462,29 @@ def rate_series_from_csv(path) -> RateSeries:
     return RateSeries(times_s=table[:, 0], rates_bpm=table[:, 1], magnitudes=table[:, 2])
 
 
+def _spectrogram_header(freq_axis_bpm: np.ndarray) -> str:
+    return "time_s," + ",".join(f"bpm_{f:g}" for f in freq_axis_bpm)
+
+
 def spectrogram_to_csv(spectrogram: Spectrogram, path) -> None:
-    header = "time_s," + ",".join(f"bpm_{f:g}" for f in spectrogram.freq_axis_bpm)
-    _write_csv_7e(path, header, spectrogram.magnitudes, first_column=spectrogram.time_axis_s)
+    _write_csv_7e(path, _spectrogram_header(spectrogram.freq_axis_bpm), spectrogram.magnitudes,
+                  first_column=spectrogram.time_axis_s)
 
 
 # --- printf %.7e CSV writer ------------------------------------------------
 #
 # np.savetxt(fmt="%.7e") formats one cell at a time in Python, about 330 ns a
-# cell.  _write_csv_7e writes the same bytes from array operations, one batch
-# of _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.
+# cell.  _write_blocks_7e writes the same bytes from array operations: each
+# block of rows, as its maker hands it over, is formatted one batch of
+# _CSV_CHUNK_CELLS cells at a time, whose temporaries go with the batch.
 # Each cell is built in 16 bytes: a sign at byte 0, then its text and separator
 # (a per-cell text from byte 0).  A batch with neither a sign nor a per-cell
 # text is one strided slice, 14 bytes a cell; any other drops its zero bytes.
 # '%.7e' rounds to the 8 significant digits of '%.8g': a cell reads back the same.
 
-_CSV_CHUNK_CELLS = 1 << 15  # cells per batch; larger batches fall out of cache
+_CSV_CHUNK_CELLS = 1 << 14  # cells per batch: its temporaries peak at 1.3 MB, under glibc's
+# trim threshold (twice the largest array freed so far) once a 1 MB array has been freed; a
+# batch twice as large went back to the system and was faulted in again in process-audio
 _CSV_10G_ROWS = 1 << 10  # rows per % operation of the '%.10g' writer
 _E7_EXP_LO, _E7_EXP_HI = -15, 29  # exponents e for which 10**(7 - e) is an exact double
 _E7_CELL_BYTES = 16  # the longest text, "-4.9406565e-324", and a separator fit
@@ -478,7 +550,9 @@ def _format_7e(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
         words[:, 0] |= signed * _U64(ord("-"))
     cells = words.view(np.uint8)
     if not (negative or slow.size):  # every cell is "d.ddddddde+XX" and its separator
-        return np.ascontiguousarray(cells[:, 1:15])
+        # bytes 1-14 of each cell, copied as one 14-byte item: a byte copy takes twice as long
+        texts = np.ndarray(x.size, "V14", words, offset=1, strides=(_E7_CELL_BYTES,))
+        return texts.copy().view(np.uint8).reshape(x.size, 14)
     if slow.size:  # each text and its separator over the cell's 16 bytes
         texts = zip(_printf_7e(x[slow]), cells[slow, 14].tolist())
         joined = b"".join((text + bytes([end])).ljust(_E7_CELL_BYTES, b"\0") for text, end in texts)
@@ -506,19 +580,48 @@ def _write_csv_7e(path, header: str, table: np.ndarray, first_column: np.ndarray
     as comma-separated '%.7e' cells, byte for byte what np.savetxt(path,
     np.column_stack([first_column, table]), delimiter=",", header=header,
     comments="", fmt="%.7e") writes; the column is joined one batch at a time."""
-    n_cols = table.shape[1] + 1
-    rows = max(1, _CSV_CHUNK_CELLS // n_cols)
-    last = np.arange(rows * n_cols) % n_cols == n_cols - 1
-    sep = np.where(last, _U64(ord("\n") << 48), _U64(ord(",") << 48))
+    _write_blocks_7e(path, header, table.shape[0], _batch_rows(table.shape[1] + 1),
+                     lambda rows, _: (first_column[rows], table[rows]))
+
+
+def _write_blocks_7e(path, header: str, n_rows: int, step: int, block, work=None) -> None:
+    """Write a one-line header, then n_rows rows of '%.7e' cells: for each slice
+    of step rows, block(rows, w) = (first_column, table) of those rows, with w
+    as _map_blocks gives it.  A worker formats the block it made, and the
+    blocks are written in order, so no more than the blocks in flight is held."""
     _e7_tables()  # built once here, not raced for by the workers
-
-    def format_rows(batch: slice, _) -> np.ndarray:
-        joined = np.column_stack([first_column[batch], table[batch]])
-        return _format_7e(joined.reshape(-1), sep[: joined.size])
-
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        _map_blocks(format_rows, table.shape[0], rows, sink=fh.write)
+        _map_blocks(lambda rows, w: _format_rows_7e(*block(rows, w)), n_rows, step, work=work,
+                    sink=fh.writelines)
+
+
+def _batch_rows(n_cols: int) -> int:
+    """Rows of n_cols cells in one batch of the '%.7e' writer."""
+    return max(1, _CSV_CHUNK_CELLS // n_cols)
+
+
+@functools.lru_cache(maxsize=8)
+def _row_separators(n_cols: int, rows: int) -> np.ndarray:
+    """The separator of each cell of `rows` rows of n_cols cells, in bits 48-55:
+    a comma, or a newline after a row's last cell.  Read-only, for every thread."""
+    last = np.arange(rows * n_cols) % n_cols == n_cols - 1
+    sep = np.where(last, _U64(ord("\n") << 48), _U64(ord(",") << 48))
+    sep.flags.writeable = False
+    return sep
+
+
+def _format_rows_7e(first_column: np.ndarray, table: np.ndarray) -> list[np.ndarray]:
+    """The bytes of the rows [first_column[i], *table[i]] as '%.7e' cells, one
+    array per batch of _batch_rows rows."""
+    n_cols = table.shape[1] + 1
+    rows = _batch_rows(n_cols)
+    sep = _row_separators(n_cols, rows)
+    batches = []
+    for lo in range(0, len(table), rows):
+        joined = np.column_stack([first_column[lo : lo + rows], table[lo : lo + rows]])
+        batches.append(_format_7e(joined.reshape(-1), sep[: joined.size]))
+    return batches
 
 
 def comparison_to_json(comparison: RateComparison) -> str:
