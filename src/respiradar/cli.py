@@ -160,6 +160,8 @@ def _run_process_radar(m: RunManifest) -> str:
     from .radar_dsp import phase_trace_to_csv, range_map_csv
     from .spectral import StftParams, rate_series_to_csv
 
+    if m.options["export_phase"] and m.variant == "B":
+        raise ValueError("export_phase needs variant A: variant B has no phase trace")
     stft_params = StftParams.from_dict(m.stft)
     # a window off the grid of the capture's frame rate fails on the header alone
     stft_params.samples(capture_config(m.inputs["capture"]).frame_rate_hz)
@@ -180,7 +182,7 @@ def _run_process_radar(m: RunManifest) -> str:
     rate_series_to_csv(result.rates, out / "rates.csv")
     if m.options["export_range_map"]:
         range_map_csv(cube, out / "range_map.csv")
-    if m.options["export_phase"] and result.phase is not None:
+    if m.options["export_phase"]:
         phase_trace_to_csv(result.phase, out / "phase.csv")
     return f"target bin at {result.target_range_m:.3f} m; wrote {out / 'rates.csv'}"
 

@@ -150,16 +150,6 @@ def chest_displacement(spec: MotionSpec, t) -> np.ndarray:
     return d
 
 
-def beat_signal(scene: SceneSpec, config: RadarConfig, duration_s: float) -> tuple[np.ndarray, float]:
-    """The complex128 beat signal of a scene, [frame][chirp][sample], as
-    synth_cube quantises it, and its peak I/Q component: beat_planes' I and
-    Q planes joined into one complex array."""
-    (i_plane, q_plane), peak = beat_planes(scene, config, duration_s)
-    data = np.empty(i_plane.shape, np.complex128)
-    data.real, data.imag = i_plane, q_plane
-    return data, peak
-
-
 def beat_planes(scene: SceneSpec, config: RadarConfig,
                 duration_s: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """The I and Q planes of a scene's beat signal, two float64 arrays

@@ -308,17 +308,18 @@ def test_process_radar_corrupt_capture_is_input_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_process_radar_header_cut_short_is_input_error(tmp_path):
+@pytest.mark.parametrize("size", [5, 40], ids=["magic-and-version", "cut-capture"])
+def test_process_radar_header_cut_short_is_input_error(recordings, tmp_path, size):
+    # the first bytes of a capture, inside its 78-byte header
     short = tmp_path / "short.rvsc"
-    short.write_bytes(b"RVSC\x01")
+    short.write_bytes(recordings["process-radar"].read_bytes()[:size])
     out = subprocess.run(
         [sys.executable, "-m", "respiradar.cli", "process-radar", str(short),
          "--out", str(tmp_path / "o")],
         env=dict(os.environ, PYTHONPATH=SRC_PATH), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 2
-    assert out.stderr.startswith("error:")
-    assert "Traceback" not in out.stderr
+    assert out.stderr == f"error: container of {size} bytes ends inside its 78-byte header\n"
 
 
 def test_process_radar_short_capture_is_processing_error(runner, scene_json, tmp_path):
@@ -806,6 +807,9 @@ INPUT_FAULTS = {
                                  "band [700.0, 800.0] bpm misses the frequency axis"),
     "radar-range-window-empty": (_process("process-radar", "--min-range-m", "20", "--max-range-m", "30"),
                                  "no bin centre falls inside [20.0, 30.0] m"),
+    # variant B has no phase trace: the pair wrote no phase.csv, with exit 0
+    "radar-variant-b-export-phase": (_process("process-radar", "--variant", "B", "--export-phase"),
+                                     "export_phase needs variant A: variant B has no phase trace"),
     "simulate-duration-0.01": (lambda tmp_path, _: _simulate_scene(tmp_path, "0.01"),
                                "duration covers no complete frame"),
     "simulate-duration-0": (lambda tmp_path, _: _simulate_scene(tmp_path, "0"), "duration covers no complete frame"),
@@ -867,6 +871,21 @@ def test_input_at_fault_exits_2_with_one_error_line(runner, recordings, tmp_path
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0], result.output
     assert not out.exists()
+
+
+def test_rerun_of_variant_b_with_export_phase_fails_before_the_capture_is_read(runner, manifests, tmp_path,
+                                                                              monkeypatch):
+    def never_read(*args, **kwargs):
+        raise AssertionError("the capture was read")
+
+    monkeypatch.setattr(ingest, "load_capture", never_read)
+    manifest = manifests["process-radar"]
+    path = _write_json(tmp_path / "manifest.json", {**manifest, "variant": "B",
+                                                    "options": {**manifest["options"], "export_phase": True}})
+    result = runner.invoke(main, ["rerun", path, "--out", str(tmp_path / "out")])
+    assert_input_error(result)
+    assert result.output.endswith("error: export_phase needs variant A: variant B has no phase trace\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_bug_in_a_runner_is_no_input_error(runner, recordings, tmp_path, monkeypatch):

@@ -125,12 +125,10 @@ def test_range_fft_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thread
     assert same_bits(range_fft(cube).values, range_fft_reference(cube.samples))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("chirps", [1, 3, 4])
 @pytest.mark.parametrize("n_frames", FRAME_COUNTS)
-def test_decode_cube_does_not_depend_on_blocks_or_workers(monkeypatch, fast_thread_switching,
-                                                          workers, chirps, n_frames):
-    monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
+def test_decode_cube_reads_rx_0_of_a_multi_channel_stream(chirps, n_frames):
+    # decoding runs no block loop: it views the stream on the calling thread
     config = dataclasses.replace(short_config(chirps), rx_channels=2)
     stream = random_stream(config, n_frames, seed=n_frames)
     cube = decode_cube(stream, config)

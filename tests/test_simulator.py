@@ -30,7 +30,7 @@ from respiradar.audio_dsp import AudioTrace, load_wav, save_wav
 from respiradar.ingest import IQ_COUNTS, RadarCube
 from respiradar.pipeline import process_audio, process_radar_cube
 from respiradar.radar_dsp import detrend_linear, extract_unwrapped_phase
-from respiradar.simulate import _burst_filter, beat_signal
+from respiradar.simulate import _burst_filter, beat_planes
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -222,8 +222,9 @@ def test_static_reflector_matches_closed_form(config):
     n = config.samples_per_chirp
     window = get_window("hann", n, fftbins=False)
     centre_ref = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
-    signal, peak = beat_signal(scene, config, 2.0)
-    assert peak == max(np.abs(signal.real).max(), np.abs(signal.imag).max())
+    (i_plane, q_plane), peak = beat_planes(scene, config, 2.0)
+    assert peak == max(np.abs(i_plane).max(), np.abs(q_plane).max())
+    signal = i_plane + 1j * q_plane
     values = np.fft.fft(signal.mean(axis=1) * window, axis=1) * centre_ref
     assert np.all(np.argmax(np.abs(values), axis=1) == 10)
 
