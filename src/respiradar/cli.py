@@ -157,7 +157,7 @@ def _run_simulate_audio(m: RunManifest) -> str:
 def _run_process_radar(m: RunManifest) -> str:
     from .ingest import capture_config, load_capture
     from .pipeline import process_radar_cube
-    from .radar_dsp import phase_trace_to_csv, range_map_csv
+    from .radar_dsp import phase_trace_to_csv, range_map_npz
     from .spectral import StftParams, rate_series_to_csv
 
     if m.options["export_phase"] and m.variant == "B":
@@ -181,7 +181,7 @@ def _run_process_radar(m: RunManifest) -> str:
     out = _out_dir(m)
     rate_series_to_csv(result.rates, out / "rates.csv")
     if m.options["export_range_map"]:
-        range_map_csv(cube, out / "range_map.csv")
+        range_map_npz(cube, out / "range_map.npz")
     if m.options["export_phase"]:
         phase_trace_to_csv(result.phase, out / "phase.csv")
     return f"target bin at {result.target_range_m:.3f} m; wrote {out / 'rates.csv'}"
@@ -356,7 +356,7 @@ def cmd_simulate_audio(audio_json, duration_s, seed, out_dir) -> RunManifest:
 @click.option("--max-range-m", type=float, default=0.80, show_default=True)
 @click.option("--detrend/--no-detrend", default=True, show_default=True,
               help="Remove a linear drift from the unwrapped phase.")
-@click.option("--export-range-map", is_flag=True, help="Also write range_map.csv.")
+@click.option("--export-range-map", is_flag=True, help="Also write range_map.npz, the complex range map.")
 @click.option("--export-phase", is_flag=True, help="Also write phase.csv (variant A).")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_process_radar(**flags) -> RunManifest:

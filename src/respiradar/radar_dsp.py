@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,7 @@ from .errors import (
     ZeroMagnitudeError,
 )
 from .ingest import RadarCube
-from .spectral import (_FRAME_BLOCK, _map_blocks, _write_blocks_7e, _write_csv_7e, _write_csv_10g,
-                       cosine_window)
+from .spectral import _FRAME_BLOCK, _map_blocks, _write_csv_10g, cosine_window
 
 
 @dataclass
@@ -220,44 +220,26 @@ def detrend_linear(samples: np.ndarray) -> np.ndarray:
     return samples - design @ coef
 
 
-def range_time_map_to_csv(rmap: RangeTimeMap, path) -> None:
-    """Export per-frame bin powers in dB (columns: frame_time_s, then bins).
-
-    A zero-magnitude cell reads -300 dB.  The dB values are computed in
-    place in one (frames, bins) array.
-    """
-    _write_csv_7e(path, _range_map_header(rmap.bin_ranges_m()), _power_db(rmap.values),
-                  first_column=rmap.frame_times_s)
-
-
-def range_map_csv(cube: RadarCube, path) -> None:
-    """range_time_map_to_csv(range_fft(cube), path), byte for byte, with no
-    range map held: each block of frames is transformed, turned into dB and
-    formatted by one worker, and the blocks are written in order."""
+def range_map_npz(cube: RadarCube, path) -> None:
+    """Write range_fft(cube) to path as an .npz of RangeTimeMap's fields, so
+    RangeTimeMap(**np.load(path)) equals it bit for bit, with no range map
+    held: each block of frames is transformed by one worker into a new array,
+    and the blocks' bytes follow the values header in order."""
     compress = _range_compressor(cube)
     n = cube.config.samples_per_chirp
-    times = cube.frame_timestamps
-
-    def block(frames: slice, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return times[frames], _power_db(compress(frames, rows))
-
-    _write_blocks_7e(path, _range_map_header(np.arange(n) * cube.config.range_bin_spacing_m),
-                     cube.n_frames, _FRAME_BLOCK, block,
-                     work=lambda: np.empty((_FRAME_BLOCK, n), np.complex128))
-
-
-def _range_map_header(centres: np.ndarray) -> str:
-    return "frame_time_s," + ",".join(f"db_at_{r:.4f}m" for r in centres)
-
-
-def _power_db(values: np.ndarray) -> np.ndarray:
-    """20 log10 |values|, a new array; a zero-magnitude cell reads -300 dB."""
-    power_db = np.abs(values)
-    nonzero = power_db > 0
-    np.log10(power_db, out=power_db, where=nonzero)
-    power_db *= 20.0
-    power_db[~nonzero] = -300.0
-    return power_db
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.complex128)),
+              "fortran_order": False, "shape": (cube.n_frames, n)}
+    # members opened for writing are stamped 1980-01-01, as np.savez's are: the bytes repeat
+    with zipfile.ZipFile(path, "w") as npz:
+        with npz.open("values.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            _map_blocks(lambda frames, _: compress(frames, np.empty((_FRAME_BLOCK, n), np.complex128)),
+                        cube.n_frames, _FRAME_BLOCK, sink=fh.write)
+        for name, value in (("frame_times_s", cube.frame_timestamps),
+                            ("bin_spacing_m", cube.config.range_bin_spacing_m),
+                            ("frame_rate_hz", cube.config.frame_rate_hz)):
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(value, np.float64))
 
 
 def phase_trace_to_csv(trace: PhaseTrace, path) -> None:

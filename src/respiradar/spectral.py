@@ -459,6 +459,11 @@ def rate_series_from_csv(path) -> RateSeries:
     table = np.loadtxt(rows, delimiter=",", ndmin=2)
     if table.shape[1] != 3:
         raise ValueError(f"rate CSV must have columns {RATE_CSV_HEADER}")
+    bad = np.argwhere(~np.isfinite(table))  # loadtxt reads nan and inf cells as floats
+    if bad.size:
+        row, column = bad[0]
+        raise ValueError(f"rate CSV {path}: column {RATE_CSV_HEADER.split(',')[column]} holds "
+                         f"{table[row, column]}, not a finite number")
     return RateSeries(times_s=table[:, 0], rates_bpm=table[:, 1], magnitudes=table[:, 2])
 
 
@@ -625,5 +630,6 @@ def _format_rows_7e(first_column: np.ndarray, table: np.ndarray) -> list[np.ndar
 
 
 def comparison_to_json(comparison: RateComparison) -> str:
-    """Single-line JSON summary of a comparison."""
-    return json.dumps(asdict(comparison), sort_keys=True)
+    """Single-line JSON summary of a comparison; a non-finite metric is a
+    ValueError, as JSON has no NaN or Infinity."""
+    return json.dumps(asdict(comparison), sort_keys=True, allow_nan=False)

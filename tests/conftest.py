@@ -42,6 +42,16 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_npz_holds_range_map(path, rmap) -> None:
+    """The .npz at path holds rmap's four RangeTimeMap fields, bit for bit."""
+    from respiradar import RangeTimeMap
+
+    with np.load(path) as npz:
+        saved = RangeTimeMap(**npz)
+    for field in ("values", "frame_times_s", "bin_spacing_m", "frame_rate_hz"):
+        assert same_bits(getattr(saved, field), np.asarray(getattr(rmap, field))), field
+
+
 def random_iq_counts(shape, seed=0) -> np.ndarray:
     """Uniform int16 I/Q counts of the given [frame][chirp][sample] shape,
     as a RadarCube holds them."""

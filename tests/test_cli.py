@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import breathing_scene
-from respiradar import RadarConfig, audio_dsp, ingest
+from conftest import assert_npz_holds_range_map, breathing_scene
+from respiradar import RadarConfig, audio_dsp, ingest, range_fft
 from respiradar.cli import COMMANDS, main
 from respiradar.ingest import load_capture
-from respiradar.spectral import RateSeries, rate_series_from_csv, rate_series_to_csv
+from respiradar.spectral import RATE_CSV_HEADER, RateSeries, rate_series_from_csv, rate_series_to_csv
 
 # PYTHONPATH for a fresh interpreter that runs this checkout's sources
 SRC_PATH = os.pathsep.join(
@@ -341,8 +341,12 @@ def test_process_radar_exports(runner, scene_json, tmp_path):
         ],
     )
     assert result.exit_code == 0
-    assert (out / "range_map.csv").exists()
     assert (out / "phase.csv").exists()
+    # the range map is saved as the array range_fft returns, and replays to the same bytes
+    assert_npz_holds_range_map(out / "range_map.npz", range_fft(load_capture(capture)))
+    replay = tmp_path / "replay"
+    assert runner.invoke(main, ["rerun", str(out / "manifest.json"), "--out", str(replay)]).exit_code == 0
+    assert (replay / "range_map.npz").read_bytes() == (out / "range_map.npz").read_bytes()
 
 
 def test_process_audio_and_compare(runner, scene_json, audio_json, tmp_path):
@@ -796,6 +800,17 @@ def _inputs(command, make):
     return args
 
 
+def _compare_rate_cell(cell):
+    """compare of a rate CSV whose second rate cell is cell with a finite one."""
+    def args(tmp_path, recordings):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, rate in zip(paths, (cell, "15")):
+            path.write_text(f"{RATE_CSV_HEADER}\n0,15,1\n1,{rate},1\n", encoding="utf-8")
+        return ["compare", *map(str, paths)]
+
+    return args
+
+
 # a flag, spec or file at fault, and its one error line: the band, range-window and
 # short-duration cases exited 3 as processing errors, the malformed pairs printed an
 # unpacking message or a TypeError, and the finite numbers whose arithmetic overflows
@@ -855,6 +870,9 @@ INPUT_FAULTS = {
         lambda tmp_path, _: _simulate_scene(tmp_path, snr_db=None, targets=[[VALID_SCENE["targets"][0][0], 1e308]],
                                             static_reflectors=[[3.0, 1e308]]),
         "the beat signal peaks at inf, not a finite value"),
+    # loadtxt read the cells as floats, and compare printed NaN or Infinity, which is no JSON, with exit 0
+    "compare-nan-rate": (_compare_rate_cell("nan"), "a.csv: column rate_bpm holds nan, not a finite number"),
+    "compare-inf-rate": (_compare_rate_cell("inf"), "a.csv: column rate_bpm holds inf, not a finite number"),
     **{f"{command}-missing": (_inputs(command, lambda path: None), "[Errno 2] No such file or directory: ")
        for command in ("process-radar", "process-audio", "compare")},
     **{f"{command}-directory": (_inputs(command, Path.mkdir), "Is a directory: ")

@@ -19,7 +19,7 @@ from respiradar import (
     synth_cube,
     write_capture,
 )
-from respiradar import radar_dsp, spectral
+from respiradar import spectral
 from respiradar.ingest import IQ_COUNTS
 from respiradar.errors import (
     EmptyCubeError,
@@ -27,7 +27,7 @@ from respiradar.errors import (
     WindowEmptyError,
     ZeroMagnitudeError,
 )
-from respiradar.radar_dsp import RangeTimeMap, detrend_linear, range_time_map_to_csv
+from respiradar.radar_dsp import RangeTimeMap, detrend_linear
 from respiradar.spectral import StftParams, extract_rate, stft
 
 
@@ -173,48 +173,6 @@ def test_select_scale_invariance(config):
 
 
 # --- clutter_remove -----------------------------------------------------------
-
-
-def test_range_map_csv_matches_savetxt(tmp_path):
-    rng = np.random.default_rng(6)
-    values = (rng.standard_normal((60, 16)) + 1j * rng.standard_normal((60, 16))) * 10.0 ** rng.uniform(-6, 6, (60, 16))
-    values[::7, ::3] = 0.0  # written as -300 dB
-    rmap = RangeTimeMap(values, 0.05, 20.0, np.arange(60) / 20.0)
-    range_time_map_to_csv(rmap, tmp_path / "range_map.csv")
-
-    mags = np.abs(values)
-    with np.errstate(divide="ignore"):
-        power_db = np.where(mags > 0, 20.0 * np.log10(mags), -300.0)
-    header = "frame_time_s," + ",".join(f"db_at_{r:.4f}m" for r in rmap.bin_ranges_m())
-    table = np.column_stack([rmap.frame_times_s, power_db])
-    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header=header, comments="", fmt="%.7e")
-    written = (tmp_path / "range_map.csv").read_bytes()
-    assert written == (tmp_path / "ref.csv").read_bytes()
-    assert b",-3.0000000e+02," in written
-
-
-def test_range_map_csv_holds_one_table(tmp_path, monkeypatch):
-    # the export computes its dB values in place: up to the moment the writer
-    # gets them, at most 1.3x their (frames, bins) table is allocated
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal((7200, 256)) + 1j * rng.standard_normal((7200, 256))
-    rmap = RangeTimeMap(values, 0.05, 20.0, np.arange(7200) / 20.0)
-    seen = {}
-
-    def writer(path, header, table, first_column):
-        seen["peak"] = tracemalloc.get_traced_memory()[1]
-        seen["table"] = table
-        seen["first_column"] = first_column
-
-    monkeypatch.setattr(radar_dsp, "_write_csv_7e", writer)
-    tracemalloc.start()
-    try:
-        range_time_map_to_csv(rmap, tmp_path / "range_map.csv")
-    finally:
-        tracemalloc.stop()
-    assert seen["table"].shape == (7200, 256)
-    assert seen["first_column"] is rmap.frame_times_s
-    assert seen["peak"] <= 1.3 * seen["table"].nbytes
 
 
 def test_clutter_remove_constant():

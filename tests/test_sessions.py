@@ -90,13 +90,13 @@ WRITTEN = {
     "audio": ["envelope.csv", "rates.csv", "spectrogram.csv"],
     "audioD": ["envelope.csv", "rates.csv", "spectrogram.csv"],
     "sim": ["capture.rvsc", "truth.csv"],
-    "radar": ["rates.csv", "spectrogram.csv", "range_map.csv", "phase.csv"],
+    "radar": ["rates.csv", "spectrogram.csv", "range_map.npz", "phase.csv"],
     "radarB": ["rates.csv", "spectrogram.csv"],
     "sim4": ["capture.rvsc", "truth.csv"],
-    "radar4": ["rates.csv", "spectrogram.csv", "range_map.csv", "phase.csv"],
-    "radar4B": ["rates.csv", "spectrogram.csv", "range_map.csv"],
+    "radar4": ["rates.csv", "spectrogram.csv", "range_map.npz", "phase.csv"],
+    "radar4B": ["rates.csv", "spectrogram.csv", "range_map.npz"],
     "sim90": ["capture.rvsc", "truth.csv"],
-    "radar90": ["rates.csv", "spectrogram.csv", "range_map.csv"],
+    "radar90": ["rates.csv", "spectrogram.csv", "range_map.npz"],
     "radar90B": ["rates.csv", "spectrogram.csv"],
     "wav90": ["breath.wav", "truth.csv"],
     "audio90": ["envelope.csv", "rates.csv", "spectrogram.csv"],

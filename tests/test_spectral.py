@@ -14,6 +14,7 @@ from respiradar import RateSeries, StftParams, compare_rates, extract_rate, stft
 from respiradar.errors import EmptyBandError, NoOverlapError, TraceTooShortError
 from respiradar import spectral
 from respiradar.spectral import (
+    RateComparison,
     Spectrogram,
     comparison_to_json,
     cosine_window,
@@ -514,6 +515,26 @@ def test_comparison_json_single_line():
     text = comparison_to_json(compare_rates(a, a))
     assert "\n" not in text
     assert '"mae_bpm"' in text
+
+
+def test_comparison_json_has_no_nan_or_infinity():
+    # json.dumps wrote NaN and Infinity, which no JSON parser accepts
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            comparison_to_json(RateComparison(mae_bpm=value, rmse_bpm=value, within_2bpm_fraction=0.0,
+                                              n_instants=1))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_rate_csv_with_a_non_finite_cell_names_its_column(tmp_path, cell, column):
+    path = tmp_path / "rates.csv"
+    row = ["1", "15", "0.5"]
+    row[column] = cell
+    path.write_text(f"{spectral.RATE_CSV_HEADER}\n0,15,0.5\n{','.join(row)}\n", encoding="utf-8")
+    name = spectral.RATE_CSV_HEADER.split(",")[column]
+    with pytest.raises(ValueError, match=f"rates.csv: column {name} holds {cell}, not a finite number"):
+        rate_series_from_csv(path)
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n# a comment\n  \n"], ids=["none", "blank", "comment"])

@@ -1,22 +1,21 @@
-"""The chains read their rates, and write the spectrogram and range-map CSVs,
-one block at a time, with no whole-recording array held: the same rates and
-bytes as the whole-array stages at any worker count and on either side of a
-block boundary, a result's spectrogram and range map computed on access bit
-for bit as the eager stages compute them, and a traced peak that stays
-below one whole spectrogram on a long recording."""
+"""The chains read their rates, and write the spectrogram CSV and the range
+map's .npz, one block at a time, with no whole-recording array held: the
+same rates and bytes as the whole-array stages at any worker count and on
+either side of a block boundary, a result's spectrogram and range map
+computed on access bit for bit as the eager stages compute them, and a
+traced peak that stays below one whole spectrogram on a long recording."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import breathing_scene, random_iq_counts, same_bits
+from conftest import assert_npz_holds_range_map, breathing_scene, random_iq_counts, same_bits
 from respiradar import (AudioTrace, RadarConfig, RadarCube, StftParams, extract_rate, process_audio,
                         process_radar_cube, range_fft, select_target_bin, stft, synth_audio, synth_cube)
 from respiradar import spectral
 from respiradar.errors import EmptyBandError
-from respiradar.radar_dsp import (clutter_remove, detrend_linear, extract_unwrapped_phase, range_map_csv,
-                                  range_time_map_to_csv)
+from respiradar.radar_dsp import clutter_remove, detrend_linear, extract_unwrapped_phase, range_map_npz
 from respiradar.simulate import BreathAudioSpec
 from respiradar.spectral import spectrogram_to_csv
 
@@ -133,16 +132,15 @@ def short_config(chirps):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n_frames", [1, spectral._FRAME_BLOCK - 1, spectral._FRAME_BLOCK + 1,
                                       2 * spectral._FRAME_BLOCK + 3])
-def test_range_map_csv_of_the_cube_equals_the_whole_map_export(tmp_path, monkeypatch, fast_thread_switching,
-                                                               workers, n_frames):
+def test_range_map_npz_of_the_cube_holds_the_whole_map(tmp_path, monkeypatch, fast_thread_switching, workers,
+                                                       n_frames):
     monkeypatch.setattr(spectral, "_worker_count", lambda: workers)
     config = short_config(3)
     data = random_iq_counts((n_frames, 3, config.samples_per_chirp), seed=n_frames)
-    data[0] = np.zeros((), data.dtype)  # a frame of zero counts: every bin reads -300 dB
+    data[0] = np.zeros((), data.dtype)  # a frame of zero counts: every bin is 0
     cube = RadarCube(config=config, data=data, frame_timestamps=np.arange(n_frames) / 20.0)
-    range_time_map_to_csv(range_fft(cube), tmp_path / "whole.csv")
-    range_map_csv(cube, tmp_path / "blocks.csv")
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    range_map_npz(cube, tmp_path / "range_map.npz")
+    assert_npz_holds_range_map(tmp_path / "range_map.npz", range_fft(cube))
 
 
 def traced_peak(run) -> int:
@@ -172,7 +170,7 @@ def test_radar_chain_holds_no_whole_recording_array(tmp_path, variant):
     # a whole spectrogram or range map is 98-219 MB here; the target window's
     # 15 range bins and the blocks in flight take about 14 MB
     assert peak < min(spectrogram_bytes, range_map_bytes) / 5, peak
-    peak = traced_peak(lambda: range_map_csv(cube, tmp_path / "range_map.csv"))
+    peak = traced_peak(lambda: range_map_npz(cube, tmp_path / "range_map.npz"))
     assert peak < range_map_bytes / 5, peak
 
 
