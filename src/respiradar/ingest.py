@@ -15,14 +15,22 @@ A cube holds int16 I/Q counts only, as the radar sends them: a decoded
 capture or wire stream keeps rx 0's counts as a read-only view of the
 stream, and encoding writes a cube's counts as they are, so decoding and
 encoding are exact inverses.  The range FFT reads the counts as they are.
+
+The stream is held once on its way in.  A datagram parsed from a read-only
+packet holds the packet and reads its payload as a view of it, and
+``reassemble`` copies each payload once, into a stream allocated at its
+final size: the card's maximal packets in blocks, any other datagram on its
+own.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import socket
 import struct
 from dataclasses import astuple, dataclass
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -59,16 +67,51 @@ IQ_COUNTS = np.dtype([("i", "<i2"), ("q", "<i2")])
 class Datagram(NamedTuple):
     """One wire packet: sequence number, cumulative byte offset, payload.
 
-    A parsed payload is a read-only memoryview of its packet when the packet
-    is read-only (``bytes``), and ``bytes`` copied out of it when the packet
-    is writable, so a list of parsed datagrams holds no second copy of the
-    stream.  A view compares equal to the bytes it shows, but cannot be
-    pickled: ``bytes(payload)`` can.
+    A Datagram built from its fields holds them as given.  parse_datagram
+    gives one of two kinds.  From a read-only packet (``bytes``) it gives a
+    Datagram that is the tuple (seq, byte_count, packet): its payload is a
+    read-only memoryview of the packet, made each time it is read, so a
+    list of parsed datagrams holds no second copy of the stream and each
+    datagram is one object for the cyclic GC to track.  From a writable
+    packet it gives the fields, with the payload copied to ``bytes``.
+    Either kind compares and hashes by its fields, so a parsed datagram
+    equals the Datagram built from its packet's fields.  A view compares
+    equal to the bytes it shows, but cannot be pickled: ``bytes(payload)``
+    can.
     """
 
     seq: int
     byte_count: int
     payload: bytes | memoryview
+
+
+class _ParsedDatagram(Datagram):
+    """A Datagram that is the tuple (seq, byte_count, packet) of its
+    read-only packet."""
+
+    __slots__ = ()
+
+    @property
+    def payload(self) -> memoryview:
+        return memoryview(self[2])[DATAGRAM_HEADER_BYTES:]
+
+    def _fields_tuple(self) -> tuple:
+        return (self.seq, self.byte_count, self.payload)
+
+    def __eq__(self, other):
+        return self._fields_tuple() == other
+
+    def __ne__(self, other):
+        return self._fields_tuple() != other
+
+    def __hash__(self):
+        return hash(self._fields_tuple())
+
+    def __repr__(self):
+        return repr(Datagram(*self._fields_tuple()))
+
+    def _replace(self, **fields) -> Datagram:
+        return Datagram(*self._fields_tuple())._replace(**fields)
 
 
 @dataclass(frozen=True)
@@ -85,11 +128,11 @@ def parse_datagram(buf) -> Datagram:
     """Parse one raw wire packet (any bytes-like object); the only place a
     packet is validated.
 
-    The payload is a read-only memoryview of a read-only packet, whose
-    ``obj`` is the packet: nothing is copied.  A writable packet (a
-    bytearray, a writable memoryview) is not aliased: its payload is
-    copied to bytes, so a later write into the packet cannot change the
-    datagram.
+    A read-only packet (``bytes``) is held as it is, and the payload is
+    read as a read-only memoryview of it whose ``obj`` is the packet:
+    nothing is copied.  A writable packet (a bytearray, a writable
+    memoryview) is not aliased: its payload is copied to bytes, so a later
+    write into the packet cannot change the datagram.
 
     Raises DatagramTooShortError below 11 bytes and PayloadTooLargeError
     above header + 1456 bytes; any other byte content is accepted.
@@ -103,11 +146,13 @@ def parse_datagram(buf) -> Datagram:
             f"payload of {len(buf) - DATAGRAM_HEADER_BYTES} bytes exceeds {MAX_PAYLOAD_BYTES}"
         )
     seq, offset_lo, offset_hi = _DATAGRAM_HEADER.unpack_from(buf)
-    payload = memoryview(buf)[DATAGRAM_HEADER_BYTES:]
-    if not payload.readonly:
-        payload = bytes(payload)
-    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-    return tuple.__new__(Datagram, (seq, offset_lo | offset_hi << 32, payload))
+    byte_count = offset_lo | offset_hi << 32
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates;
+    # the type test spares a bytes packet, the common case, a memoryview
+    if type(buf) is bytes or memoryview(buf).readonly:
+        return tuple.__new__(_ParsedDatagram, (seq, byte_count, buf))
+    payload = bytes(memoryview(buf)[DATAGRAM_HEADER_BYTES:])
+    return tuple.__new__(Datagram, (seq, byte_count, payload))
 
 
 def serialize_datagram(dgram: Datagram) -> bytes:
@@ -130,6 +175,9 @@ def stream_to_datagrams(stream) -> list[Datagram]:
     ]
 
 
+_BLOCK_PACKETS = 128  # maximal packets per join: 188 KB held beside the stream
+
+
 def reassemble(datagrams) -> tuple[bytes, LossReport]:
     """Rebuild the byte stream from datagrams in any arrival order.
 
@@ -137,49 +185,79 @@ def reassemble(datagrams) -> tuple[bytes, LossReport]:
     offsets, so downstream frame indexing stays aligned; a gap must hold
     between 1 and 1456 bytes per missing datagram, or the offsets are
     inconsistent.  Duplicate packets are tolerated when they are the same
-    datagram: offset and payload.  The payloads, bytes or views, are copied
-    once, into the joined stream.
+    datagram: offset and payload.
+
+    The payloads are copied once, into a stream allocated at its final
+    size.  Parsed maximal packets (1456 payload bytes at an offset that is
+    a multiple of 1456), as the card sends them, are copied in blocks: one
+    join of the packets, whose payload rows are copied to their place in
+    the stream at once.  Any other datagram is copied on its own.
     """
-    by_seq: dict[int, Datagram] = {}
-    for dgram in datagrams:
-        prev = by_seq.get(dgram.seq)
-        if prev is not None and prev != dgram:
-            raise DuplicateSeqError(f"seq {dgram.seq} received twice with differing contents")
-        by_seq[dgram.seq] = dgram
-    if not by_seq:
+    arrivals = list(datagrams)
+    if not arrivals:
         raise ValueError("no datagrams to reassemble")
+    n = len(arrivals)
+    seqs = np.fromiter(map(attrgetter("seq"), arrivals), np.int64, n)
+    byte_counts = np.fromiter(map(attrgetter("byte_count"), arrivals), np.int64, n)
+    parsed = np.fromiter(map(type, arrivals), object, n) == _ParsedDatagram
+    # item 2 is a parsed datagram's packet, and any other's payload
+    sizes = np.fromiter(map(len, map(itemgetter(2), arrivals)), np.int64, n)
+    sizes -= DATAGRAM_HEADER_BYTES * parsed
 
-    parts: list = []
-    gaps: list[tuple[int, int]] = []
-    zero_filled = 0
-    next_seq = 0
-    expected_offset = 0
-    for seq in sorted(by_seq):
-        _, byte_count, payload = by_seq[seq]
-        missing = seq - next_seq
-        fill = byte_count - expected_offset
-        # 1 to MAX_PAYLOAD_BYTES bytes per missing datagram: none missing leaves no gap,
-        # and an offset that goes back (a negative gap) fails whatever the count
-        if not missing <= fill <= missing * MAX_PAYLOAD_BYTES:
-            raise NonMonotonicByteCountError(
-                f"seq {seq} at byte offset {byte_count} leaves a {fill}-byte gap after byte "
-                f"{expected_offset}, which {missing} missing datagrams cannot carry"
-            )
-        if missing:
-            gaps.append((next_seq, missing))
-            zero_filled += fill
-            parts.append(bytes(fill))
-        parts.append(payload)
-        expected_offset = byte_count + len(payload)
-        next_seq = seq + 1
+    order = np.argsort(seqs, kind="stable")
+    repeat_of_previous = seqs[order[1:]] == seqs[order[:-1]]
+    if repeat_of_previous.any():
+        # the first arrival that differs from the one of its seq before it
+        differing = [
+            int(order[i + 1])
+            for i in np.flatnonzero(repeat_of_previous).tolist()
+            if arrivals[order[i]] != arrivals[order[i + 1]]
+        ]
+        if differing:
+            seq = arrivals[min(differing)].seq
+            raise DuplicateSeqError(f"seq {seq} received twice with differing contents")
+        order = order[np.concatenate(([True], ~repeat_of_previous))]
+    seqs, byte_counts, sizes, parsed = seqs[order], byte_counts[order], sizes[order], parsed[order]
 
+    ends = byte_counts + sizes
+    prev_ends = np.concatenate(([0], ends[:-1]))
+    missing = seqs - np.concatenate(([0], seqs[:-1] + 1))
+    fills = byte_counts - prev_ends
+    # 1 to MAX_PAYLOAD_BYTES bytes per missing datagram: none missing leaves no gap,
+    # and an offset that goes back (a negative gap) fails whatever the count
+    bad = np.flatnonzero((fills < missing) | (fills > missing * MAX_PAYLOAD_BYTES))
+    if bad.size:
+        i = bad[0]
+        raise NonMonotonicByteCountError(
+            f"seq {seqs[i]} at byte offset {byte_counts[i]} leaves a {fills[i]}-byte gap after "
+            f"byte {prev_ends[i]}, which {missing[i]} missing datagrams cannot carry"
+        )
+    gap_at = np.flatnonzero(missing)
     report = LossReport(
-        expected_datagrams=next_seq,
-        received=len(by_seq),
-        gaps=tuple(gaps),
-        zero_filled_bytes=zero_filled,
+        expected_datagrams=int(seqs[-1]) + 1,
+        received=seqs.size,
+        gaps=tuple(zip((seqs[gap_at] - missing[gap_at]).tolist(), missing[gap_at].tolist())),
+        zero_filled_bytes=int(fills[gap_at].sum()),
     )
-    return b"".join(parts), report
+
+    total = int(ends[-1])
+    # the zeroed stream: as the only holder of these bytes, the BytesIO lends
+    # them to getbuffer, and hands them over in getvalue, without a copy
+    out = io.BytesIO(bytes(total))
+    maximal = parsed & (sizes == MAX_PAYLOAD_BYTES) & (byte_counts % MAX_PAYLOAD_BYTES == 0)
+    with out.getbuffer() as view:
+        stream = np.frombuffer(view, np.uint8)
+        rows = stream[: total - total % MAX_PAYLOAD_BYTES].reshape(-1, MAX_PAYLOAD_BYTES)
+        in_blocks = np.flatnonzero(maximal)
+        for start in range(0, in_blocks.size, _BLOCK_PACKETS):
+            block = in_blocks[start : start + _BLOCK_PACKETS]
+            joined = b"".join([arrivals[i][2] for i in order[block].tolist()])
+            packets = np.frombuffer(joined, np.uint8).reshape(block.size, _MAX_DATAGRAM_BYTES)
+            rows[byte_counts[block] // MAX_PAYLOAD_BYTES] = packets[:, DATAGRAM_HEADER_BYTES:]
+        for i in np.flatnonzero(~maximal).tolist():
+            view[byte_counts[i] : ends[i]] = arrivals[order[i]].payload
+        del stream, rows  # numpy's exports of the view, which must end before it is released
+    return out.getvalue(), report
 
 
 @dataclass

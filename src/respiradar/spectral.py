@@ -406,7 +406,8 @@ def compare_rates(
     """Metrics over instants of `a` matched to the nearest instant of `b`.
 
     Pairs further apart than max_gap_s are discarded; no interpolation is
-    performed.  Raises NoOverlapError when nothing pairs up.
+    performed.  Raises NoOverlapError when nothing pairs up, and a
+    ValueError that names the metric when one is not finite.
     """
     if a.times_s.size == 0 or b.times_s.size == 0:
         raise NoOverlapError("empty rate series")
@@ -425,9 +426,14 @@ def compare_rates(
     if not keep.any():
         raise NoOverlapError(f"no instants within {max_gap_s} s of each other")
 
-    diff = a.rates_bpm[keep] - rb[pick[keep]]
-    mae = float(np.mean(np.abs(diff)))
-    rmse = float(np.sqrt(np.mean(diff**2)))
+    # rates far enough apart overflow to inf: an error that names the metric, no warning
+    with np.errstate(over="ignore"):
+        diff = a.rates_bpm[keep] - rb[pick[keep]]
+        mae = float(np.mean(np.abs(diff)))
+        rmse = float(np.sqrt(np.mean(diff**2)))
+    for name, value in (("mae_bpm", mae), ("rmse_bpm", rmse)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is {value}, not a finite number")
     fraction = float(np.mean(np.abs(diff) <= 2.0))
     return RateComparison(
         mae_bpm=mae,

@@ -800,11 +800,11 @@ def _inputs(command, make):
     return args
 
 
-def _compare_rate_cell(cell):
-    """compare of a rate CSV whose second rate cell is cell with a finite one."""
+def _compare_rate_cell(cell, other="15"):
+    """compare of a rate CSV whose second rate cell is cell with one whose second is other."""
     def args(tmp_path, recordings):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path, rate in zip(paths, (cell, "15")):
+        for path, rate in zip(paths, (cell, other)):
             path.write_text(f"{RATE_CSV_HEADER}\n0,15,1\n1,{rate},1\n", encoding="utf-8")
         return ["compare", *map(str, paths)]
 
@@ -873,6 +873,8 @@ INPUT_FAULTS = {
     # loadtxt read the cells as floats, and compare printed NaN or Infinity, which is no JSON, with exit 0
     "compare-nan-rate": (_compare_rate_cell("nan"), "a.csv: column rate_bpm holds nan, not a finite number"),
     "compare-inf-rate": (_compare_rate_cell("inf"), "a.csv: column rate_bpm holds inf, not a finite number"),
+    # the difference overflowed with a RuntimeWarning, and the JSON error named no metric
+    "compare-far-apart-rates": (_compare_rate_cell("1e308", "-1e308"), "mae_bpm is inf, not a finite number"),
     **{f"{command}-missing": (_inputs(command, lambda path: None), "[Errno 2] No such file or directory: ")
        for command in ("process-radar", "process-audio", "compare")},
     **{f"{command}-directory": (_inputs(command, Path.mkdir), "Is a directory: ")

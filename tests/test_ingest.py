@@ -1,3 +1,4 @@
+import gc
 import socket
 import struct
 import tracemalloc
@@ -38,6 +39,7 @@ from respiradar.ingest import (
     BYTES_PER_SAMPLE,
     IQ_COUNTS,
     MAX_PAYLOAD_BYTES,
+    LossReport,
     frame_stream_bytes,
     stream_to_datagrams,
 )
@@ -136,6 +138,35 @@ def test_parse_keeps_a_read_only_view_of_a_bytes_packet():
     assert dgram.payload.obj is packet
     assert dgram.payload.readonly
     assert dgram.payload == packet[10:]
+
+
+def test_parsing_a_read_only_packet_leaves_one_object_for_the_gc():
+    # the datagram, its payload memoryview and the view's managed buffer were
+    # three GC-tracked objects per packet, which set off most of the parse's
+    # collections
+    n = 1000
+    packets = [make_raw(seq, seq * MAX_PAYLOAD_BYTES, bytes(MAX_PAYLOAD_BYTES)) for seq in range(n)]
+    parsed = []
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        parsed.extend(map(parse_datagram, packets))
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added <= n
+    assert all(d.payload.obj is packet for d, packet in zip(parsed, packets))
+
+
+def test_a_parsed_datagram_is_the_datagram_of_its_fields():
+    packet = make_raw(3, 4368, bytes(range(200)))
+    parsed = parse_datagram(packet)
+    built = Datagram(3, 4368, bytes(range(200)))
+    assert parsed == built and built == parsed and not parsed != built
+    assert hash(parsed) == hash(built)
+    assert repr(parsed).startswith("Datagram(seq=3, byte_count=4368, payload=<memory at ")
+    assert parsed._replace(seq=4) == built._replace(seq=4)
+    assert parse_datagram(make_raw(3, 4368, bytes(200))) != parsed
 
 
 @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
@@ -294,8 +325,8 @@ def test_reassemble_rejects_a_gap_its_missing_datagrams_cannot_carry():
 
 
 def test_parse_and_reassemble_hold_the_stream_about_once():
-    # parsed payloads are views of their packets, so beside the packets only
-    # the joined stream and the per-datagram objects are allocated
+    # a parsed datagram holds its packet, so beside the packets only the
+    # stream, one block's join and the per-datagram arrays are allocated
     stream = np.random.default_rng(45).bytes(2000 * MAX_PAYLOAD_BYTES)
     packets = [serialize_datagram(d) for d in stream_to_datagrams(stream)]
     tracemalloc.start()
@@ -341,24 +372,56 @@ def test_reassembly_conservation_under_random_loss():
         assert stream == bytes(expected)
 
 
+# a stream cut into datagrams piece by piece: a maximal one at an offset that is a
+# multiple of 1456; two that fill one such row; or a maximal one between two
+# short ones, at an unaligned offset
+PIECES = st.one_of(
+    st.just((MAX_PAYLOAD_BYTES,)),
+    st.integers(1, MAX_PAYLOAD_BYTES - 1).map(lambda k: (k, MAX_PAYLOAD_BYTES - k)),
+    st.integers(1, MAX_PAYLOAD_BYTES - 1).map(lambda k: (k, MAX_PAYLOAD_BYTES, MAX_PAYLOAD_BYTES - k)),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    length=st.integers(1, 12 * MAX_PAYLOAD_BYTES),
-    data=st.data(),
+    maximal=st.integers(0, 300),
+    pieces=st.lists(PIECES, max_size=6),
+    last=st.integers(0, MAX_PAYLOAD_BYTES - 1),
+    kind=st.sampled_from(["parsed", "constructed", "mixed"]),
 )
-def test_reassemble_matches_bytearray_build(seed, length, data):
-    datagrams = stream_to_datagrams(np.random.default_rng(seed).bytes(length))
-    kept = [d for d in datagrams if data.draw(st.integers(0, 3), label="loss") != 0]
+def test_reassemble_matches_bytearray_build(seed, maximal, pieces, last, kind):
+    # parsed maximal packets are copied in blocks, across block boundaries and
+    # around gaps; every other datagram on its own, parsed or constructed
+    sizes = [MAX_PAYLOAD_BYTES] * maximal + [size for piece in pieces for size in piece] + [last] * (last > 0)
+    assume(sizes)
+    rng = np.random.default_rng(seed)
+    source = rng.bytes(sum(sizes))
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).tolist()
+    datagrams = [Datagram(seq, offset, source[offset : offset + size])
+                 for seq, (offset, size) in enumerate(zip(offsets, sizes))]
+    kept = [d for d in datagrams if rng.integers(4) != 0]
     assume(kept)
-    duplicates = [d for d in kept if data.draw(st.booleans(), label="duplicate")]
-    arrivals = data.draw(st.permutations(kept + duplicates), label="arrival order")
+    duplicates = [d for d in kept if rng.integers(2)]
+    parse = {"parsed": np.ones, "constructed": np.zeros, "mixed": lambda n: rng.integers(2, size=n)}[kind]
+    arrivals = [parse_datagram(serialize_datagram(d)) if as_packet else d
+                for d, as_packet in zip(kept + duplicates, parse(len(kept) + len(duplicates)))]
+    arrivals = [arrivals[i] for i in rng.permutation(len(arrivals))]
 
     stream, report = reassemble(arrivals)
     assert type(stream) is bytes
     assert stream == reassemble_reference(arrivals)
-    assert report.received == len(kept)
-    assert report.zero_filled_bytes == len(stream) - sum(len(d.payload) for d in kept)
+    seqs = [d.seq for d in kept]
+    missing = sorted(set(range(seqs[-1] + 1)) - set(seqs))
+    gaps = []
+    for seq in missing:
+        if gaps and sum(gaps[-1]) == seq:
+            gaps[-1][1] += 1
+        else:
+            gaps.append([seq, 1])
+    assert report == LossReport(expected_datagrams=seqs[-1] + 1, received=len(kept),
+                                gaps=tuple(map(tuple, gaps)),
+                                zero_filled_bytes=len(stream) - sum(len(d.payload) for d in kept))
 
 
 # --- cube decode/encode -----------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,17 @@ def test_compare_radar_against_simulator_truth(config):
     cmp = compare_rates(radar, truth)
     assert cmp.mae_bpm <= 1.0
     assert cmp.within_2bpm_fraction == 1.0
+
+
+@pytest.mark.parametrize("rates, name", [((1e308, -1e308), "mae_bpm"), ((1e200, 0.0), "rmse_bpm")],
+                         ids=["difference-overflows", "square-overflows"])
+def test_compare_of_rates_too_far_apart_names_the_metric_without_a_warning(rates, name):
+    # the subtraction overflowed with a RuntimeWarning, and inf reached the JSON writer
+    a, b = (series([0.0, 0.05], [15.0, rate]) for rate in rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} is inf, not a finite number$"):
+            compare_rates(a, b)
 
 
 def test_comparison_json_single_line():

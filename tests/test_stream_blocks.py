@@ -157,7 +157,9 @@ LONG_FRAMES = 24000
 
 
 @pytest.mark.parametrize("variant", ["A", "B"])
-def test_radar_chain_holds_no_whole_recording_array(tmp_path, variant):
+def test_radar_chain_holds_no_whole_recording_array(tmp_path, monkeypatch, variant):
+    # the blocks in flight grow with the worker count: the bound is set for 2
+    monkeypatch.setattr(spectral, "_worker_count", lambda: 2)
     config = RadarConfig()
     cube = RadarCube(config=config, data=random_iq_counts((LONG_FRAMES, 1, config.samples_per_chirp), seed=1),
                      frame_timestamps=np.arange(LONG_FRAMES) / config.frame_rate_hz)
